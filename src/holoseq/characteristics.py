@@ -14,7 +14,7 @@ coordinate, which is exact whenever the jump sizes vanish at the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,11 +26,8 @@ __all__ = [
     "JumpAtom",
     "JumpKernel",
     "Characteristics",
-    "MomentTable",
     "GridFinding",
     "GridReport",
-    "moment_series",
-    "build_moment_table",
     "validate_on_grid",
     "characteristics_from_config",
     "series_from_config",
@@ -132,57 +129,6 @@ class Characteristics:
             for j in range(self.dim):
                 out[:, i, j] = ser.evaluate_many(self.diffusion[i][j], pts).real
         return out
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """Jump moment series m^beta for 2 <= |beta| <= b_max."""
-
-    dim: int
-    b_max: int
-    entries: dict[tuple[int, ...], CoeffSeries] = field(default_factory=dict)
-
-    def get(self, beta: tuple[int, ...]) -> CoeffSeries:
-        return self.entries[tuple(beta)]
-
-    def __contains__(self, beta) -> bool:
-        return tuple(beta) in self.entries
-
-
-def moment_series(chars: Characteristics, beta: Sequence[int]) -> CoeffSeries:
-    """m^beta = lambda * sum_m w_m j_m^{*beta}, defined for |beta| >= 2.
-
-    Degree-one moments are rejected: they are absorbed by the compensator and
-    never appear in the generator.
-    """
-    b = tuple(int(x) for x in beta)
-    if sum(b) < 2:
-        raise ValueError(f"moment series requires |beta| >= 2, got {b}")
-    if chars.kernel is None:
-        raise ValueError("characteristics carry no jump kernel")
-    k = chars.kernel
-    acc = None
-    for atom in k.atoms:
-        term = atom.weight * ser.vector_star_pow(atom.size, b)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return ser.zero(chars.dim, chars.order)
-    out = ser.mul(k.intensity, acc)
-    for _ in range(k.pole_order):
-        out = ser.divide_by_coordinate(out, 0)
-    return out
-
-
-def build_moment_table(chars: Characteristics, b_max: int) -> MomentTable:
-    """All m^beta with 2 <= |beta| <= b_max (b_max >= 2)."""
-    if b_max < 2:
-        raise ValueError(f"b_max must be >= 2, got {b_max}")
-    idx, _ = ser.index_table(chars.dim, b_max)
-    entries = {}
-    for beta in idx:
-        if 2 <= sum(beta) <= b_max:
-            entries[beta] = moment_series(chars, beta)
-    return MomentTable(chars.dim, b_max, entries)
 
 
 @dataclass(frozen=True)

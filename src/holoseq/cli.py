@@ -10,7 +10,8 @@ CSV artifacts at full precision.
 
 Exit codes: 0 on success, 2 on config or model-validation problems, 3 on
 numerical failure (step-size underflow, flow budget, vanishing leading
-coefficient, escaped dual mass, violated thinning bound).
+coefficient, escaped dual mass, negative jump intensity or violated thinning
+bound on a simulated path).
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ import yaml
 
 from . import __version__
 from . import series as ser
-from .characteristics import Characteristics, characteristics_from_config, validate_on_grid
+from .characteristics import (
+    Characteristics,
+    characteristics_from_config,
+    series_from_config,
+    validate_on_grid,
+)
 from .models import (
     PRESET_INFO,
     PRESETS,
@@ -76,18 +82,14 @@ class Row:
     rel_diff: float | None = None
 
 
-def _fail(msg: str) -> ConfigError:
-    return ConfigError(msg)
-
-
 def _section(cfg: dict, name: str, required: bool = True) -> dict:
     sec = cfg.get(name)
     if sec is None:
         if required:
-            raise _fail(f"missing config section {name!r}")
+            raise ConfigError(f"missing config section {name!r}")
         return {}
     if not isinstance(sec, dict):
-        raise _fail(f"section {name!r} must be a mapping")
+        raise ConfigError(f"section {name!r} must be a mapping")
     return sec
 
 
@@ -107,21 +109,21 @@ def _payoff(fn_cfg: dict, dim: int, order: int):
     if family == "series":
         entries = fn_cfg.get("entries")
         if not entries:
-            raise _fail("function.entries required for family 'series'")
+            raise ConfigError("function.entries required for family 'series'")
         try:
-            u0 = _series_from_entries(entries, dim, order)
+            u0 = series_from_config(entries, dim, order)
         except (ValueError, TypeError) as e:
-            raise _fail(f"function.entries: {e}") from None
+            raise ConfigError(f"function.entries: {e}") from None
         return u0, (lambda xs: ser.evaluate_many(u0, np.asarray(xs)).real)
     if dim != 1:
-        raise _fail(f"function family {family!r} needs a one-dimensional model")
+        raise ConfigError(f"function family {family!r} needs a one-dimensional model")
     if family == "polynomial":
         coeffs = fn_cfg.get("coefficients")
         if not coeffs:
-            raise _fail("function.coefficients required for family 'polynomial'")
+            raise ConfigError("function.coefficients required for family 'polynomial'")
         cs = [float(c) for c in coeffs]
         if len(cs) - 1 > order:
-            raise _fail(f"polynomial degree {len(cs) - 1} exceeds order {order}")
+            raise ConfigError(f"polynomial degree {len(cs) - 1} exceeds order {order}")
         u0 = ser.from_entries(1, order, [((k,), c * math.factorial(k)) for k, c in enumerate(cs)])
         poly = np.polynomial.Polynomial(cs)
         return u0, (lambda xs: poly(np.asarray(xs, dtype=float)))
@@ -137,18 +139,7 @@ def _payoff(fn_cfg: dict, dim: int, order: int):
             trig = np.cos if family == "cos" else np.sin
             fn = lambda xs: amp * trig(s * np.asarray(xs, dtype=float))
         return ser.from_entries(1, order, entries), fn
-    raise _fail(f"unknown function family {family!r}")
-
-
-def _series_from_entries(entries, dim: int, order: int) -> CoeffSeries:
-    out = []
-    for item in entries:
-        alpha = item[0]
-        if isinstance(alpha, int):
-            alpha = [alpha]
-        val = float(item[1]) + 1j * (float(item[2]) if len(item) > 2 else 0.0)
-        out.append((tuple(int(a) for a in alpha), val))
-    return ser.from_entries(dim, order, out)
+    raise ConfigError(f"unknown function family {family!r}")
 
 
 def _is_identity_payoff(u0: CoeffSeries) -> bool:
@@ -163,11 +154,11 @@ def _ode_config(cfg: dict) -> OdeConfig:
     known = {"method", "rtol", "atol", "first_step", "fixed_step", "max_steps", "ref_radius"}
     extra = set(cfg) - known
     if extra:
-        raise _fail(f"unknown ode settings: {sorted(extra)}")
+        raise ConfigError(f"unknown ode settings: {sorted(extra)}")
     try:
         return OdeConfig(**cfg)
     except (ValueError, TypeError) as e:
-        raise _fail(f"ode config: {e}") from None
+        raise ConfigError(f"ode config: {e}") from None
 
 
 def _mc_config(cfg: dict, args) -> McConfig:
@@ -182,14 +173,14 @@ def _mc_config(cfg: dict, args) -> McConfig:
     try:
         return McConfig(**cfg)
     except (ValueError, TypeError) as e:
-        raise _fail(f"mc config: {e}") from None
+        raise ConfigError(f"mc config: {e}") from None
 
 
 def _parse_x0(run_cfg: dict, dim: int):
     x0 = run_cfg.get("x0", 0.0)
     if isinstance(x0, (list, tuple)):
         if len(x0) != dim:
-            raise _fail(f"x0 has {len(x0)} components, model dimension is {dim}")
+            raise ConfigError(f"x0 has {len(x0)} components, model dimension is {dim}")
         return np.array([float(v) for v in x0])
     return float(x0)
 
@@ -200,9 +191,9 @@ def _sweep_list(arg: str | None) -> list[int] | None:
     try:
         orders = [int(v) for v in arg.split(",") if v.strip()]
     except ValueError:
-        raise _fail(f"--sweep-order expects comma-separated integers, got {arg!r}") from None
+        raise ConfigError(f"--sweep-order expects comma-separated integers, got {arg!r}") from None
     if not orders or any(n < 2 for n in orders):
-        raise _fail("--sweep-order entries must be integers >= 2")
+        raise ConfigError("--sweep-order entries must be integers >= 2")
     return orders
 
 
@@ -227,25 +218,19 @@ def _grid_check(chars: Characteristics, grid_cfg: dict) -> list[str]:
     return [f"{f.kind} at {f.point}: {f.detail}" for f in report.findings]
 
 
-def _diffusive_rows(model, build, name, cfg, args, out_dir) -> list[Row]:
+def _diffusive_rows(model, build, name, cfg, args, out_dir, order: int, buffer: int) -> list[Row]:
     run_cfg = _section(cfg, "run")
     num_cfg = _section(cfg, "numerics", required=False)
-    order = int(num_cfg.get("order", 12))
-    buffer = int(num_cfg.get("buffer", 2))
-    if order < 2:
-        raise _fail(f"numerics.order must be >= 2, got {order}")
-    if buffer < 0:
-        raise _fail(f"numerics.buffer must be >= 0, got {buffer}")
     mode = run_cfg.get("mode", "holomorphic")
     if mode not in ("holomorphic", "affine", "both"):
-        raise _fail(f"run.mode must be holomorphic, affine or both, got {mode!r}")
+        raise ConfigError(f"run.mode must be holomorphic, affine or both, got {mode!r}")
     T = float(run_cfg.get("T", 1.0))
     if T <= 0:
-        raise _fail(f"run.T must be positive, got {T}")
+        raise ConfigError(f"run.T must be positive, got {T}")
     x0 = _parse_x0(run_cfg, model.dim)
     route = run_cfg.get("affine_route", "riccati")
     if route not in ("riccati", "log-linear", "both"):
-        raise _fail(f"run.affine_route must be riccati, log-linear or both, got {route!r}")
+        raise ConfigError(f"run.affine_route must be riccati, log-linear or both, got {route!r}")
     ode = _ode_config(num_cfg.get("ode") or {})
     orders = _sweep_list(args.sweep_order) or [order]
     sweep = args.sweep_order is not None
@@ -311,11 +296,11 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir) -> list[Row]:
     dual_cfg = oracles.get("dual")
     if dual_cfg is not None and dual_cfg.get("enabled", True):
         if name != "unit-interval":
-            raise _fail("the dual-chain oracle only applies to the unit-interval preset")
+            raise ConfigError("the dual-chain oracle only applies to the unit-interval preset")
         if mode == "holomorphic":
-            raise _fail("the dual-chain oracle computes E[exp X_T]; use an affine mode")
+            raise ConfigError("the dual-chain oracle computes E[exp X_T]; use an affine mode")
         if not _is_identity_payoff(u_full):
-            raise _fail("the dual-chain oracle needs the identity payoff h(x) = x")
+            raise ConfigError("the dual-chain oracle needs the identity payoff h(x) = x")
         k_max = int(dual_cfg.get("k_max", 400))
         t0 = time.perf_counter()
         dual = UnitIntervalModel(k_max=k_max).dual_expectation(
@@ -353,24 +338,24 @@ def _truncate(u: CoeffSeries, order: int) -> CoeffSeries:
 
 def _chain_rows(chain: FiniteChain, cfg, args) -> list[Row]:
     if args.sweep_order is not None:
-        raise _fail("--sweep-order applies to series models, not finite chains")
+        raise ConfigError("--sweep-order applies to series models, not finite chains")
     run_cfg = _section(cfg, "run")
     fn_cfg = _section(cfg, "function")
     if fn_cfg.get("family", "values") != "values":
-        raise _fail("chain models take function family 'values'")
+        raise ConfigError("chain models take function family 'values'")
     values = fn_cfg.get("values")
     if values is None or len(values) != chain.n_states:
-        raise _fail(f"function.values must list {chain.n_states} per-state payoffs")
+        raise ConfigError(f"function.values must list {chain.n_states} per-state payoffs")
     h = np.array([float(v) for v in values])
     T = float(run_cfg.get("T", 1.0))
     if T <= 0:
-        raise _fail(f"run.T must be positive, got {T}")
+        raise ConfigError(f"run.T must be positive, got {T}")
     i = run_cfg.get("x0", 0)
     if not isinstance(i, int) or not 0 <= i < chain.n_states:
-        raise _fail(f"run.x0 must be a start-state index in [0, {chain.n_states})")
+        raise ConfigError(f"run.x0 must be a start-state index in [0, {chain.n_states})")
     mode = run_cfg.get("mode", "holomorphic")
     if mode not in ("holomorphic", "affine", "both"):
-        raise _fail(f"run.mode must be holomorphic, affine or both, got {mode!r}")
+        raise ConfigError(f"run.mode must be holomorphic, affine or both, got {mode!r}")
 
     rows: list[Row] = []
     if mode in ("holomorphic", "both"):
@@ -478,15 +463,15 @@ def _echo_header(cfg: dict, args, name: str) -> None:
 
 def run_config(cfg: dict, args) -> list[Row]:
     if not isinstance(cfg, dict):
-        raise _fail("top-level config must be a mapping")
+        raise ConfigError("top-level config must be a mapping")
     model_cfg = _section(cfg, "model")
     num_cfg = _section(cfg, "numerics", required=False)
     order = int(num_cfg.get("order", 12))
     buffer = int(num_cfg.get("buffer", 2))
     if order < 2:
-        raise _fail(f"numerics.order must be >= 2, got {order}")
+        raise ConfigError(f"numerics.order must be >= 2, got {order}")
     if buffer < 0:
-        raise _fail(f"numerics.buffer must be >= 0, got {buffer}")
+        raise ConfigError(f"numerics.buffer must be >= 0, got {buffer}")
     if "preset" in model_cfg:
         name = str(model_cfg["preset"])
 
@@ -502,9 +487,9 @@ def run_config(cfg: dict, args) -> list[Row]:
     try:
         model = build(order + buffer)
     except KeyError as e:
-        raise _fail(e.args[0]) from None
+        raise ConfigError(e.args[0]) from None
     except (ValueError, TypeError) as e:
-        raise _fail(f"model: {e}") from None
+        raise ConfigError(f"model: {e}") from None
 
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
@@ -519,8 +504,8 @@ def run_config(cfg: dict, args) -> list[Row]:
         if grid_cfg is not None:
             problems = _grid_check(model, grid_cfg)
             if problems:
-                raise _fail("model failed grid validation: " + "; ".join(problems))
-        rows = _diffusive_rows(model, build, name, cfg, args, out_dir)
+                raise ConfigError("model failed grid validation: " + "; ".join(problems))
+        rows = _diffusive_rows(model, build, name, cfg, args, out_dir, order, buffer)
 
     _attach_diffs(rows, args.sweep_order is not None)
     _print_table(rows)

@@ -1,61 +1,28 @@
 """Generator action on coefficient sequences.
 
-applies the extended generator of a jump-diffusion to the coefficients of a
+Applies the extended generator of a jump-diffusion to the coefficients of a
 holomorphic function: for h_u the series of degree <= N, L(u) collects the
 coefficients of A h_u, and R(u) those of e^{-h_u} A e^{h_u} (the quadratic
 form driving the exponential-moment flow).
 
-Two equivalent assemblies of the jump part are provided. The moment form
-contracts shifted coefficients against jump moment series m^beta (|beta|
-capped at ``b_max``); the composition form evaluates the shifted composition
-u o j per atom and compensates degree one. Both leave coefficients of degree
-<= trusted exact for polynomial inputs inside the cap.
+L and R share one assembly. Drift and diffusion multiply shifted coefficients
+by the characteristic series. Each jump atom contributes the shifted
+composition g = u o j - u, compensated in degree one, weighted, multiplied by
+the intensity and pole-divided; R replaces g by exp*(g) - 1.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from typing import Callable
 
 from holoseq import series as ser
-from holoseq.characteristics import Characteristics, MomentTable, build_moment_table
+from holoseq.characteristics import Characteristics
 from holoseq.series import CoeffSeries
 
 __all__ = [
-    "GeneratorConfig",
-    "LinearOperator",
-    "RiccatiOperator",
-    "apply_l_moment",
     "apply_l_composition",
     "apply_r",
 ]
-
-MOMENT = "moment"
-COMPOSITION = "composition"
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Assembly choices: form, moment cap, working order and buffer degrees.
-
-    ``working_order`` is the order results are reported at; ``buffer`` extra
-    degrees absorb the shifts the generator consumes (2 from diffusion, up to
-    ``b_max`` from moment-form jumps). ``b_max`` defaults to the series order
-    at application time.
-    """
-
-    form: str = COMPOSITION
-    b_max: int | None = None
-    working_order: int | None = None
-    buffer: int = 2
-
-    def __post_init__(self) -> None:
-        if self.form not in (MOMENT, COMPOSITION):
-            raise ValueError(f"unknown generator form {self.form!r}")
-        if self.b_max is not None and self.b_max < 2:
-            raise ValueError(f"b_max must be >= 2, got {self.b_max}")
-        if self.buffer < 2:
-            raise ValueError(f"buffer must be >= 2, got {self.buffer}")
 
 
 def _basis(dim: int, i: int) -> tuple[int, ...]:
@@ -68,9 +35,8 @@ def _is_zero(s: CoeffSeries) -> bool:
 
 def _drift_diffusion_part(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
     # identically-zero characteristics are skipped: they contribute nothing
-    # and must not consume trusted degrees
     dim = chars.dim
-    out = ser.zero(dim, u.order).with_trusted(u.trusted)
+    out = ser.zero(dim, u.order)
     for i in range(dim):
         if not _is_zero(chars.drift[i]):
             out = out + ser.mul(ser.shift(u, _basis(dim, i)), chars.drift[i])
@@ -87,33 +53,22 @@ def _drift_diffusion_part(u: CoeffSeries, chars: Characteristics) -> CoeffSeries
     return out
 
 
-def _pole_divide(term: CoeffSeries, chars: Characteristics) -> CoeffSeries:
+def _jump_part(
+    u: CoeffSeries, chars: Characteristics, tilt: Callable[[CoeffSeries], CoeffSeries]
+) -> CoeffSeries:
+    """lambda * sum_m w_m (tilt(u o j_m - u) - sum_i u^(e_i) * j_m[i]), pole-divided."""
+    dim = chars.dim
     k = chars.kernel
-    out = ser.mul(k.intensity, term)
+    acc = None
+    for atom in k.atoms:
+        term = tilt(ser.compose_shift(u, atom.size) - u)
+        for i in range(dim):
+            term = term - ser.mul(ser.shift(u, _basis(dim, i)), atom.size[i])
+        term = atom.weight * term
+        acc = term if acc is None else acc + term
+    out = ser.mul(k.intensity, acc)
     for _ in range(k.pole_order):
         out = ser.divide_by_coordinate(out, 0)
-    return out
-
-
-def apply_l_moment(
-    u: CoeffSeries, chars: Characteristics, table: MomentTable, b_max: int | None = None
-) -> CoeffSeries:
-    """L(u) assembled from jump moment series.
-
-    L(u) = sum_{|beta|=1} u^(beta) * b^beta
-         + sum_{|beta|=2} (1/beta!) u^(beta) * (a^beta + m^beta)
-         + sum_{3 <= |beta| <= b_max} (1/beta!) u^(beta) * m^beta
-    """
-    cap = b_max if b_max is not None else u.order
-    out = _drift_diffusion_part(u, chars)
-    if chars.kernel is not None:
-        for beta, m in table.entries.items():
-            if sum(beta) > cap or _is_zero(m):
-                continue
-            fact = 1.0
-            for b in beta:
-                fact *= math.factorial(b)
-            out = out + (1.0 / fact) * ser.mul(ser.shift(u, beta), m)
     return out
 
 
@@ -125,17 +80,9 @@ def apply_l_composition(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
     jump sizes vanish at the origin; otherwise the beta tail beyond the order
     is a factorially damped truncation.
     """
-    dim = chars.dim
     out = _drift_diffusion_part(u, chars)
     if chars.kernel is not None and chars.kernel.atoms:
-        acc = None
-        for atom in chars.kernel.atoms:
-            term = ser.compose_shift(u, atom.size) - u
-            for i in range(dim):
-                term = term - ser.mul(ser.shift(u, _basis(dim, i)), atom.size[i])
-            term = atom.weight * term
-            acc = term if acc is None else acc + term
-        out = out + _pole_divide(acc, chars)
+        out = out + _jump_part(u, chars, lambda g: g)
     return out
 
 
@@ -157,57 +104,6 @@ def apply_r(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
             grad2 = ser.mul(ser.shift(u, _basis(dim, i)), ser.shift(u, _basis(dim, j)))
             out = out + w * ser.mul(chars.diffusion[i][j], grad2)
     if chars.kernel is not None and chars.kernel.atoms:
-        one = ser.unit(dim, u.order).with_trusted(u.trusted)
-        acc = None
-        for atom in chars.kernel.atoms:
-            g = ser.compose_shift(u, atom.size) - u
-            term = ser.exp_star(g) - one
-            for i in range(dim):
-                term = term - ser.mul(ser.shift(u, _basis(dim, i)), atom.size[i])
-            term = atom.weight * term
-            acc = term if acc is None else acc + term
-        out = out + _pole_divide(acc, chars)
+        one = ser.unit(dim, u.order)
+        out = out + _jump_part(u, chars, lambda g: ser.exp_star(g) - one)
     return out
-
-
-class LinearOperator:
-    """Callable u -> L(u) bound to characteristics and a config.
-
-    Defaults to the composition form when the kernel carries jump-size
-    series; a moment table alone (no kernel atoms needed at apply time)
-    selects the moment form. The table is built lazily and cached.
-    """
-
-    def __init__(
-        self,
-        chars: Characteristics,
-        config: GeneratorConfig | None = None,
-        table: MomentTable | None = None,
-    ):
-        self.chars = chars
-        self.config = config or GeneratorConfig(
-            form=MOMENT if table is not None else COMPOSITION
-        )
-        self._table = table
-
-    def _moment_table(self, order: int) -> MomentTable:
-        cap = self.config.b_max or order
-        if self._table is None or self._table.b_max < min(cap, order):
-            self._table = build_moment_table(self.chars, min(cap, order))
-        return self._table
-
-    def __call__(self, u: CoeffSeries) -> CoeffSeries:
-        if self.config.form == MOMENT and self.chars.kernel is not None:
-            return apply_l_moment(u, self.chars, self._moment_table(u.order), self.config.b_max)
-        return apply_l_composition(u, self.chars)
-
-
-class RiccatiOperator:
-    """Callable u -> R(u); always uses the composition assembly."""
-
-    def __init__(self, chars: Characteristics, config: GeneratorConfig | None = None):
-        self.chars = chars
-        self.config = config or GeneratorConfig()
-
-    def __call__(self, u: CoeffSeries) -> CoeffSeries:
-        return apply_r(u, self.chars)

@@ -30,7 +30,8 @@ __all__ = [
 
 
 class IntensityBoundError(RuntimeError):
-    """Total jump rate exceeded the thinning bound along a path."""
+    """Jump intensity left its admissible range along a path: negative, or
+    above the thinning bound."""
 
 
 @dataclass(frozen=True)
@@ -66,15 +67,6 @@ class McEstimate:
 
 def _fd_steps(x: np.ndarray) -> np.ndarray:
     return 1e-4 * (1.0 + np.abs(x))
-
-
-def _lambda_values(chars: Characteristics, xs: np.ndarray) -> np.ndarray:
-    k = chars.kernel
-    vals = ser.evaluate_many(k.intensity, xs).real
-    if k.pole_order:
-        base = xs[:, 0] if xs.ndim > 1 else xs
-        vals = vals / base**k.pole_order
-    return vals
 
 
 def _jump_sizes(chars: Characteristics, xs: np.ndarray) -> list[np.ndarray]:
@@ -148,7 +140,7 @@ def generator_values(chars: Characteristics, f, xs: np.ndarray) -> np.ndarray:
             at_pole = pts[:, 0] == 0.0
         safe = pts.copy()
         safe[at_pole, 0] = 1.0  # placeholder, masked out below
-        lam = _lambda_values(chars, safe)
+        lam = chars.kernel.intensity_value(safe)
         jump_term = np.zeros(n, dtype=np.complex128)
         for atom, sizes in zip(chars.kernel.atoms, _jump_sizes(chars, pts)):
             fj = call(pts + sizes)
@@ -217,9 +209,11 @@ def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=Non
             a = chars.diffusion_values(xa)
             jumped = np.zeros(alive.sum(), dtype=bool)
             if kernel is not None and total_w > 0:
-                lam = _lambda_values(chars, xa)
+                lam = kernel.intensity_value(xa)
                 if np.any(lam < -1e-12):
-                    raise ValueError(f"negative jump intensity at step {k}")
+                    raise IntensityBoundError(
+                        f"negative jump intensity {lam.min():.6g} at t={k * cfg.dt:.6g}"
+                    )
                 sizes = _jump_sizes(chars, xa)
                 rate = np.clip(lam, 0.0, None) * total_w
                 if cfg.intensity_bound is not None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics
-from holoseq.generator import LinearOperator, RiccatiOperator
+from holoseq.generator import apply_l_composition, apply_r
 from holoseq.series import CoeffSeries, LeadingCoefficientError
 
 __all__ = [
@@ -254,20 +254,22 @@ def _majorant_weights(dim: int, order: int, radius: float) -> np.ndarray:
 
 
 def tail_mass(u: CoeffSeries, radius: float, top: int = 2) -> float:
-    """Majorant mass sitting in the top ``top`` degrees: the standard
-    truncation diagnostic (small tail => the reported order was enough)."""
+    """Majorant mass sitting in the top ``top`` degrees at ``radius``.
+
+    A heuristic truncation diagnostic, not a bound: it sees only the top
+    degrees at one radius, and a small tail can sit beside a much larger
+    truncation error."""
     degs = ser._degrees(u.dim, u.order)
     w = _majorant_weights(u.dim, u.order, radius)
     mask = degs > u.order - top
     return float(np.sum(np.abs(u.coeffs[mask]) * w[mask]))
 
 
-def _linear_op(model) -> Callable[[CoeffSeries], CoeffSeries]:
-    return LinearOperator(model) if isinstance(model, Characteristics) else model
-
-
-def _riccati_op(model) -> Callable[[CoeffSeries], CoeffSeries]:
-    return RiccatiOperator(model) if isinstance(model, Characteristics) else model
+def _operator(model, apply) -> Callable[[CoeffSeries], CoeffSeries]:
+    """Bind Characteristics to a generator assembly; a callable passes through."""
+    if isinstance(model, Characteristics):
+        return lambda u: apply(u, model)
+    return model
 
 
 def _run(rhs, T, y0, config: OdeConfig, weights, record):
@@ -296,6 +298,20 @@ def _run(rhs, T, y0, config: OdeConfig, weights, record):
     return times, states, stats
 
 
+def _flow(kind: str, apply, model, u0: CoeffSeries, T: float, config, record) -> FlowResult:
+    config = config or OdeConfig()
+    op = _operator(model, apply)
+    dim, order = u0.dim, u0.order
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        return op(CoeffSeries(dim, order, y)).coeffs
+
+    w = _majorant_weights(dim, order, config.ref_radius)
+    times, states, stats = _run(rhs, T, u0.coeffs.copy(), config, w, record)
+    snaps = tuple(CoeffSeries(dim, order, y) for y in states)
+    return FlowResult(kind, times, snaps, stats)
+
+
 def solve_linear(
     model,
     u0: CoeffSeries,
@@ -305,17 +321,7 @@ def solve_linear(
 ) -> FlowResult:
     """c(t) with c' = L(c), c(0) = u0; model is Characteristics or a callable
     series operator."""
-    config = config or OdeConfig()
-    op = _linear_op(model)
-    dim, order = u0.dim, u0.order
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return op(CoeffSeries(dim, order, y)).coeffs
-
-    w = _majorant_weights(dim, order, config.ref_radius)
-    times, states, stats = _run(rhs, T, u0.coeffs.copy(), config, w, record)
-    snaps = tuple(CoeffSeries(dim, order, y, u0.trusted) for y in states)
-    return FlowResult("linear", times, snaps, stats)
+    return _flow("linear", apply_l_composition, model, u0, T, config, record)
 
 
 def solve_riccati(
@@ -326,17 +332,7 @@ def solve_riccati(
     record=None,
 ) -> FlowResult:
     """psi(t) with psi' = R(psi), psi(0) = u0."""
-    config = config or OdeConfig()
-    op = _riccati_op(model)
-    dim, order = u0.dim, u0.order
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return op(CoeffSeries(dim, order, y)).coeffs
-
-    w = _majorant_weights(dim, order, config.ref_radius)
-    times, states, stats = _run(rhs, T, u0.coeffs.copy(), config, w, record)
-    snaps = tuple(CoeffSeries(dim, order, y, u0.trusted) for y in states)
-    return FlowResult("riccati", times, snaps, stats)
+    return _flow("riccati", apply_r, model, u0, T, config, record)
 
 
 def riccati_from_linear(
@@ -353,7 +349,7 @@ def riccati_from_linear(
     integrates the branch alongside and is handed to the *-logarithm.
     """
     config = config or OdeConfig()
-    op = _linear_op(model)
+    op = _operator(model, apply_l_composition)
     dim, order = u0.dim, u0.order
     c0 = ser.exp_star(u0)
     n = c0.coeffs.size
@@ -376,7 +372,7 @@ def riccati_from_linear(
     times, states, stats = _run(rhs, T, y0, config, w, record)
     snaps = []
     for y in states:
-        c = CoeffSeries(dim, order, y[:n], u0.trusted)
+        c = CoeffSeries(dim, order, y[:n])
         snaps.append(ser.log_star(c, phi0=complex(y[n])))
     return FlowResult("log-linear", times, tuple(snaps), stats)
 

@@ -4,16 +4,14 @@ A sequence u = (u_alpha) over multi-indices |alpha| <= N represents the
 function h_u(z) = sum_alpha u_alpha z^alpha / alpha! (coefficients carry the
 factorial normalisation, so polynomial data like z^2 is stored as u_2 = 2).
 All operations are pure: they return new series and never mutate inputs.
-
-Each series tracks a ``trusted`` degree: coefficients of degree <= trusted
-are exact under the operation history, higher ones may have absorbed
-truncation. Operations propagate it conservatively.
+Products and compositions drop every degree above N, and a shift by beta
+zero-fills the top |beta| degrees.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
@@ -33,7 +31,6 @@ __all__ = [
     "lin_comb",
     "mul",
     "star_pow",
-    "vector_star_pow",
     "shift",
     "divide_by_coordinate",
     "exp_star",
@@ -149,7 +146,6 @@ class CoeffSeries:
     dim: int
     order: int
     coeffs: np.ndarray
-    trusted: int = field(default=-1)
 
     def __post_init__(self) -> None:
         idx, _ = index_table(self.dim, self.order)
@@ -162,8 +158,6 @@ class CoeffSeries:
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        t = self.trusted if self.trusted >= 0 else self.order
-        object.__setattr__(self, "trusted", min(t, self.order))
 
     @property
     def indices(self) -> tuple[MultiIndex, ...]:
@@ -175,9 +169,6 @@ class CoeffSeries:
         _, lookup = index_table(self.dim, self.order)
         return complex(self.coeffs[lookup[tuple(alpha)]])
 
-    def with_trusted(self, trusted: int) -> "CoeffSeries":
-        return CoeffSeries(self.dim, self.order, self.coeffs, trusted)
-
     def __add__(self, other: "CoeffSeries") -> "CoeffSeries":
         return lin_comb((1.0, self), (1.0, other))
 
@@ -185,19 +176,19 @@ class CoeffSeries:
         return lin_comb((1.0, self), (-1.0, other))
 
     def __neg__(self) -> "CoeffSeries":
-        return CoeffSeries(self.dim, self.order, -self.coeffs, self.trusted)
+        return CoeffSeries(self.dim, self.order, -self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, CoeffSeries):
             return mul(self, other)
-        return CoeffSeries(self.dim, self.order, self.coeffs * complex(other), self.trusted)
+        return CoeffSeries(self.dim, self.order, self.coeffs * complex(other))
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:  # short: full arrays are noisy in test output
         head = ", ".join(f"{c:.6g}" for c in self.coeffs[: min(6, len(self.coeffs))])
         tail = ", ..." if len(self.coeffs) > 6 else ""
-        return f"CoeffSeries(dim={self.dim}, order={self.order}, trusted={self.trusted}, [{head}{tail}])"
+        return f"CoeffSeries(dim={self.dim}, order={self.order}, [{head}{tail}])"
 
 
 SeriesVector = tuple[CoeffSeries, ...]
@@ -218,7 +209,6 @@ def from_entries(
     dim: int,
     order: int,
     entries: Iterable[tuple[Sequence[int], complex]],
-    trusted: int = -1,
 ) -> CoeffSeries:
     """Build a series from sparse (multi-index, value) pairs; rest is zero."""
     idx, lookup = index_table(dim, order)
@@ -228,7 +218,7 @@ def from_entries(
         if key not in lookup:
             raise ValueError(f"multi-index {key} outside dim={dim} order={order}")
         c[lookup[key]] += complex(value)
-    return CoeffSeries(dim, order, c, trusted)
+    return CoeffSeries(dim, order, c)
 
 
 def zero(dim: int, order: int) -> CoeffSeries:
@@ -245,7 +235,7 @@ def unit(dim: int, order: int) -> CoeffSeries:
 
 
 def lin_comb(*terms: tuple[complex, CoeffSeries]) -> CoeffSeries:
-    """sum_k c_k u_k; trusted degree is the minimum over the inputs."""
+    """sum_k c_k u_k over series of one shape."""
     if not terms:
         raise ValueError("lin_comb needs at least one term")
     series = [u for _, u in terms]
@@ -253,7 +243,7 @@ def lin_comb(*terms: tuple[complex, CoeffSeries]) -> CoeffSeries:
     acc = np.zeros(len(series[0].coeffs), dtype=np.complex128)
     for c, u in terms:
         acc += complex(c) * u.coeffs
-    return CoeffSeries(dim, order, acc, min(u.trusted for u in series))
+    return CoeffSeries(dim, order, acc)
 
 
 def mul(u: CoeffSeries, v: CoeffSeries) -> CoeffSeries:
@@ -265,36 +255,23 @@ def mul(u: CoeffSeries, v: CoeffSeries) -> CoeffSeries:
     c = np.bincount(out, weights=terms.real, minlength=n) + 1j * np.bincount(
         out, weights=terms.imag, minlength=n
     )
-    return CoeffSeries(dim, order, c, min(u.trusted, v.trusted))
+    return CoeffSeries(dim, order, c)
 
 
 def star_pow(u: CoeffSeries, n: int) -> CoeffSeries:
     """n-fold convolution power; n = 0 gives the unit."""
     if n < 0:
         raise ValueError(f"negative power {n}")
-    acc = unit(u.dim, u.order).with_trusted(u.trusted)
+    acc = unit(u.dim, u.order)
     for _ in range(n):
         acc = mul(acc, u)
-    return acc
-
-
-def vector_star_pow(vec: Sequence[CoeffSeries], beta: Sequence[int]) -> CoeffSeries:
-    """Componentwise power product v_1^{*beta_1} * ... * v_d^{*beta_d}."""
-    if len(vec) != len(beta):
-        raise ValueError(f"vector length {len(vec)} != multi-index length {len(beta)}")
-    dim, order = _check_same_shape(*vec)
-    acc = unit(dim, order).with_trusted(min(v.trusted for v in vec))
-    for v, b in zip(vec, beta):
-        for _ in range(int(b)):
-            acc = mul(acc, v)
     return acc
 
 
 def shift(u: CoeffSeries, beta: Sequence[int] | int) -> CoeffSeries:
     """Coefficient shift u^(beta)_alpha = u_{alpha+beta} (the beta-th derivative).
 
-    Consumes |beta| trusted degrees; coefficients above order - |beta| are
-    zero-filled and untrusted by construction.
+    Coefficients above order - |beta| are zero-filled.
     """
     if isinstance(beta, int):
         beta = (beta,)
@@ -304,7 +281,7 @@ def shift(u: CoeffSeries, beta: Sequence[int] | int) -> CoeffSeries:
     dst, src = _shift_table(u.dim, u.order, b)
     c = np.zeros(len(u.coeffs), dtype=np.complex128)
     c[dst] = u.coeffs[src]
-    return CoeffSeries(u.dim, u.order, c, u.trusted - sum(b))
+    return CoeffSeries(u.dim, u.order, c)
 
 
 def divide_by_coordinate(u: CoeffSeries, coord: int = 0) -> CoeffSeries:
@@ -326,11 +303,11 @@ def divide_by_coordinate(u: CoeffSeries, coord: int = 0) -> CoeffSeries:
     e_i = tuple(1 if k == coord else 0 for k in range(u.dim))
     shifted = shift(u, e_i)
     denom = idxm[:, coord].astype(np.float64) + 1.0
-    return CoeffSeries(u.dim, u.order, shifted.coeffs / denom, shifted.trusted)
+    return CoeffSeries(u.dim, u.order, shifted.coeffs / denom)
 
 
 def exp_star(u: CoeffSeries) -> CoeffSeries:
-    """Coefficients of exp(h_u), exact on trusted degrees.
+    """Coefficients of exp(h_u) up to the order.
 
     Degree-by-degree recurrence: along the first coordinate i with delta_i > 0,
     E_{delta} = (E * u^(e_i))_{delta - e_i}, seeded with E_0 = exp(u_0).
@@ -355,42 +332,33 @@ def exp_star(u: CoeffSeries) -> CoeffSeries:
         ia = lookup[alpha]
         rows = slice(row_start[ia], row_start[ia + 1])
         e[j] = np.sum(w[rows] * e[left[rows]] * shifted[i][right[rows]])
-    return CoeffSeries(dim, order, e, u.trusted)
+    return CoeffSeries(dim, order, e)
 
 
-def log_star(
-    c: CoeffSeries,
-    phi0: complex | None = None,
-    weights: str = "reciprocal",
-) -> CoeffSeries:
+def log_star(c: CoeffSeries, phi0: complex | None = None) -> CoeffSeries:
     """Inverse of exp_star up to the degree-zero branch.
 
-    Writes c = c_0 (1 + d) with d_0 = 0 and sums w_k d^{*k}, k = 1..order.
-    ``weights`` selects the degree-k weight: "reciprocal" uses
-    (-1)^(k-1)/k (satisfies the exp/log round trip and is the default);
-    "factorial" uses (-1)^(k-1) (k-1)! (kept for comparison; fails the round
-    trip beyond degree 1, see tests).
+    Writes c = c_0 (1 + d) with d_0 = 0 and sums (-1)^(k-1)/k d^{*k},
+    k = 1..order.
 
     The degree-zero coefficient is ``phi0`` when given (callers integrating a
     flow supply the branch), else the principal log of c_0.
     """
-    if weights not in ("reciprocal", "factorial"):
-        raise ValueError(f"unknown weights {weights!r}")
     c0 = complex(c.coeffs[0])
     if abs(c0) <= EPS_DIV:
         raise LeadingCoefficientError(
             f"leading coefficient {c0!r} within division guard {EPS_DIV}"
         )
-    d = CoeffSeries(c.dim, c.order, c.coeffs / c0, c.trusted)
-    d = lin_comb((1.0, d), (-1.0, unit(c.dim, c.order).with_trusted(c.trusted)))
+    d = CoeffSeries(c.dim, c.order, c.coeffs / c0)
+    d = lin_comb((1.0, d), (-1.0, unit(c.dim, c.order)))
     acc = np.zeros(len(c.coeffs), dtype=np.complex128)
-    power = unit(c.dim, c.order).with_trusted(c.trusted)
+    power = unit(c.dim, c.order)
     for k in range(1, c.order + 1):
         power = mul(power, d)
-        w_k = (-1.0) ** (k - 1) * (1.0 / k if weights == "reciprocal" else math.factorial(k - 1))
+        w_k = (-1.0) ** (k - 1) * (1.0 / k)
         acc += w_k * power.coeffs
     acc[0] = np.log(c0) if phi0 is None else complex(phi0)
-    return CoeffSeries(c.dim, c.order, acc, c.trusted)
+    return CoeffSeries(c.dim, c.order, acc)
 
 
 def compose_shift(u: CoeffSeries, vec: Sequence[CoeffSeries]) -> CoeffSeries:
@@ -400,9 +368,8 @@ def compose_shift(u: CoeffSeries, vec: Sequence[CoeffSeries]) -> CoeffSeries:
     as sum_beta (1/beta!) u^(beta) * v^{*beta}, beta capped at the order.
 
     When every v_i has zero constant coefficient the cap is exact (v^{*beta}
-    starts at degree |beta|) and no trusted degrees are consumed; with a
-    constant part present the beta tail is a factorially damped truncation
-    absorbed into the result.
+    starts at degree |beta|); with a constant part present the beta tail is a
+    factorially damped truncation absorbed into the result.
     """
     if len(vec) != u.dim:
         raise ValueError(f"need {u.dim} shift components, got {len(vec)}")
@@ -419,8 +386,7 @@ def compose_shift(u: CoeffSeries, vec: Sequence[CoeffSeries]) -> CoeffSeries:
         for b in beta:
             fact *= math.factorial(b)
         acc += (1.0 / fact) * mul(shift(u, beta), powers[beta]).coeffs
-    trusted = min([u.trusted] + [v.trusted for v in vec])
-    return CoeffSeries(dim, order, acc, trusted)
+    return CoeffSeries(dim, order, acc)
 
 
 def _weight_factors(u: CoeffSeries, z: Sequence[complex] | complex) -> np.ndarray:

@@ -8,12 +8,12 @@ from holoseq.characteristics import (
     Characteristics,
     JumpAtom,
     JumpKernel,
-    build_moment_table,
     characteristics_from_config,
-    moment_series,
     series_from_config,
     validate_on_grid,
 )
+
+from moment_form import moment_series
 
 COEFF_TOL = 1e-12
 
@@ -128,13 +128,6 @@ class TestMomentSeries:
         np.testing.assert_allclose(
             m4.coeffs.real[:6], egf([0.0, 0.0, 0.0, 1.0, -1.5, 0.5]), atol=COEFF_TOL
         )
-
-    def test_moment_table_range(self):
-        table = build_moment_table(compound_poisson_chars(), 4)
-        assert (2,) in table and (4,) in table
-        assert (1,) not in table and (5,) not in table
-        with pytest.raises(ValueError):
-            build_moment_table(compound_poisson_chars(), 1)
 
 
 class TestGridValidation:

@@ -194,6 +194,28 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 3 and "numerical failure" in err
 
+    @pytest.mark.parametrize("entries", [[[2]], [[2, 2.0, 0.0, 99.0]]])
+    def test_malformed_payoff_entries(self, tmp_path, capsys, entries):
+        cfg = dict(BASE, function={"family": "series", "entries": entries})
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 2 and "function.entries" in err
+
+    def test_negative_intensity_in_simulation_exits_3(self, tmp_path, capsys):
+        # intensity 1 - x is negative at the start state x0 = 2
+        cfg = {
+            "model": {
+                "dim": 1,
+                "diffusion": [[0, 1.0]],
+                "kernel": {"intensity": [[0, 1.0], [1, -1.0]], "atoms": [{"weight": 1.0, "size": [[0, 0.1]]}]},
+            },
+            "function": {"family": "polynomial", "coefficients": [0.0, 1.0]},
+            "run": {"mode": "holomorphic", "T": 0.1, "x0": 2.0},
+            "numerics": {"order": 6},
+            "oracles": {"mc": {"paths": 50, "dt": 0.001}},
+        }
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 3 and "negative jump intensity" in err
+
     def test_chain_rejects_sweep(self, tmp_path, capsys):
         cfg = {
             "model": {"preset": "finite-chain"},

@@ -4,22 +4,15 @@ finite-difference oracle and hand-expanded worked cases."""
 import math
 
 import numpy as np
-import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from holoseq import series as ser
-from holoseq.characteristics import Characteristics, JumpAtom, JumpKernel, build_moment_table
-from holoseq.generator import (
-    COMPOSITION,
-    MOMENT,
-    GeneratorConfig,
-    LinearOperator,
-    RiccatiOperator,
-    apply_l_composition,
-    apply_l_moment,
-    apply_r,
-)
+from holoseq.characteristics import Characteristics, JumpAtom, JumpKernel
+from holoseq.generator import apply_l_composition, apply_r
 from holoseq.montecarlo import generator_values, pointwise_generator
 
+from moment_form import apply_l_moment
 from test_characteristics import bm_chars, compound_poisson_chars, const, unit_interval_chars
 
 EXACT = 1e-12
@@ -39,12 +32,53 @@ def affine_jump_chars(order=10):
     return Characteristics(1, (b,), ((a,),), kernel)
 
 
-def two_dim_chars(order=10):
-    """b = (0.1 + x2, -0.2 x1), constant full diffusion, no jumps."""
+def two_dim_chars(order=10, jumps=False):
+    """b = (0.1 + x2, -0.2 x1), constant full diffusion; with ``jumps``,
+    intensity 0.8 + 0.1 x1 and atoms of size (0.2, -0.1 + 0.05 x2) and
+    (-0.15, 0.09) with weights 0.6 and 0.4."""
     b1 = ser.from_entries(2, order, [((0, 0), 0.1), ((0, 1), 1.0)])
     b2 = ser.from_entries(2, order, [((1, 0), -0.2)])
     a11, a12, a22 = const(2, order, 1.0), const(2, order, 0.3), const(2, order, 0.8)
-    return Characteristics(2, (b1, b2), ((a11, a12), (a12, a22)))
+    kernel = None
+    if jumps:
+        atoms = (
+            JumpAtom(0.6, (const(2, order, 0.2), ser.from_entries(2, order, [((0, 0), -0.1), ((0, 1), 0.05)]))),
+            JumpAtom(0.4, (const(2, order, -0.15), const(2, order, 0.09))),
+        )
+        kernel = JumpKernel(ser.from_entries(2, order, [((0, 0), 0.8), ((1, 0), 0.1)]), atoms, 0)
+    return Characteristics(2, (b1, b2), ((a11, a12), (a12, a22)), kernel)
+
+
+unit_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def affine_models(draw, dim, order):
+    """Affine drift, symmetric diffusion and intensity; two atoms whose jump
+    size per coordinate is constant or affine."""
+
+    def affine(constant_only=False):
+        c = draw(st.lists(unit_floats, min_size=dim + 1, max_size=dim + 1))
+        slopes = [] if constant_only else [(tuple(np.eye(dim, dtype=int)[k]), c[k + 1]) for k in range(dim)]
+        return ser.from_entries(dim, order, [((0,) * dim, c[0])] + slopes)
+
+    drift = tuple(affine() for _ in range(dim))
+    upper = {(i, j): affine() for i in range(dim) for j in range(i, dim)}
+    diffusion = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(dim)) for i in range(dim))
+    atoms = tuple(
+        JumpAtom(
+            draw(st.floats(min_value=0.0, max_value=1.0)),
+            tuple(affine(constant_only=draw(st.booleans())) for _ in range(dim)),
+        )
+        for _ in range(2)
+    )
+    return Characteristics(dim, drift, diffusion, JumpKernel(affine(), atoms, 0))
+
+
+@st.composite
+def dense_series(draw, dim, order):
+    n = len(ser.index_table(dim, order)[0])
+    return ser.CoeffSeries(dim, order, np.array(draw(st.lists(unit_floats, min_size=n, max_size=n))))
 
 
 def random_poly(dim, order, degree, rng, scale=0.5):
@@ -109,10 +143,9 @@ class TestFormAgreement:
     def test_moment_matches_composition_unit_interval(self):
         chars = unit_interval_chars(order=12)
         rng = np.random.default_rng(7)
-        table = build_moment_table(chars, 12)
         for _ in range(5):
             u = random_poly(1, 12, 5, rng)
-            a = apply_l_moment(u, chars, table)
+            a = apply_l_moment(u, chars)
             b = apply_l_composition(u, chars)
             np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-10)
 
@@ -125,38 +158,34 @@ class TestFormAgreement:
         kernel = JumpKernel(const(1, order, 1.0), (JumpAtom(1.0, (size,)),), 0)
         chars = Characteristics(1, (b,), ((a,),), kernel)
         rng = np.random.default_rng(11)
-        table = build_moment_table(chars, order)
         for _ in range(5):
             u = random_poly(1, order, 4, rng)
-            got_m = apply_l_moment(u, chars, table)
+            got_m = apply_l_moment(u, chars)
             got_c = apply_l_composition(u, chars)
             # both exact for polynomial u with linear jump sizes
             np.testing.assert_allclose(got_m.coeffs, got_c.coeffs, atol=1e-10)
 
-    def test_operator_classes_dispatch(self):
-        chars = unit_interval_chars()
-        u = random_poly(1, 10, 4, np.random.default_rng(3))
-        via_comp = LinearOperator(chars, GeneratorConfig(form=COMPOSITION))(u)
-        via_mom = LinearOperator(chars, GeneratorConfig(form=MOMENT))(u)
-        np.testing.assert_allclose(via_comp.coeffs, via_mom.coeffs, atol=1e-10)
-        r = RiccatiOperator(chars)(u)
-        assert r.dim == 1 and r.order == 10
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GeneratorConfig(form="spectral")
-        with pytest.raises(ValueError):
-            GeneratorConfig(b_max=1)
-        with pytest.raises(ValueError):
-            GeneratorConfig(buffer=1)
+    @seed(20260814)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(2, 6), (3, 5)]).flatmap(
+            lambda shape: st.tuples(affine_models(*shape), dense_series(*shape))
+        )
+    )
+    def test_moment_matches_composition_random_multivariate(self, case):
+        # both forms are exact for u of degree <= order, whose derivatives
+        # above the order vanish
+        chars, u = case
+        got_m = apply_l_moment(u, chars)
+        got_c = apply_l_composition(u, chars)
+        np.testing.assert_allclose(got_c.coeffs, got_m.coeffs, atol=1e-10)
 
 
 class TestPointwise:
     """evaluate(L(u), x) must reproduce the FD generator applied to h_u."""
 
     def check_l(self, chars, u, points):
-        op = LinearOperator(chars)
-        lu = op(u)
+        lu = apply_l_composition(u, chars)
         f = series_fun(u)
         for x in points:
             got = ser.evaluate(lu, x).real
@@ -209,6 +238,15 @@ class TestPointwise:
         self.check_l(chars, u, pts)
         self.check_r(chars, u, pts)
 
+    def test_l_and_r_two_dim_with_jumps(self):
+        # state-dependent intensity and jump size in dimension two
+        chars = two_dim_chars(order=12, jumps=True)
+        rng = np.random.default_rng(26)
+        u = random_poly(2, 12, 2, rng, scale=0.3)
+        pts = [(0.2, -0.4), (-0.3, 0.1)]
+        self.check_l(chars, u, pts)
+        self.check_r(chars, u, pts)
+
     def test_generator_values_vectorised_matches_scalar(self):
         chars = affine_jump_chars()
         u = random_poly(1, 10, 3, np.random.default_rng(8))
@@ -242,9 +280,8 @@ class TestStructure:
     def test_moment_form_respects_cap(self):
         chars = compound_poisson_chars(order=8)
         u = ser.from_entries(1, 8, [((4,), 24.0)])  # z^4
-        table = build_moment_table(chars, 8)
-        full = apply_l_moment(u, chars, table)
-        capped = apply_l_moment(u, chars, table, b_max=2)
+        full = apply_l_moment(u, chars)
+        capped = apply_l_moment(u, chars, b_max=2)
         # cap drops the beta = 3, 4 contributions: m4/4! * u^{(4)} = 24/24 * 0.125
         diff = full.coefficient((0,)) - capped.coefficient((0,))
         assert abs(diff - 0.125) < EXACT

@@ -138,7 +138,7 @@ class TestErrors:
         chars = Characteristics(
             1, (ser.zero(1, order),), ((const(1, order, 1.0),),), kernel
         )
-        with pytest.raises(ValueError, match="negative jump intensity"):
+        with pytest.raises(IntensityBoundError, match="negative jump intensity"):
             simulate_expectation(chars, lambda x: x, 2.0, 0.1, McConfig(paths=50, dt=1e-3))
 
     def test_negative_diffusion_aborts(self):

@@ -208,7 +208,7 @@ class TestQuadraticFlow:
             out = np.zeros_like(u.coeffs)
             out[0] = -u.coeffs[1]
             out[1] = u.coeffs[0]
-            return ser.CoeffSeries(u.dim, u.order, out, u.trusted)
+            return ser.CoeffSeries(u.dim, u.order, out)
 
         u0 = ser.from_entries(1, 2, [((1,), 1.0), ((2,), -1.0)])
         with pytest.raises((LeadingCoefficientError, StepSizeUnderflowError)):
