@@ -10,8 +10,7 @@ CSV artifacts at full precision.
 
 Exit codes: 0 on success, 2 on config or model-validation problems, 3 on
 numerical failure (step-size underflow, flow budget, vanishing leading
-coefficient, escaped dual mass, negative jump intensity or violated thinning
-bound on a simulated path).
+coefficient, escaped dual mass, negative jump intensity on a simulated path).
 """
 
 from __future__ import annotations
@@ -151,7 +150,7 @@ def _is_identity_payoff(u0: CoeffSeries) -> bool:
 
 
 def _ode_config(cfg: dict) -> OdeConfig:
-    known = {"method", "rtol", "atol", "first_step", "fixed_step", "max_steps", "ref_radius"}
+    known = {"rtol", "atol", "first_step", "max_steps"}
     extra = set(cfg) - known
     if extra:
         raise ConfigError(f"unknown ode settings: {sorted(extra)}")
@@ -218,7 +217,7 @@ def _grid_check(chars: Characteristics, grid_cfg: dict) -> list[str]:
     return [f"{f.kind} at {f.point}: {f.detail}" for f in report.findings]
 
 
-def _diffusive_rows(model, build, name, cfg, args, out_dir, order: int, buffer: int) -> list[Row]:
+def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], buffer: int) -> list[Row]:
     run_cfg = _section(cfg, "run")
     num_cfg = _section(cfg, "numerics", required=False)
     mode = run_cfg.get("mode", "holomorphic")
@@ -232,7 +231,6 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, order: int, buffer: 
     if route not in ("riccati", "log-linear", "both"):
         raise ConfigError(f"run.affine_route must be riccati, log-linear or both, got {route!r}")
     ode = _ode_config(num_cfg.get("ode") or {})
-    orders = _sweep_list(args.sweep_order) or [order]
     sweep = args.sweep_order is not None
 
     oracles = _section(cfg, "oracles", required=False)
@@ -446,7 +444,8 @@ def _write_results_csv(rows: list[Row], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _echo_header(cfg: dict, args, name: str) -> None:
+def _echo_header(cfg: dict, args, name: str, numerics: dict | None = None) -> None:
+    """``numerics`` holds the resolved truncation settings of a series model."""
     resolved = {
         "model": name,
         "overrides": {
@@ -456,6 +455,8 @@ def _echo_header(cfg: dict, args, name: str) -> None:
         },
         "config": cfg,
     }
+    if numerics is not None:
+        resolved["numerics"] = numerics
     print(f"# holoseq {__version__}")
     for line in yaml.safe_dump(resolved, default_flow_style=None, sort_keys=True).splitlines():
         print(f"# {line}")
@@ -495,17 +496,24 @@ def run_config(cfg: dict, args) -> list[Row]:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    _echo_header(cfg, args, name)
-
     if isinstance(model, FiniteChain):
+        _echo_header(cfg, args, name)
         rows = _chain_rows(model, cfg, args)
     else:
+        orders = _sweep_list(args.sweep_order) or [order]
+        # engine rows are labelled by N and computed at order N + buffer
+        numerics = {
+            "order": order,
+            "buffer": buffer,
+            "working_order": {n: n + buffer for n in orders},
+        }
+        _echo_header(cfg, args, name, numerics)
         grid_cfg = cfg.get("grid")
         if grid_cfg is not None:
             problems = _grid_check(model, grid_cfg)
             if problems:
                 raise ConfigError("model failed grid validation: " + "; ".join(problems))
-        rows = _diffusive_rows(model, build, name, cfg, args, out_dir, order, buffer)
+        rows = _diffusive_rows(model, build, name, cfg, args, out_dir, orders, buffer)
 
     _attach_diffs(rows, args.sweep_order is not None)
     _print_table(rows)

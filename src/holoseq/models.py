@@ -6,7 +6,7 @@ Three kinds of reference models live here:
   exponentials (the linear one exactly, the quadratic one after a log), giving
   oracles for the sequence-flow machinery at zero truncation error;
 * constant-coefficient and affine jump-diffusions, whose exponents solve
-  scalar ODEs with known closed forms;
+  scalar ODEs with known closed forms (solved in the tests' oracles);
 * a unit-interval kill model whose generator maps the monomial basis
   (x/2)^k to a birth-death chain on the exponent, so E[e^{X_T}] is computable
   by uniformization of an explicit (explosive) dual chain.
@@ -26,7 +26,6 @@ import numpy as np
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics, JumpAtom, JumpKernel
 from holoseq.odeflow import dopri5
-from holoseq.series import CoeffSeries
 
 __all__ = [
     "expm",
@@ -164,13 +163,6 @@ class LevySpec:
     rate: float = 1.0
     atoms: tuple[tuple[float, float], ...] = ()
 
-    def exponent(self, tau: complex) -> complex:
-        """Growth rate of E[exp(tau X_t)]: b tau + a tau^2/2 + jump terms."""
-        out = self.b * tau + 0.5 * self.a * tau * tau
-        for w, xi in self.atoms:
-            out += self.rate * w * (np.exp(tau * xi) - 1.0 - tau * xi)
-        return complex(out)
-
     def to_characteristics(self, order: int) -> Characteristics:
         def c(value):
             return ser.from_entries(1, order, [((0,), value)])
@@ -199,36 +191,6 @@ class AffineSpec:
     l0: float = 0.0
     l1: float = 0.0
     atoms: tuple[tuple[float, float], ...] = ()
-
-    def _f(self, u: complex, lin: bool) -> complex:
-        b, a, lam = (self.b1, self.a1, self.l1) if lin else (self.b0, self.a0, self.l0)
-        out = b * u + 0.5 * a * u * u
-        if lam:
-            for w, xi in self.atoms:
-                out += lam * w * (np.exp(u * xi) - 1.0 - u * xi)
-        return complex(out)
-
-    def transform(self, tau: complex, T: float, rtol: float = 1e-11):
-        """(phi(T), psi(T)) with E[exp(tau X_T) | x] = exp(phi + psi x)."""
-        y0 = np.array([0.0, tau], dtype=np.complex128)
-
-        def rhs(t, y):
-            return np.array([self._f(y[1], False), self._f(y[1], True)])
-
-        _, ys, _ = dopri5(rhs, 0.0, T, y0, rtol=rtol, atol=1e-14)
-        return complex(ys[-1][0]), complex(ys[-1][1])
-
-    def check_positivity(self, lo: float, hi: float, n: int = 101) -> list[str]:
-        """Variance and intensity must stay nonnegative on the working box."""
-        xs = np.linspace(lo, hi, n)
-        out = []
-        var = self.a0 + self.a1 * xs
-        lam = self.l0 + self.l1 * xs
-        if var.min() < 0:
-            out.append(f"variance negative at x = {xs[var.argmin()]:.6g}")
-        if lam.min() < 0:
-            out.append(f"intensity negative at x = {xs[lam.argmin()]:.6g}")
-        return out
 
     def to_characteristics(self, order: int) -> Characteristics:
         def lin(c0, c1):
@@ -268,16 +230,6 @@ class DualResult:
         for c in self.coefficients[::-1]:  # Horner in x/2
             out = out * half + c
         return out
-
-    def series(self, order: int = 40) -> CoeffSeries:
-        """Leading coefficients in the standard sequence convention
-        (u_k = nu_k k! / 2^k); the factorial caps usable orders around 100."""
-        m = min(order + 1, len(self.coefficients))
-        logs = np.array([math.lgamma(k + 1) - k * math.log(2.0) for k in range(m)])
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[:m] = self.coefficients[:m] * np.exp(logs)
-        return CoeffSeries(1, order, c)
-
 
 @dataclass(frozen=True)
 class UnitIntervalModel:

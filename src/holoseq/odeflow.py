@@ -7,10 +7,10 @@ exponential gives E[exp h(X_T)]). A third route recovers psi from the linear
 flow by a *-logarithm, tracking the degree-zero branch with an auxiliary
 scalar ODE so the two quadratic routes stay comparable.
 
-The integrators are dimension-agnostic over flat complex state vectors; the
-adaptive error norm weights coefficient alpha by r^alpha / alpha! so tolerance
-is enforced in the majorant metric at radius ``ref_radius``, matching how
-truncation tails are measured.
+The integrator is dimension-agnostic over flat complex state vectors; the
+adaptive error norm weights coefficient alpha by 1 / alpha! so tolerance is
+enforced in the majorant metric at unit radius, matching how truncation tails
+are measured.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "StepSizeUnderflowError",
     "FlowBudgetError",
     "dopri5",
-    "rk4_fixed",
     "solve_linear",
     "solve_riccati",
     "riccati_from_linear",
@@ -58,28 +57,21 @@ class FlowBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class OdeConfig:
-    method: str = "rk45"
+    """Settings of the adaptive Dormand-Prince 5(4) integrator."""
+
     rtol: float = 1e-9
     atol: float = 1e-12
     # None: horizon / 100
     first_step: float | None = None
-    # rk4 only; None: horizon / 1000
-    fixed_step: float | None = None
     max_steps: int = 1_000_000
-    # radius of the majorant metric used by the adaptive error norm
-    ref_radius: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
-        for name in ("first_step", "fixed_step"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive when given")
+        if self.first_step is not None and self.first_step <= 0:
+            raise ValueError("first_step must be positive when given")
 
 
 # Dormand-Prince 5(4) tableau, FSAL
@@ -176,46 +168,6 @@ def dopri5(
     return np.array(times), states, {"nfev": nfev, "accepted": accepted, "rejected": rejected}
 
 
-def rk4_fixed(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    t0: float,
-    t1: float,
-    y0: np.ndarray,
-    *,
-    step: float,
-    max_steps: int = 1_000_000,
-    record=None,
-):
-    """Classical fourth-order method on a fixed grid, segmented so snapshot
-    times are hit exactly."""
-    y = np.array(y0)
-    targets = _merge_record(t0, t1, record)
-    if targets.size == 0:
-        return np.array([t0]), [y.copy()], {"nfev": 0, "accepted": 0, "rejected": 0}
-    times, states = [], []
-    t = t0
-    nfev = steps = 0
-    for target in targets:
-        seg = target - t
-        n = max(1, int(math.ceil(seg / step - 1e-12)))
-        if steps + n > max_steps:
-            raise FlowBudgetError(f"exceeded {max_steps} steps at t={t:.6g}")
-        h = seg / n
-        for _ in range(n):
-            k1 = rhs(t, y)
-            k2 = rhs(t + h / 2, y + (h / 2) * k1)
-            k3 = rhs(t + h / 2, y + (h / 2) * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-            nfev += 4
-        steps += n
-        t = target
-        times.append(target)
-        states.append(y.copy())
-    return np.array(times), states, {"nfev": nfev, "accepted": steps, "rejected": 0}
-
-
 @dataclass(frozen=True)
 class FlowResult:
     """Snapshots of a sequence flow; times[0] is the first recorded time."""
@@ -274,24 +226,18 @@ def _operator(model, apply) -> Callable[[CoeffSeries], CoeffSeries]:
 
 def _run(rhs, T, y0, config: OdeConfig, weights, record):
     """Integrate on [0, T] and prepend the initial snapshot."""
-    if config.method == "rk4":
-        step = config.fixed_step if config.fixed_step is not None else T / 1000
-        times, states, stats = rk4_fixed(
-            rhs, 0.0, T, y0, step=step, max_steps=config.max_steps, record=record
-        )
-    else:
-        times, states, stats = dopri5(
-            rhs,
-            0.0,
-            T,
-            y0,
-            rtol=config.rtol,
-            atol=config.atol,
-            first_step=config.first_step,
-            max_steps=config.max_steps,
-            weights=weights,
-            record=record,
-        )
+    times, states, stats = dopri5(
+        rhs,
+        0.0,
+        T,
+        y0,
+        rtol=config.rtol,
+        atol=config.atol,
+        first_step=config.first_step,
+        max_steps=config.max_steps,
+        weights=weights,
+        record=record,
+    )
     if times.size == 0 or times[0] != 0.0:
         times = np.concatenate([[0.0], times])
         states = [np.array(y0)] + states
@@ -306,7 +252,7 @@ def _flow(kind: str, apply, model, u0: CoeffSeries, T: float, config, record) ->
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return op(CoeffSeries(dim, order, y)).coeffs
 
-    w = _majorant_weights(dim, order, config.ref_radius)
+    w = _majorant_weights(dim, order, 1.0)
     times, states, stats = _run(rhs, T, u0.coeffs.copy(), config, w, record)
     snaps = tuple(CoeffSeries(dim, order, y) for y in states)
     return FlowResult(kind, times, snaps, stats)
@@ -368,7 +314,7 @@ def riccati_from_linear(
         return out
 
     y0 = np.concatenate([c0.coeffs, [complex(u0.coeffs[0])]])
-    w = np.concatenate([_majorant_weights(dim, order, config.ref_radius), [1.0]])
+    w = np.concatenate([_majorant_weights(dim, order, 1.0), [1.0]])
     times, states, stats = _run(rhs, T, y0, config, w, record)
     snaps = []
     for y in states:

@@ -362,10 +362,10 @@ def log_star(c: CoeffSeries, phi0: complex | None = None) -> CoeffSeries:
 
 
 def compose_shift(u: CoeffSeries, vec: Sequence[CoeffSeries]) -> CoeffSeries:
-    """Coefficients of h_u(z + h_v1(z), ..., z + h_vd(z)) ... see below.
+    """Coefficients of the shifted composition h_u(z + (h_v1(z), ..., h_vd(z))).
 
-    Realises the shifted composition h_out(z) = h_u(z + (h_v1(z),...,h_vd(z)))
-    as sum_beta (1/beta!) u^(beta) * v^{*beta}, beta capped at the order.
+    Realised as sum_beta (1/beta!) u^(beta) * v^{*beta}, beta capped at the
+    order.
 
     When every v_i has zero constant coefficient the cap is exact (v^{*beta}
     starts at degree |beta|); with a constant part present the beta tail is a

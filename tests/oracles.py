@@ -1,0 +1,62 @@
+"""Closed-form and pointwise oracles that exist only to check the engine.
+
+Each takes the model object it checks as its first argument: the Lévy
+exponent of a ``LevySpec``, the scalar affine transform of an ``AffineSpec``,
+the dual chain's coefficients in the sequence convention, and the generator
+at one state by finite differences.
+"""
+
+import math
+
+import numpy as np
+
+from holoseq.characteristics import Characteristics
+from holoseq.models import AffineSpec, DualResult, LevySpec
+from holoseq.montecarlo import generator_values
+from holoseq.odeflow import dopri5
+from holoseq.series import CoeffSeries
+
+
+def levy_exponent(spec: LevySpec, tau: complex) -> complex:
+    """Growth rate of E[exp(tau X_t)]: b tau + a tau^2/2 + jump terms."""
+    out = spec.b * tau + 0.5 * spec.a * tau * tau
+    for w, xi in spec.atoms:
+        out += spec.rate * w * (np.exp(tau * xi) - 1.0 - tau * xi)
+    return complex(out)
+
+
+def _affine_f(spec: AffineSpec, u: complex, lin: bool) -> complex:
+    """F1(u) when ``lin``, else F0(u) (see ``AffineSpec``)."""
+    b, a, lam = (spec.b1, spec.a1, spec.l1) if lin else (spec.b0, spec.a0, spec.l0)
+    out = b * u + 0.5 * a * u * u
+    if lam:
+        for w, xi in spec.atoms:
+            out += lam * w * (np.exp(u * xi) - 1.0 - u * xi)
+    return complex(out)
+
+
+def affine_transform(spec: AffineSpec, tau: complex, T: float, rtol: float = 1e-11):
+    """(phi(T), psi(T)) with E[exp(tau X_T) | x] = exp(phi + psi x)."""
+    y0 = np.array([0.0, tau], dtype=np.complex128)
+
+    def rhs(t, y):
+        return np.array([_affine_f(spec, y[1], False), _affine_f(spec, y[1], True)])
+
+    _, ys, _ = dopri5(rhs, 0.0, T, y0, rtol=rtol, atol=1e-14)
+    return complex(ys[-1][0]), complex(ys[-1][1])
+
+
+def dual_series(res: DualResult, order: int = 40) -> CoeffSeries:
+    """Leading dual coefficients in the standard sequence convention
+    (u_k = nu_k k! / 2^k); the factorial caps usable orders around 100."""
+    m = min(order + 1, len(res.coefficients))
+    logs = np.array([math.lgamma(k + 1) - k * math.log(2.0) for k in range(m)])
+    c = np.zeros(order + 1, dtype=np.complex128)
+    c[:m] = res.coefficients[:m] * np.exp(logs)
+    return CoeffSeries(1, order, c)
+
+
+def pointwise_generator(chars: Characteristics, f, x) -> complex:
+    """Generator value at one state; the independent oracle for the series route."""
+    pt = np.atleast_1d(np.asarray(x, dtype=float))
+    return complex(generator_values(chars, f, pt[None, :])[0])

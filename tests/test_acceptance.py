@@ -24,7 +24,7 @@ from holoseq.models import (
     chain_riccati_rhs,
     two_state_closed_form,
 )
-from holoseq.montecarlo import McConfig, martingale_audit, pointwise_generator, simulate_expectation
+from holoseq.montecarlo import McConfig, martingale_audit, simulate_expectation
 from holoseq.odeflow import (
     OdeConfig,
     affine_expectation,
@@ -33,6 +33,8 @@ from holoseq.odeflow import (
     solve_linear,
     solve_riccati,
 )
+
+from oracles import affine_transform, pointwise_generator
 
 TIGHT = OdeConfig(rtol=1e-12, atol=1e-14)
 REF = OdeConfig(rtol=1e-11, atol=1e-13)
@@ -339,7 +341,7 @@ def test_affine_closure():
     u0 = ser.from_entries(1, 12, [((1,), tau)])
     psi = solve_riccati(chars, u0, T, REF).final.coeffs
     high = float(np.max(np.abs(psi[2:])))
-    phi_o, psi_o = AFFINE_LINEAR_JUMPS.transform(tau, T)
+    phi_o, psi_o = affine_transform(AFFINE_LINEAR_JUMPS, tau, T)
     res = affine_expectation(chars, u0, T, x0, REF)
     oracle = np.exp(phi_o + psi_o * x0)
     rel = abs(res.value - oracle) / abs(oracle)

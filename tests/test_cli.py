@@ -62,6 +62,15 @@ class TestRun:
         blob = "\n".join(line[2:] for line in header)
         assert "preset: bm" in blob and "order: 8" in blob
 
+    def test_header_echoes_working_order(self, tmp_path, capsys):
+        # BASE sets order 8 and no buffer; the default buffer of 2 runs it at 10
+        code, out, _ = run_cli(capsys, "run", write_cfg(tmp_path, BASE))
+        assert code == 0
+        # the first header line names the version; the rest is YAML
+        header = [line[2:] for line in out.splitlines() if line.startswith("#")]
+        numerics = yaml.safe_load("\n".join(header[1:]))["numerics"]
+        assert numerics == {"order": 8, "buffer": 2, "working_order": {8: 10}}
+
     def test_affine_routes_and_mc(self, tmp_path, capsys):
         cfg = {
             "model": {"preset": "compound-poisson"},
@@ -215,6 +224,24 @@ class TestExitCodes:
         }
         code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 3 and "negative jump intensity" in err
+
+    @pytest.mark.parametrize(
+        "section,setting",
+        [
+            ("ode", {"method": "rk4"}),
+            ("ode", {"fixed_step": 1e-3}),
+            ("ode", {"ref_radius": 2.0}),
+            ("mc", {"intensity_bound": 3.0}),
+            ("mc", {"batch": 1000}),
+        ],
+    )
+    def test_removed_settings_rejected(self, tmp_path, capsys, section, setting):
+        if section == "ode":
+            cfg = dict(BASE, numerics={"order": 8, "ode": setting})
+        else:
+            cfg = dict(BASE, oracles={"mc": {"paths": 100, "dt": 0.01, **setting}})
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 2 and next(iter(setting)) in err
 
     def test_chain_rejects_sweep(self, tmp_path, capsys):
         cfg = {

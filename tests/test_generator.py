@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics, JumpAtom, JumpKernel
 from holoseq.generator import apply_l_composition, apply_r
-from holoseq.montecarlo import generator_values, pointwise_generator
+from holoseq.montecarlo import generator_values
 
 from moment_form import apply_l_moment
+from oracles import pointwise_generator
 from test_characteristics import bm_chars, compound_poisson_chars, const, unit_interval_chars
 
 EXACT = 1e-12

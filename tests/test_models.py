@@ -9,14 +9,13 @@ import scipy.integrate
 import scipy.linalg
 
 from holoseq import series as ser
-from holoseq.characteristics import Characteristics
+from holoseq.characteristics import Characteristics, validate_on_grid
 from holoseq.generator import apply_r
 from holoseq.models import (
     AFFINE_LINEAR_JUMPS,
     PRESET_INFO,
     PRESETS,
     AffineSpec,
-    DualResult,
     EscapeMassError,
     FiniteChain,
     LevySpec,
@@ -28,6 +27,8 @@ from holoseq.models import (
     expm,
     two_state_closed_form,
 )
+
+from oracles import affine_transform, dual_series, levy_exponent
 
 # frozen anchors: the compensated exponent rate at tau = 1 for unit diffusion
 # with +-1/2 jumps, and the unit-interval dual value at (T, x) = (1/2, 1/2)
@@ -113,9 +114,9 @@ class TestFiniteChain:
 class TestLevySpec:
     def test_exponent_closed_form(self):
         spec = LevySpec(b=0.0, a=1.0, rate=1.0, atoms=((1.0, 0.5), (1.0, -0.5)))
-        assert abs(spec.exponent(1.0) - EXPONENT_AT_ONE) < 5e-16
+        assert abs(levy_exponent(spec, 1.0) - EXPONENT_AT_ONE) < 5e-16
         # pure diffusion part
-        assert abs(LevySpec(b=0.3, a=2.0).exponent(0.5) - (0.15 + 0.25)) < 1e-15
+        assert abs(levy_exponent(LevySpec(b=0.3, a=2.0), 0.5) - (0.15 + 0.25)) < 1e-15
 
     def test_to_characteristics(self):
         chars = LevySpec(b=0.2, a=1.5).to_characteristics(6)
@@ -132,7 +133,7 @@ class TestAffineSpec:
         # l1 = a1 = 0: psi' = b1 psi, so psi(T) = tau exp(b1 T) exactly
         spec = AFFINE_LINEAR_JUMPS
         tau, T = 0.6, 1.3
-        phi, psi = spec.transform(tau, T)
+        phi, psi = affine_transform(spec, tau, T)
         assert abs(psi - tau * math.exp(spec.b1 * T)) < 1e-10
 
     def test_phi_against_quadrature(self):
@@ -140,7 +141,7 @@ class TestAffineSpec:
         # psi path, by adaptive quadrature
         spec = AFFINE_LINEAR_JUMPS
         tau, T = 0.6, 1.3
-        phi, _ = spec.transform(tau, T)
+        phi, _ = affine_transform(spec, tau, T)
 
         def f0(s):
             u = tau * math.exp(spec.b1 * s)
@@ -154,11 +155,13 @@ class TestAffineSpec:
         assert abs(phi.imag) < 1e-12
 
     def test_positivity_check(self):
-        bad = AffineSpec(a0=-0.1)
-        assert any("variance" in m for m in bad.check_positivity(0.0, 1.0))
-        assert AFFINE_LINEAR_JUMPS.check_positivity(-5.0, 5.0) == []
-        decreasing = AffineSpec(l0=1.0, l1=-2.0, a0=1.0, atoms=((1.0, 0.1),))
-        assert any("intensity" in m for m in decreasing.check_positivity(0.0, 1.0))
+        unit = np.linspace(0.0, 1.0, 101)[:, None]
+        bad = AffineSpec(a0=-0.1).to_characteristics(8)
+        assert validate_on_grid(bad, unit).by_kind("diffusion-not-psd")
+        wide = np.linspace(-5.0, 5.0, 101)[:, None]
+        assert validate_on_grid(AFFINE_LINEAR_JUMPS.to_characteristics(8), wide).ok
+        decreasing = AffineSpec(l0=1.0, l1=-2.0, a0=1.0, atoms=((1.0, 0.1),)).to_characteristics(8)
+        assert validate_on_grid(decreasing, unit).by_kind("negative-intensity")
 
     def test_to_characteristics_layout(self):
         chars = AFFINE_LINEAR_JUMPS.to_characteristics(8)
@@ -204,7 +207,7 @@ class TestUnitInterval:
 
     def test_series_accessor_matches_evaluate(self):
         res = UnitIntervalModel(k_max=80).dual_expectation(0.5)
-        u = res.series(order=40)
+        u = dual_series(res, order=40)
         for x in (0.2, 0.5, 0.9):
             assert abs(ser.evaluate(u, x).real - float(res.evaluate(x))) < 1e-11
 

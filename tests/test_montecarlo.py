@@ -14,14 +14,16 @@ from holoseq import series as ser
 from holoseq.characteristics import Characteristics, JumpAtom, JumpKernel
 from holoseq.models import UnitIntervalModel, build_preset
 from holoseq.montecarlo import (
+    _BATCH,
     IntensityBoundError,
     McConfig,
     McEstimate,
+    _simulate,
     martingale_audit,
-    pointwise_generator,
     simulate_expectation,
 )
 
+from oracles import pointwise_generator
 from test_characteristics import const
 
 
@@ -55,6 +57,15 @@ class TestDeterminism:
         )
         assert a.mean != c.mean
 
+    def test_batches_do_not_depend_on_path_count(self):
+        # each batch has its own stream, so extra paths spill into a new
+        # batch without touching the draws of the full ones
+        bm = build_preset("bm")
+        full, _, _ = _simulate(bm, 0.0, 2e-3, McConfig(paths=_BATCH, dt=1e-3, seed=9))
+        more, _, _ = _simulate(bm, 0.0, 2e-3, McConfig(paths=_BATCH + 5, dt=1e-3, seed=9))
+        assert more.shape == (_BATCH + 5, 1)
+        np.testing.assert_array_equal(more[:_BATCH], full)
+
 
 class TestAgainstClosedForms:
     def test_bm_second_moment(self):
@@ -72,16 +83,6 @@ class TestAgainstClosedForms:
             0.0,
             0.5,
             McConfig(paths=8000, dt=2e-3, seed=1),
-        )
-        assert est.within(0.75)
-
-    def test_thinning_route_matches(self):
-        est = simulate_expectation(
-            build_preset("compound-poisson"),
-            lambda x: x**2,
-            0.0,
-            0.5,
-            McConfig(paths=8000, dt=2e-3, seed=1, intensity_bound=3.0),
         )
         assert est.within(0.75)
 
@@ -121,15 +122,15 @@ class TestErrors:
                 build_preset("bm"), lambda x: x, 0.0, 0.1003, McConfig(paths=10, dt=1e-3)
             )
 
-    def test_intensity_bound_violation(self):
-        with pytest.raises(IntensityBoundError):
-            simulate_expectation(
-                build_preset("compound-poisson"),
-                lambda x: x,
-                0.0,
-                0.1,
-                McConfig(paths=100, dt=1e-3, intensity_bound=1.5),  # true rate is 2
-            )
+    def test_horizon_must_be_positive(self):
+        bm = build_preset("bm")
+        with pytest.raises(ValueError, match="positive"):
+            simulate_expectation(bm, lambda x: x**2, 0.3, -0.5, McConfig(paths=10, dt=1e-3))
+        with pytest.raises(ValueError, match="positive"):
+            martingale_audit(bm, lambda x: x**2, 0.3, 0.0, McConfig(paths=10, dt=1e-3))
+        # a positive horizon that rounds to zero steps would run none
+        with pytest.raises(ValueError, match="positive"):
+            martingale_audit(bm, lambda x: x**2, 0.3, 1e-10, McConfig(paths=10, dt=1e-3))
 
     def test_negative_intensity_aborts(self):
         order = 6

@@ -20,7 +20,6 @@ from holoseq.odeflow import (
     flow_to_csv,
     holomorphic_expectation,
     riccati_from_linear,
-    rk4_fixed,
     solve_linear,
     solve_riccati,
     tail_mass,
@@ -65,26 +64,7 @@ class TestIntegrators:
             dopri5(lambda t, y: y * y, 0.0, 1.5, np.array([1.0]), max_steps=100_000)
         assert 0.9 < exc.value.time <= 1.05
 
-    def test_rk4_fourth_order_convergence(self):
-        rhs = lambda t, y: -(y * y)
-        exact = 0.5  # y = 1/(1+t) at t = 1
-        errs = []
-        for step in (0.05, 0.025):
-            _, ys, _ = rk4_fixed(rhs, 0.0, 1.0, np.array([1.0]), step=step)
-            errs.append(abs(ys[-1][0] - exact))
-        ratio = errs[0] / errs[1]
-        assert 12 < ratio < 20
-
-    def test_rk4_record_segmentation(self):
-        ts, ys, _ = rk4_fixed(
-            lambda t, y: -y, 0.0, 1.0, np.array([1.0]), step=0.01, record=[0.3]
-        )
-        np.testing.assert_array_equal(ts, [0.3, 1.0])
-        assert abs(ys[0][0] - math.exp(-0.3)) < 1e-9
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OdeConfig(method="euler")
         with pytest.raises(ValueError):
             OdeConfig(rtol=0.0)
         with pytest.raises(ValueError):
@@ -120,12 +100,6 @@ class TestLinearFlow:
         mid = flow.series[2]
         assert abs(mid.coefficient((0,)) - 0.5) < 1e-10
         assert abs(mid.coefficient((2,)) - 2.0) < 1e-10
-
-    def test_rk4_route_agrees(self):
-        u0 = ser.from_entries(1, 8, [((4,), 24.0)])
-        cfg = OdeConfig(method="rk4", fixed_step=1e-3)
-        res = holomorphic_expectation(bm_chars(), u0, 1.0, 0.0, cfg)
-        assert abs(res.value.real - 3.0) < 1e-8
 
 
 class TestQuadraticFlow:
