@@ -14,13 +14,13 @@ coordinate, which is exact whenever the jump sizes vanish at the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from holoseq import series as ser
-from holoseq.series import CoeffSeries, SeriesMatrix, SeriesVector
+from holoseq.series import CoeffSeries, RealEvaluator, SeriesMatrix, SeriesVector
 
 __all__ = [
     "JumpAtom",
@@ -40,11 +40,18 @@ class JumpAtom:
 
     weight: float
     size: SeriesVector
+    _size_eval: tuple[RealEvaluator, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.weight < 0:
             raise ValueError(f"atom weight must be >= 0, got {self.weight}")
         object.__setattr__(self, "size", tuple(self.size))
+        object.__setattr__(self, "_size_eval", tuple(RealEvaluator(s) for s in self.size))
+
+    def size_values(self, xs) -> np.ndarray:
+        """(npoints, dim) jump sizes at real state points (see ``series.real_points``)."""
+        pts = ser.real_points(xs, len(self.size))
+        return np.stack([ev(pts) for ev in self._size_eval], axis=1)
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,7 @@ class JumpKernel:
     intensity: CoeffSeries
     atoms: tuple[JumpAtom, ...]
     pole_order: int = 0
+    _intensity_eval: RealEvaluator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", tuple(self.atoms))
@@ -61,12 +69,12 @@ class JumpKernel:
             raise ValueError("pole_order must be >= 0")
         if self.pole_order > 0 and self.intensity.dim != 1:
             raise ValueError("pole_order > 0 is supported for dim=1 kernels only")
+        object.__setattr__(self, "_intensity_eval", RealEvaluator(self.intensity))
 
     def intensity_value(self, x) -> np.ndarray:
-        """lambda evaluated at state points (vectorised, real part)."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        pts = xs if xs.ndim > 1 else xs[:, None]
-        vals = ser.evaluate_many(self.intensity, pts).real
+        """lambda at real state points (see ``series.real_points``)."""
+        pts = ser.real_points(x, self.intensity.dim)
+        vals = self._intensity_eval(pts)
         if self.pole_order:
             base = pts[:, 0]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -85,6 +93,10 @@ class Characteristics:
     drift: SeriesVector
     diffusion: SeriesMatrix
     kernel: JumpKernel | None = None
+    _drift_eval: tuple[RealEvaluator, ...] = field(init=False, repr=False, compare=False)
+    _diffusion_eval: tuple[tuple[RealEvaluator, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "drift", tuple(self.drift))
@@ -111,23 +123,32 @@ class Characteristics:
             for j in range(i + 1, self.dim):
                 if not np.array_equal(self.diffusion[i][j].coeffs, self.diffusion[j][i].coeffs):
                     raise ValueError(f"diffusion series a[{i}][{j}] != a[{j}][{i}]")
+        object.__setattr__(self, "_drift_eval", tuple(RealEvaluator(b) for b in self.drift))
+        # the upper triangle only: a[j][i] == a[i][j] was checked above
+        object.__setattr__(
+            self,
+            "_diffusion_eval",
+            tuple(
+                tuple(RealEvaluator(a) for a in row[i:]) for i, row in enumerate(self.diffusion)
+            ),
+        )
 
     @property
     def order(self) -> int:
         return self.drift[0].order
 
-    def drift_values(self, xs: np.ndarray) -> np.ndarray:
-        """(npoints, dim) drift evaluations (real parts)."""
-        pts = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.stack([ser.evaluate_many(b, pts).real for b in self.drift], axis=1)
+    def drift_values(self, xs) -> np.ndarray:
+        """(npoints, dim) drift at real state points (see ``series.real_points``)."""
+        pts = ser.real_points(xs, self.dim)
+        return np.stack([ev(pts) for ev in self._drift_eval], axis=1)
 
-    def diffusion_values(self, xs: np.ndarray) -> np.ndarray:
-        """(npoints, dim, dim) diffusion matrix evaluations (real parts)."""
-        pts = np.atleast_2d(np.asarray(xs, dtype=float))
+    def diffusion_values(self, xs) -> np.ndarray:
+        """(npoints, dim, dim) diffusion matrices at real state points."""
+        pts = ser.real_points(xs, self.dim)
         out = np.empty((pts.shape[0], self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out[:, i, j] = ser.evaluate_many(self.diffusion[i][j], pts).real
+        for i, row in enumerate(self._diffusion_eval):
+            for j, ev in enumerate(row, start=i):
+                out[:, i, j] = out[:, j, i] = ev(pts)
         return out
 
 
@@ -162,7 +183,7 @@ def validate_on_grid(
     vanishes at a point while carrying weight (mass at zero jumps), and,
     when ``box`` is given, post-jump states leaving it (flagged only).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = ser.real_points(points, chars.dim)
     findings: list[GridFinding] = []
     diff = chars.diffusion_values(pts)
     for p, a in zip(pts, diff):
@@ -180,8 +201,7 @@ def validate_on_grid(
         for m, atom in enumerate(k.atoms):
             if atom.weight == 0:
                 continue
-            sizes = np.stack([ser.evaluate_many(s, pts).real for s in atom.size], axis=1)
-            for p, j in zip(pts, sizes):
+            for p, j in zip(pts, atom.size_values(pts)):
                 if np.all(np.abs(j) < 1e-14):
                     findings.append(
                         GridFinding(

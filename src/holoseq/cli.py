@@ -10,7 +10,8 @@ CSV artifacts at full precision.
 
 Exit codes: 0 on success, 2 on config or model-validation problems, 3 on
 numerical failure (step-size underflow, flow budget, vanishing leading
-coefficient, escaped dual mass, negative jump intensity on a simulated path).
+coefficient, escaped dual mass, negative or NaN jump intensity on a simulated
+path).
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _payoff(fn_cfg: dict, dim: int, order: int):
             u0 = series_from_config(entries, dim, order)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"function.entries: {e}") from None
-        return u0, (lambda xs: ser.evaluate_many(u0, np.asarray(xs)).real)
+        return u0, ser.RealEvaluator(u0)
     if dim != 1:
         raise ConfigError(f"function family {family!r} needs a one-dimensional model")
     if family == "polynomial":

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from holoseq import series as ser
 from holoseq.characteristics import Characteristics
+from holoseq.series import real_points
 
 __all__ = [
     "McConfig",
@@ -29,7 +29,7 @@ __all__ = [
 
 
 class IntensityBoundError(RuntimeError):
-    """Jump intensity went negative along a path."""
+    """Jump intensity went negative or NaN along a path."""
 
 
 # paths per batch; each batch draws from its own stream, so this fixes the
@@ -70,10 +70,7 @@ def _fd_steps(x: np.ndarray) -> np.ndarray:
 
 def _jump_sizes(chars: Characteristics, xs: np.ndarray) -> list[np.ndarray]:
     """Per atom: (npoints, dim) jump sizes."""
-    out = []
-    for atom in chars.kernel.atoms:
-        out.append(np.stack([ser.evaluate_many(s, xs).real for s in atom.size], axis=1))
-    return out
+    return [atom.size_values(xs) for atom in chars.kernel.atoms]
 
 
 def generator_values(chars: Characteristics, f, xs: np.ndarray) -> np.ndarray:
@@ -85,12 +82,7 @@ def generator_values(chars: Characteristics, f, xs: np.ndarray) -> np.ndarray:
     second-order four-point cross. States sitting exactly at the origin of a
     pole-order kernel get a zero jump term (the absorbed-state limit).
     """
-    pts = np.asarray(xs, dtype=float)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
-        # ambiguous without the model: resolve via the state dimension
-        pts = pts[:, None] if chars.dim == 1 else pts[None, :]
+    pts = real_points(xs, chars.dim)
     n, dim = pts.shape
 
     def call(q: np.ndarray) -> np.ndarray:
@@ -204,6 +196,9 @@ def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=Non
             jumped = np.zeros(alive.sum(), dtype=bool)
             if kernel is not None and total_w > 0:
                 lam = kernel.intensity_value(xa)
+                # +inf (a path sitting on a pole) is a certain jump; NaN is not a rate
+                if np.isnan(lam).any():
+                    raise IntensityBoundError(f"NaN jump intensity at t={k * cfg.dt:.6g}")
                 if np.any(lam < -1e-12):
                     raise IntensityBoundError(
                         f"negative jump intensity {lam.min():.6g} at t={k * cfg.dt:.6g}"
@@ -260,7 +255,7 @@ def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=Non
     return np.concatenate(finals, axis=0), clamps, absorbed_count
 
 
-def _estimate(values: np.ndarray, cfg: McConfig, clamps: int, absorbed: int) -> McEstimate:
+def _estimate(values: np.ndarray, clamps: int, absorbed: int) -> McEstimate:
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
     return McEstimate(mean, stderr, len(values), clamps, absorbed)
@@ -271,7 +266,7 @@ def simulate_expectation(chars: Characteristics, f, x0, T: float, cfg: McConfig)
     finals, clamps, absorbed = _simulate(chars, x0, T, cfg)
     arg = finals[:, 0] if chars.dim == 1 else finals
     vals = np.asarray(f(arg), dtype=float)
-    return _estimate(vals, cfg, clamps, absorbed)
+    return _estimate(vals, clamps, absorbed)
 
 
 def martingale_audit(chars: Characteristics, f, x0, T: float, cfg: McConfig) -> McEstimate:
@@ -299,4 +294,4 @@ def martingale_audit(chars: Characteristics, f, x0, T: float, cfg: McConfig) -> 
     f_start = float(np.asarray(f(start_arg), dtype=float).reshape(-1)[0])
     integral = np.concatenate([acc[i] for i in sorted(acc)])
     vals = f_end - f_start - integral
-    return _estimate(vals, cfg, clamps, absorbed)
+    return _estimate(vals, clamps, absorbed)

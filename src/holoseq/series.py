@@ -38,6 +38,8 @@ __all__ = [
     "compose_shift",
     "evaluate",
     "evaluate_many",
+    "real_points",
+    "RealEvaluator",
     "abs_norm",
     "write_series",
     "read_series",
@@ -447,6 +449,63 @@ def evaluate_many(u: CoeffSeries, zs: np.ndarray) -> np.ndarray:
         comp = (s - total) - y
         total = s
     return total
+
+
+def real_points(xs, dim: int) -> np.ndarray:
+    """Real state points as an (npoints, dim) float array.
+
+    A scalar is one point in dimension one. A 1-D array is npoints points in
+    dimension one and a single point in dimension > 1.
+    """
+    pts = np.asarray(xs, dtype=float)
+    if pts.ndim == 0:
+        pts = pts.reshape(1, 1)
+    elif pts.ndim == 1:
+        pts = pts[:, None] if dim == 1 else pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(f"points shape {np.shape(xs)} does not match dim={dim}")
+    return pts
+
+
+class RealEvaluator:
+    """Re h_u at real points, compiled once from a series.
+
+    For real x, Re sum_alpha u_alpha x^alpha / alpha! equals
+    sum_alpha Re(u_alpha) x^alpha / alpha!, so only the support of Re(u) is
+    kept, with 1/alpha! folded into the weights, and each value is the sum of
+    the support monomials built from per-coordinate power tables. The result
+    equals ``evaluate_many(u, x).real`` up to rounding: the summation order
+    differs and there is no compensation.
+    """
+
+    def __init__(self, u: CoeffSeries):
+        idxm = _index_matrix(u.dim, u.order)
+        keep = np.flatnonzero(u.coeffs.real)
+        inv_fact = np.ones(u.order + 1)
+        for k in range(1, u.order + 1):
+            inv_fact[k] = inv_fact[k - 1] / k
+        self.dim = u.dim
+        self.exponents = idxm[keep]
+        self.weights = u.coeffs.real[keep] * np.prod(inv_fact[self.exponents], axis=1)
+
+    def __call__(self, xs) -> np.ndarray:
+        """Values at (npoints, dim) real points (see ``real_points``)."""
+        pts = real_points(xs, self.dim)
+        # powers[i][k] = x_i^k for the exponents the support uses
+        powers = []
+        for i in range(self.dim):
+            col = [None, np.ascontiguousarray(pts[:, i])]
+            for _ in range(2, int(self.exponents[:, i].max(initial=0)) + 1):
+                col.append(col[-1] * col[1])
+            powers.append(col)
+        out = np.zeros(len(pts))
+        for alpha, w in zip(self.exponents, self.weights):
+            term = None
+            for i, k in enumerate(alpha):
+                if k:
+                    term = powers[i][k] if term is None else term * powers[i][k]
+            out += w if term is None else w * term
+        return out
 
 
 def abs_norm(u: CoeffSeries, r: float | Sequence[float]) -> float:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from holoseq import series as ser
 from holoseq.characteristics import (
@@ -91,6 +93,48 @@ class TestEvaluation:
         x = np.array([0.5, 0.25])
         want = (1 - x) * (1 - x / 2) / x
         np.testing.assert_allclose(chars.kernel.intensity_value(x), want, rtol=1e-13)
+
+    @seed(20260814)
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=20))
+    def test_pole_intensity_matches_closed_form(self, xs):
+        x = np.array(xs)
+        want = (1 - x) * (1 - x / 2) / x
+        got = unit_interval_chars().kernel.intensity_value(x)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    def test_one_dim_points_as_flat_array(self):
+        # in dim 1 a 1-D array is n points, for every evaluator alike
+        chars = unit_interval_chars()
+        x = np.array([0.1, 0.2, 0.3])
+        col = x[:, None]
+        np.testing.assert_array_equal(chars.drift_values(x), chars.drift_values(col))
+        np.testing.assert_array_equal(chars.diffusion_values(x), chars.diffusion_values(col))
+        np.testing.assert_array_equal(
+            chars.kernel.intensity_value(x), chars.kernel.intensity_value(col)
+        )
+        assert chars.diffusion_values(x).shape == (3, 1, 1)
+        assert validate_on_grid(chars, [0.1, 0.2, 0.3]).ok
+
+    def test_multi_dim_point_as_flat_array(self):
+        # in dim > 1 a 1-D array is one point, for every evaluator alike
+        order = 4
+        lin = ser.from_entries(2, order, [((0, 0), 1.0), ((1, 0), 0.5), ((0, 1), -0.25)])
+        atom = JumpAtom(1.0, (lin, const(2, order, 0.1)))
+        kernel = JumpKernel(lin, (atom,))
+        chars = Characteristics(
+            2, (lin, lin), ((lin, const(2, order, 0.0)), (const(2, order, 0.0), lin)), kernel
+        )
+        p = np.array([0.3, 0.4])
+        row = p[None, :]
+        assert chars.drift_values(p).shape == (1, 2)
+        np.testing.assert_array_equal(chars.drift_values(p), chars.drift_values(row))
+        np.testing.assert_array_equal(chars.diffusion_values(p), chars.diffusion_values(row))
+        np.testing.assert_array_equal(
+            chars.kernel.intensity_value(p), chars.kernel.intensity_value(row)
+        )
+        np.testing.assert_allclose(atom.size_values(p), [[1.05, 0.1]], rtol=1e-15)
+        assert validate_on_grid(chars, p).ok
 
 
 class TestMomentSeries:

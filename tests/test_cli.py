@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+from holoseq import series as ser
 from holoseq.cli import main
 
 BASE = {
@@ -93,6 +94,24 @@ class TestRun:
         # MC row carries a diff column against the riccati value
         mc_line = next(line for line in out.splitlines() if line.startswith("monte-carlo"))
         assert float(mc_line.split()[3]) < 0.2
+
+    def test_series_payoff_monte_carlo(self, tmp_path, capsys, monkeypatch):
+        # raw entries [[2, 2.0]] are h(x) = x^2; the simulated payoff runs
+        # through the compiled real evaluator, never the complex kernel
+        def refuse(*args, **kwargs):
+            raise AssertionError("series.evaluate_many called on the Monte Carlo payoff")
+
+        monkeypatch.setattr(ser, "evaluate_many", refuse)
+        cfg = dict(
+            BASE,
+            function={"family": "series", "entries": [[2, 2.0]]},
+            oracles={"mc": {"paths": 4000, "dt": 0.01, "seed": 2}},
+        )
+        code, out, _ = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 0
+        mc_line = next(line for line in out.splitlines() if line.startswith("monte-carlo"))
+        # E[X_1^2] = 1 with stderr about 0.022; the diff column is against the engine
+        assert float(mc_line.split()[3]) < 0.1
 
     def test_chain_modes(self, tmp_path, capsys):
         cfg = {

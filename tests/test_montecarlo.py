@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from holoseq import series as ser
-from holoseq.characteristics import Characteristics, JumpAtom, JumpKernel
+from holoseq.characteristics import Characteristics, JumpAtom, JumpKernel, validate_on_grid
 from holoseq.models import UnitIntervalModel, build_preset
 from holoseq.montecarlo import (
     _BATCH,
@@ -142,6 +142,20 @@ class TestErrors:
         with pytest.raises(IntensityBoundError, match="negative jump intensity"):
             simulate_expectation(chars, lambda x: x, 2.0, 0.1, McConfig(paths=50, dt=1e-3))
 
+    def test_nan_intensity_aborts(self):
+        # s(x) = x over a simple pole is 0/0 at the origin: not a rate at all
+        order = 6
+        s = ser.from_entries(1, order, [((1,), 1.0)])
+        kernel = JumpKernel(s, (JumpAtom(1.0, (const(1, order, 0.1),)),), pole_order=1)
+        chars = Characteristics(1, (ser.zero(1, order),), ((const(1, order, 1.0),),), kernel)
+        with pytest.raises(IntensityBoundError, match="NaN jump intensity"):
+            simulate_expectation(chars, lambda x: x, 0.0, 0.1, McConfig(paths=50, dt=1e-3))
+        # s(x) = 1 puts +inf on the pole instead: a certain jump, not an error
+        certain = JumpKernel(const(1, order, 1.0), kernel.atoms, pole_order=1)
+        chars = Characteristics(1, chars.drift, chars.diffusion, certain)
+        est = simulate_expectation(chars, lambda x: x, 0.0, 1e-3, McConfig(paths=50, dt=1e-3))
+        assert est.mean == pytest.approx(0.1)
+
     def test_negative_diffusion_aborts(self):
         a = ser.from_entries(1, 6, [((1,), 1.0)])  # a(x) = x
         chars = Characteristics(1, (ser.zero(1, 6),), ((a,),))
@@ -214,3 +228,44 @@ class TestMartingaleAudit:
             McConfig(paths=2000, dt=2e-3, seed=5, absorb_delta=1e-6, state_box=(0.0, 1.0)),
         )
         assert aud.within(0.0)
+
+
+def two_dim_jump_chars(order=6):
+    """Dim 2: affine drift, correlated diffusion, affine intensity, two atoms."""
+    c = lambda v: const(2, order, v)
+    drift = (
+        ser.from_entries(2, order, [((0, 0), 0.1), ((1, 0), -0.2)]),
+        ser.from_entries(2, order, [((0, 1), -0.3)]),
+    )
+    diffusion = ((c(1.0), c(0.3)), (c(0.3), c(0.8)))
+    intensity = ser.from_entries(2, order, [((0, 0), 1.0), ((1, 0), 0.1)])
+    atoms = (
+        JumpAtom(0.5, (c(0.2), c(-0.1))),
+        JumpAtom(0.5, (c(-0.1), ser.from_entries(2, order, [((0, 1), 0.1)]))),
+    )
+    return Characteristics(2, drift, diffusion, JumpKernel(intensity, atoms))
+
+
+class TestCompiledHotPath:
+    def test_no_complex_kernel_on_state_evaluations(self, monkeypatch):
+        # simulation, audit and grid checks evaluate the characteristics through
+        # their compiled real evaluators only
+        runs = [
+            (build_preset("bm"), lambda x: x**2, 0.0, {}),
+            (build_preset("compound-poisson"), lambda x: np.exp(0.5 * x), 0.0, {}),
+            (build_preset("unit-interval", order=12), np.exp, 0.5,
+             dict(absorb_delta=1e-6, state_box=(0.0, 1.0))),
+            (two_dim_jump_chars(), lambda p: p[:, 0] * p[:, 1] + p[:, 0] ** 2, (0.1, -0.2), {}),
+        ]
+        affine = build_preset("affine-linear-jumps")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("series.evaluate_many called on a state-space evaluation")
+
+        monkeypatch.setattr(ser, "evaluate_many", refuse)
+        for chars, f, x0, extra in runs:
+            cfg = McConfig(paths=500, dt=1e-2, seed=7, **extra)
+            assert np.isfinite(simulate_expectation(chars, f, x0, 0.1, cfg).mean)
+            assert np.isfinite(martingale_audit(chars, f, x0, 0.1, cfg).mean)
+        report = validate_on_grid(affine, np.linspace(-1.0, 1.0, 11), box=([-1.0], [1.0]))
+        assert report.by_kind("jump-leaves-box")

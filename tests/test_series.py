@@ -323,3 +323,31 @@ def test_abs_norm_submultiplicative(u):
     v = ser.mul(u, u)
     r = 0.8
     assert ser.abs_norm(v, r) <= ser.abs_norm(u, r) ** 2 + 1e-12
+
+
+@seed(20260814)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from(["random", "sparse", "zero", "constant"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_real_evaluator_matches_evaluate_many(dim, order, kind, draw_seed):
+    # at real points Re h_u = sum Re(u_alpha) x^alpha / alpha!, so the compiled
+    # evaluator agrees with the complex kernel up to rounding
+    rng = np.random.default_rng(draw_seed)
+    n = len(ser.index_table(dim, order)[0])
+    c = np.zeros(n, dtype=np.complex128)
+    if kind == "constant":
+        c[0] = complex(*rng.standard_normal(2))
+    elif kind != "zero":
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if kind == "sparse":
+            c[rng.random(n) < 0.9] = 0.0
+    u = ser.CoeffSeries(dim, order, c)
+    pts = rng.uniform(-3.0, 3.0, size=(16, dim))
+    want = ser.evaluate_many(u, pts).real
+    got = ser.RealEvaluator(u)(pts)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
