@@ -20,11 +20,8 @@ from holoseq.series import (
     lin_comb,
     log_star,
     mul,
-    read_series,
     shift,
-    star_pow,
     unit,
-    write_series,
     zero,
 )
 
@@ -39,11 +36,8 @@ __all__ = [
     "lin_comb",
     "log_star",
     "mul",
-    "read_series",
     "shift",
-    "star_pow",
     "unit",
-    "write_series",
     "zero",
 ]
 

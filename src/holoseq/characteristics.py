@@ -179,9 +179,11 @@ def validate_on_grid(
 ) -> GridReport:
     """Spot-check model sanity on a state grid. Reports, never raises.
 
-    Checks: negative jump intensity, non-PSD diffusion, atoms whose jump size
-    vanishes at a point while carrying weight (mass at zero jumps), and,
-    when ``box`` is given, post-jump states leaving it (flagged only).
+    Checks: negative or NaN jump intensity, non-PSD diffusion, atoms whose
+    jump size vanishes at a point while carrying weight (mass at zero jumps),
+    and, when ``box`` is given, post-jump states leaving it (flagged only).
+    The origin of a pole kernel absorbs, as in the simulator: an infinite
+    intensity there is a certain jump and a zero jump size is expected.
     """
     pts = ser.real_points(points, chars.dim)
     findings: list[GridFinding] = []
@@ -190,24 +192,32 @@ def validate_on_grid(
         w = np.linalg.eigvalsh((a + a.T) / 2)
         if w.min() < -psd_tol:
             findings.append(
-                GridFinding("diffusion-not-psd", tuple(p), f"min eigenvalue {w.min():.3e}")
+                GridFinding(
+                    "diffusion-not-psd", tuple(p.tolist()), f"min eigenvalue {w.min():.3e}"
+                )
             )
     if chars.kernel is not None:
         k = chars.kernel
         lam = k.intensity_value(pts)
         for p, lv in zip(pts, lam):
-            if not np.isfinite(lv) or lv < 0:
-                findings.append(GridFinding("negative-intensity", tuple(p), f"lambda = {lv:.6g}"))
+            if np.isnan(lv) or lv < 0:
+                findings.append(
+                    GridFinding("negative-intensity", tuple(p.tolist()), f"lambda = {lv:.6g}")
+                )
+        at_pole = (pts[:, 0] == 0.0) & (k.pole_order > 0)
         for m, atom in enumerate(k.atoms):
             if atom.weight == 0:
                 continue
-            for p, j in zip(pts, atom.size_values(pts)):
+            for p, j, pole in zip(pts, atom.size_values(pts), at_pole):
                 if np.all(np.abs(j) < 1e-14):
-                    findings.append(
-                        GridFinding(
-                            "zero-jump-size", tuple(p), f"atom {m} jumps by 0 with weight {atom.weight}"
+                    if not pole:
+                        findings.append(
+                            GridFinding(
+                                "zero-jump-size",
+                                tuple(p.tolist()),
+                                f"atom {m} jumps by 0 with weight {atom.weight}",
+                            )
                         )
-                    )
                 elif box is not None:
                     lo = np.asarray(box[0], dtype=float)
                     hi = np.asarray(box[1], dtype=float)
@@ -216,8 +226,8 @@ def validate_on_grid(
                         findings.append(
                             GridFinding(
                                 "jump-leaves-box",
-                                tuple(p),
-                                f"atom {m} lands at {tuple(np.round(target, 12))}",
+                                tuple(p.tolist()),
+                                f"atom {m} lands at {tuple(np.round(target, 12).tolist())}",
                             )
                         )
     return GridReport(tuple(findings))

@@ -163,7 +163,6 @@ def _ode_config(cfg: dict) -> OdeConfig:
 
 def _mc_config(cfg: dict, args) -> McConfig:
     cfg = dict(cfg)
-    cfg.pop("enabled", None)
     if args.mc_paths is not None:
         cfg["paths"] = args.mc_paths
     if args.seed is not None:
@@ -280,7 +279,7 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], b
                     flow_to_csv(res.flow, out_dir / f"flow_{r.replace('-', '_')}.csv")
 
     mc_cfg = oracles.get("mc")
-    if mc_cfg is not None and mc_cfg.get("enabled", True):
+    if mc_cfg is not None:
         mc = _mc_config(mc_cfg, args)
         if mode in ("holomorphic", "both"):
             t0 = time.perf_counter()
@@ -293,7 +292,10 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], b
             rows.append(_mc_row(est, "affine", time.perf_counter() - t0))
 
     dual_cfg = oracles.get("dual")
-    if dual_cfg is not None and dual_cfg.get("enabled", True):
+    if dual_cfg is not None:
+        extra = set(dual_cfg) - {"k_max"}
+        if extra:
+            raise ConfigError(f"unknown dual settings: {sorted(extra)}")
         if name != "unit-interval":
             raise ConfigError("the dual-chain oracle only applies to the unit-interval preset")
         if mode == "holomorphic":
@@ -302,9 +304,7 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], b
             raise ConfigError("the dual-chain oracle needs the identity payoff h(x) = x")
         k_max = int(dual_cfg.get("k_max", 400))
         t0 = time.perf_counter()
-        dual = UnitIntervalModel(k_max=k_max).dual_expectation(
-            T, tail_threshold=float(dual_cfg.get("tail_threshold", 1e-8))
-        )
+        dual = UnitIntervalModel(k_max=k_max).dual_expectation(T)
         rows.append(
             Row(
                 "dual-chain",

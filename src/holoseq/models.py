@@ -218,10 +218,8 @@ class DualResult:
     """
 
     coefficients: np.ndarray
-    k_max: int
     outflow: float
     impact_bound: float
-    horizon: float
 
     def evaluate(self, x) -> np.ndarray:
         xs = np.asarray(x, dtype=float)
@@ -301,7 +299,7 @@ class UnitIntervalModel:
                 f"escaped dual mass {outflow:.3e} bounds the evaluation error by "
                 f"{bound:.3e} > {tail_threshold:.1e}; increase k_max"
             )
-        return DualResult(acc, self.k_max, outflow, bound, T)
+        return DualResult(acc, outflow, bound)
 
 
 # --- preset registry -----------------------------------------------------------

@@ -15,9 +15,8 @@ are measured.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -172,7 +171,6 @@ def dopri5(
 class FlowResult:
     """Snapshots of a sequence flow; times[0] is the first recorded time."""
 
-    kind: str
     times: np.ndarray
     series: tuple[CoeffSeries, ...]
     stats: dict = field(default_factory=dict)
@@ -193,28 +191,15 @@ class ExpectationResult:
         return float(self.value.real)
 
 
-def _majorant_weights(dim: int, order: int, radius: float) -> np.ndarray:
-    degs = ser._degrees(dim, order)
-    idx, _ = ser.index_table(dim, order)
-    out = np.empty(len(idx))
-    for j, alpha in enumerate(idx):
-        f = 1.0
-        for a in alpha:
-            f *= math.factorial(a)
-        out[j] = radius ** degs[j] / f
-    return out
-
-
 def tail_mass(u: CoeffSeries, radius: float, top: int = 2) -> float:
-    """Majorant mass sitting in the top ``top`` degrees at ``radius``.
+    """Majorant mass sitting in the top ``top`` degrees at ``radius``: the
+    ``abs_norm`` of those degrees alone.
 
     A heuristic truncation diagnostic, not a bound: it sees only the top
     degrees at one radius, and a small tail can sit beside a much larger
     truncation error."""
-    degs = ser._degrees(u.dim, u.order)
-    w = _majorant_weights(u.dim, u.order, radius)
-    mask = degs > u.order - top
-    return float(np.sum(np.abs(u.coeffs[mask]) * w[mask]))
+    top_part = np.where(ser._degrees(u.dim, u.order) > u.order - top, u.coeffs, 0.0)
+    return ser.abs_norm(CoeffSeries(u.dim, u.order, top_part), radius)
 
 
 def _operator(model, apply) -> Callable[[CoeffSeries], CoeffSeries]:
@@ -244,7 +229,7 @@ def _run(rhs, T, y0, config: OdeConfig, weights, record):
     return times, states, stats
 
 
-def _flow(kind: str, apply, model, u0: CoeffSeries, T: float, config, record) -> FlowResult:
+def _flow(apply, model, u0: CoeffSeries, T: float, config, record) -> FlowResult:
     config = config or OdeConfig()
     op = _operator(model, apply)
     dim, order = u0.dim, u0.order
@@ -252,10 +237,10 @@ def _flow(kind: str, apply, model, u0: CoeffSeries, T: float, config, record) ->
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return op(CoeffSeries(dim, order, y)).coeffs
 
-    w = _majorant_weights(dim, order, 1.0)
+    w = ser.taylor_weights(dim, order)
     times, states, stats = _run(rhs, T, u0.coeffs.copy(), config, w, record)
     snaps = tuple(CoeffSeries(dim, order, y) for y in states)
-    return FlowResult(kind, times, snaps, stats)
+    return FlowResult(times, snaps, stats)
 
 
 def solve_linear(
@@ -267,7 +252,7 @@ def solve_linear(
 ) -> FlowResult:
     """c(t) with c' = L(c), c(0) = u0; model is Characteristics or a callable
     series operator."""
-    return _flow("linear", apply_l_composition, model, u0, T, config, record)
+    return _flow(apply_l_composition, model, u0, T, config, record)
 
 
 def solve_riccati(
@@ -278,7 +263,7 @@ def solve_riccati(
     record=None,
 ) -> FlowResult:
     """psi(t) with psi' = R(psi), psi(0) = u0."""
-    return _flow("riccati", apply_r, model, u0, T, config, record)
+    return _flow(apply_r, model, u0, T, config, record)
 
 
 def riccati_from_linear(
@@ -314,13 +299,13 @@ def riccati_from_linear(
         return out
 
     y0 = np.concatenate([c0.coeffs, [complex(u0.coeffs[0])]])
-    w = np.concatenate([_majorant_weights(dim, order, 1.0), [1.0]])
+    w = np.concatenate([ser.taylor_weights(dim, order), [1.0]])
     times, states, stats = _run(rhs, T, y0, config, w, record)
     snaps = []
     for y in states:
         c = CoeffSeries(dim, order, y[:n])
         snaps.append(ser.log_star(c, phi0=complex(y[n])))
-    return FlowResult("log-linear", times, tuple(snaps), stats)
+    return FlowResult(times, tuple(snaps), stats)
 
 
 def _radius_for(x0) -> float:

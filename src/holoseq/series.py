@@ -30,21 +30,17 @@ __all__ = [
     "zero",
     "lin_comb",
     "mul",
-    "star_pow",
     "shift",
     "divide_by_coordinate",
     "exp_star",
     "log_star",
     "compose_shift",
+    "taylor_weights",
     "evaluate",
     "evaluate_many",
     "real_points",
     "RealEvaluator",
     "abs_norm",
-    "write_series",
-    "read_series",
-    "dumps_series",
-    "loads_series",
 ]
 
 # Division guard for leading coefficients (log_star, Riccati-from-linear).
@@ -260,16 +256,6 @@ def mul(u: CoeffSeries, v: CoeffSeries) -> CoeffSeries:
     return CoeffSeries(dim, order, c)
 
 
-def star_pow(u: CoeffSeries, n: int) -> CoeffSeries:
-    """n-fold convolution power; n = 0 gives the unit."""
-    if n < 0:
-        raise ValueError(f"negative power {n}")
-    acc = unit(u.dim, u.order)
-    for _ in range(n):
-        acc = mul(acc, u)
-    return acc
-
-
 def shift(u: CoeffSeries, beta: Sequence[int] | int) -> CoeffSeries:
     """Coefficient shift u^(beta)_alpha = u_{alpha+beta} (the beta-th derivative).
 
@@ -377,35 +363,61 @@ def compose_shift(u: CoeffSeries, vec: Sequence[CoeffSeries]) -> CoeffSeries:
         raise ValueError(f"need {u.dim} shift components, got {len(vec)}")
     dim, order = _check_same_shape(u, *vec)
     idx, _ = index_table(dim, order)
+    inv_fact = taylor_weights(dim, order)
     # incremental vector powers in graded-lex order: pow[beta] = pow[beta - e_i] * v_i
     powers: dict[MultiIndex, CoeffSeries] = {idx[0]: unit(dim, order)}
     acc = np.array(u.coeffs, dtype=np.complex128)  # beta = 0 term
-    for beta in idx[1:]:
+    for j, beta in enumerate(idx[1:], start=1):
         i = next(k for k, b in enumerate(beta) if b > 0)
         prev = tuple(b - 1 if k == i else b for k, b in enumerate(beta))
         powers[beta] = mul(powers[prev], vec[i])
-        fact = 1.0
-        for b in beta:
-            fact *= math.factorial(b)
-        acc += (1.0 / fact) * mul(shift(u, beta), powers[beta]).coeffs
+        acc += inv_fact[j] * mul(shift(u, beta), powers[beta]).coeffs
     return CoeffSeries(dim, order, acc)
 
 
-def _weight_factors(u: CoeffSeries, z: Sequence[complex] | complex) -> np.ndarray:
-    """Per-index factors z^alpha / alpha! built from per-coordinate tables."""
-    zv = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if zv.shape != (u.dim,):
-        raise ValueError(f"point shape {zv.shape} does not match dim={u.dim}")
-    # per coordinate: z_i^k / k! computed incrementally (no factorial overflow)
-    table = np.empty((u.dim, u.order + 1), dtype=np.complex128)
-    table[:, 0] = 1.0
-    for k in range(1, u.order + 1):
+def taylor_weights(dim: int, order: int, z=None) -> np.ndarray:
+    """Weights z^alpha / alpha! of every |alpha| <= order, in storage order.
+
+    Every weighted sum over a series takes its weights from here, as
+    products of per-coordinate tables z_i^k / k!. ``z`` is a point of shape
+    (dim,), or a scalar in dimension one; its tables follow the recurrence
+    z^k / k! = z^(k-1) / (k-1)! * z / k, so no float factorial is formed and
+    any order runs (weights below the float range underflow towards zero).
+    The weights are complex for a complex point and real otherwise. None
+    stands for the unit point, whose 1/alpha! are products of correctly
+    rounded 1/k!, cached read-only per shape.
+    """
+    if z is None:
+        return _unit_weights(dim, order)
+    zv = np.atleast_1d(np.asarray(z))
+    zv = zv.astype(np.result_type(zv, np.float64))
+    if zv.shape != (dim,):
+        raise ValueError(f"point shape {zv.shape} does not match dim={dim}")
+    table = np.ones((dim, order + 1), dtype=zv.dtype)
+    for k in range(1, order + 1):
         table[:, k] = table[:, k - 1] * zv / k
-    idxm = _index_matrix(u.dim, u.order)
-    factors = np.ones(len(idxm), dtype=np.complex128)
-    for i in range(u.dim):
-        factors *= table[i, idxm[:, i]]
-    return factors
+    return _table_product(table)
+
+
+@lru_cache(maxsize=None)
+def _unit_weights(dim: int, order: int) -> np.ndarray:
+    # 1/k! correctly rounded: exact integer division underflows to 0 and never
+    # overflows, and it keeps the 1/beta! of compose_shift, whose terms cancel
+    # when a jump lands on the origin, as accurate as a float can hold them
+    inv = np.array([1 / math.factorial(k) for k in range(order + 1)])
+    w = _table_product(np.tile(inv, (dim, 1)))
+    w.setflags(write=False)
+    return w
+
+
+def _table_product(table: np.ndarray) -> np.ndarray:
+    """prod_i table[i, alpha_i] for every alpha, in storage order."""
+    dim, order = table.shape[0], table.shape[1] - 1
+    idxm = _index_matrix(dim, order)
+    w = table[0, idxm[:, 0]]
+    for i in range(1, dim):
+        w = w * table[i, idxm[:, i]]
+    return w
 
 
 def evaluate(u: CoeffSeries, z: Sequence[complex] | complex) -> complex:
@@ -414,7 +426,7 @@ def evaluate(u: CoeffSeries, z: Sequence[complex] | complex) -> complex:
     Terms are accumulated in graded-lex order with Kahan compensation so the
     result is deterministic and resilient to cancellation between degrees.
     """
-    terms = u.coeffs * _weight_factors(u, z)
+    terms = u.coeffs * taylor_weights(u.dim, u.order, z)
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
     for t in terms:
@@ -426,29 +438,11 @@ def evaluate(u: CoeffSeries, z: Sequence[complex] | complex) -> complex:
 
 
 def evaluate_many(u: CoeffSeries, zs: np.ndarray) -> np.ndarray:
-    """Vectorised evaluate over points; zs has shape (npoints, dim) or (npoints,)."""
+    """``evaluate`` at each point; zs has shape (npoints, dim) or (npoints,)."""
     pts = np.asarray(zs, dtype=np.complex128)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.shape[1] != u.dim:
-        raise ValueError(f"points shape {pts.shape} does not match dim={u.dim}")
-    table = np.empty((pts.shape[0], u.dim, u.order + 1), dtype=np.complex128)
-    table[:, :, 0] = 1.0
-    for k in range(1, u.order + 1):
-        table[:, :, k] = table[:, :, k - 1] * pts / k
-    idxm = _index_matrix(u.dim, u.order)
-    total = np.zeros(pts.shape[0], dtype=np.complex128)
-    comp = np.zeros(pts.shape[0], dtype=np.complex128)
-    for j in range(len(idxm)):  # graded-lex order, Kahan per point
-        f = np.ones(pts.shape[0], dtype=np.complex128)
-        for i in range(u.dim):
-            f *= table[:, i, idxm[j, i]]
-        t = u.coeffs[j] * f
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total
+    return np.array([evaluate(u, p) for p in pts], dtype=np.complex128)
 
 
 def real_points(xs, dim: int) -> np.ndarray:
@@ -479,14 +473,10 @@ class RealEvaluator:
     """
 
     def __init__(self, u: CoeffSeries):
-        idxm = _index_matrix(u.dim, u.order)
         keep = np.flatnonzero(u.coeffs.real)
-        inv_fact = np.ones(u.order + 1)
-        for k in range(1, u.order + 1):
-            inv_fact[k] = inv_fact[k - 1] / k
         self.dim = u.dim
-        self.exponents = idxm[keep]
-        self.weights = u.coeffs.real[keep] * np.prod(inv_fact[self.exponents], axis=1)
+        self.exponents = _index_matrix(u.dim, u.order)[keep]
+        self.weights = u.coeffs.real[keep] * taylor_weights(u.dim, u.order)[keep]
 
     def __call__(self, xs) -> np.ndarray:
         """Values at (npoints, dim) real points (see ``real_points``)."""
@@ -520,49 +510,4 @@ def abs_norm(u: CoeffSeries, r: float | Sequence[float]) -> float:
         raise ValueError(f"radius shape {rv.shape} does not match dim={u.dim}")
     if np.any(rv <= 0):
         raise ValueError("radius must be positive")
-    factors = _weight_factors(u, rv.astype(np.complex128))
-    return float(np.sum(np.abs(u.coeffs) * factors.real))
-
-
-# --- text serialisation ------------------------------------------------------
-#
-# Format: header "dim <d> order <N>", then one line per multi-index in
-# graded-lex order: the exponents, the real part, the imaginary part.
-# Floats are written in shortest repr, so write/read round-trips bit-exactly.
-
-
-def dumps_series(u: CoeffSeries) -> str:
-    lines = [f"dim {u.dim} order {u.order}"]
-    for alpha, c in zip(u.indices, u.coeffs):
-        exps = " ".join(str(a) for a in alpha)
-        lines.append(f"{exps} {float(c.real)!r} {float(c.imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def loads_series(text: str) -> CoeffSeries:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "dim" or head[2] != "order":
-        raise ValueError(f"bad header {lines[0]!r}")
-    dim, order = int(head[1]), int(head[3])
-    idx, lookup = index_table(dim, order)
-    if len(lines) - 1 != len(idx):
-        raise ValueError(f"expected {len(idx)} coefficient lines, got {len(lines) - 1}")
-    c = np.zeros(len(idx), dtype=np.complex128)
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != dim + 2:
-            raise ValueError(f"bad coefficient line {ln!r}")
-        alpha = tuple(int(p) for p in parts[:dim])
-        c[lookup[alpha]] = float(parts[dim]) + 1j * float(parts[dim + 1])
-    return CoeffSeries(dim, order, c)
-
-
-def write_series(u: CoeffSeries, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_series(u))
-
-
-def read_series(path) -> CoeffSeries:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_series(fh.read())
+    return float(np.sum(np.abs(u.coeffs) * taylor_weights(u.dim, u.order, rv)))

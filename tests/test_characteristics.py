@@ -194,17 +194,44 @@ class TestGridValidation:
         assert len(report.by_kind("negative-intensity")) == 1
 
     def test_zero_jump_and_box_exit_flagged(self):
-        chars = unit_interval_chars()
-        report = validate_on_grid(
-            chars, np.array([[0.0], [0.5]]), box=([0.0], [1.0])
-        )
-        # at x = 0 the single atom jumps by 0 while carrying weight
+        # j(x) = x jumps by 0 at x = 0 while carrying weight
+        j = ser.from_entries(1, 4, [((1,), 1.0)])
+        kernel = JumpKernel(const(1, 4, 1.0), (JumpAtom(1.0, (j,)),))
+        chars = Characteristics(1, (ser.zero(1, 4),), ((const(1, 4, 1.0),),), kernel)
+        report = validate_on_grid(chars, np.array([[0.0], [0.5]]))
         assert len(report.by_kind("zero-jump-size")) == 1
-        assert not report.by_kind("jump-leaves-box")
+        # the unit-interval origin absorbs: its zero jump is no finding
+        report = validate_on_grid(
+            unit_interval_chars(), np.array([[0.0], [0.5]]), box=([0.0], [1.0])
+        )
+        assert report.ok
         beyond = validate_on_grid(
             compound_poisson_chars(), np.array([[0.9]]), box=([0.0], [1.0])
         )
         assert len(beyond.by_kind("jump-leaves-box")) == 1
+
+    def test_pole_origin_accepts_inf_but_not_nan(self):
+        # unit-interval: lambda(0) = +inf is a certain jump into the absorbing origin
+        assert validate_on_grid(unit_interval_chars(), np.linspace(0.0, 1.0, 5)).ok
+        # s(x) = x over a simple pole: lambda(0) = 0/0 is no rate
+        s = ser.from_entries(1, 4, [((1,), 1.0)])
+        atom = JumpAtom(1.0, (ser.from_entries(1, 4, [((1,), -1.0)]),))
+        kernel = JumpKernel(s, (atom,), pole_order=1)
+        chars = Characteristics(1, (ser.zero(1, 4),), ((const(1, 4, 1.0),),), kernel)
+        report = validate_on_grid(chars, np.array([[0.0], [0.5]]))
+        assert [f.point for f in report.by_kind("negative-intensity")] == [(0.0,)]
+
+    def test_findings_name_points_as_floats(self):
+        a = ser.from_entries(1, 4, [((1,), 1.0)])  # a(x) = x, negative left of 0
+        chars = Characteristics(1, (ser.zero(1, 4),), ((a,),))
+        (finding,) = validate_on_grid(chars, np.array([[-1.0]])).findings
+        assert finding.point == (-1.0,) and type(finding.point[0]) is float
+        beyond = validate_on_grid(
+            compound_poisson_chars(), np.array([[0.9]]), box=([0.0], [1.0])
+        )
+        (finding,) = beyond.by_kind("jump-leaves-box")
+        assert finding.detail == "atom 0 lands at (1.4,)"
+        assert "np." not in f"{finding.point} {finding.detail}"
 
 
 class TestConfig:

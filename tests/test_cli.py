@@ -22,6 +22,15 @@ BASE = {
 }
 
 
+# E[exp X_T] on the unit interval, the one case the dual-chain oracle covers
+UNIT_INTERVAL = {
+    "model": {"preset": "unit-interval"},
+    "function": {"family": "polynomial", "coefficients": [0.0, 1.0]},
+    "run": {"mode": "affine", "T": 0.5, "x0": 0.5, "affine_route": "log-linear"},
+    "numerics": {"order": 8},
+}
+
+
 def write_cfg(tmp_path, cfg, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
@@ -211,6 +220,30 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 2 and "diffusion-not-psd" in err
 
+    def test_grid_through_pole_origin(self, tmp_path, capsys):
+        # the absorbing origin: an infinite intensity and a zero jump are expected there
+        cfg = dict(UNIT_INTERVAL, grid={"lo": 0.0, "hi": 1.0, "n": 5})
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 0, err
+
+    def test_grid_failure_names_float_points(self, tmp_path, capsys):
+        cfg = {
+            "model": {"dim": 1, "diffusion": [[[1], 1.0]]},
+            "function": {"family": "polynomial", "coefficients": [0.0, 0.0, 1.0]},
+            "run": {"mode": "holomorphic", "T": 1.0},
+            "grid": {"lo": -1.0, "hi": 1.0, "n": 5},
+        }
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 2 and "diffusion-not-psd at (-1.0,)" in err and "np.float64" not in err
+
+    def test_order_beyond_float_factorials(self, tmp_path, capsys):
+        # working order 171 through the default buffer; 171! overflows a float
+        cfg = dict(BASE, numerics={"order": 169})
+        code, out, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 0, err
+        row = next(line for line in out.splitlines() if line.startswith("linear-flow"))
+        assert float(row.split()[2]) == pytest.approx(1.0, abs=1e-9)
+
     def test_numerical_blowup_exits_3(self, tmp_path, capsys):
         # E[exp(X_1^2)] for a standard normal diverges; flow must underflow
         cfg = {
@@ -252,13 +285,19 @@ class TestExitCodes:
             ("ode", {"ref_radius": 2.0}),
             ("mc", {"intensity_bound": 3.0}),
             ("mc", {"batch": 1000}),
+            ("mc", {"enabled": True}),
+            ("dual", {"enabled": True}),
+            ("dual", {"tail_threshold": 1e-6}),
+            ("dual", {"kmax": 10}),
         ],
     )
     def test_removed_settings_rejected(self, tmp_path, capsys, section, setting):
         if section == "ode":
             cfg = dict(BASE, numerics={"order": 8, "ode": setting})
-        else:
+        elif section == "mc":
             cfg = dict(BASE, oracles={"mc": {"paths": 100, "dt": 0.01, **setting}})
+        else:
+            cfg = dict(UNIT_INTERVAL, oracles={"dual": {"k_max": 100, **setting}})
         code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 2 and next(iter(setting)) in err
 

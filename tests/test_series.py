@@ -1,6 +1,8 @@
 """Series algebra tests against brute-force oracles and frozen values."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,15 +71,6 @@ def test_mul_all_ones_gives_powers_of_two():
     u = ser.CoeffSeries(1, n, np.ones(n + 1))
     sq = ser.mul(u, u)
     assert np.allclose(sq.coeffs, [2.0**k for k in range(n + 1)], rtol=0, atol=0)
-
-
-def test_star_pow_of_z_is_egf_of_z_squared():
-    z = ser.from_entries(1, 6, [((1,), 1.0)])
-    z2 = ser.star_pow(z, 2)
-    expect = np.zeros(7)
-    expect[2] = 2.0  # z^2 = 2 z^2/2!
-    assert np.allclose(z2.coeffs, expect, rtol=0, atol=0)
-    assert np.allclose(ser.star_pow(z, 0).coeffs, ser.unit(1, 6).coeffs)
 
 
 @pytest.mark.parametrize("dim,order", [(1, 8), (2, 5), (3, 4)])
@@ -228,6 +221,17 @@ def test_compose_shift_with_constant_is_taylor_shift():
         assert abs(ser.evaluate(comp, x) - want) < 1e-9 * max(1.0, abs(want))
 
 
+def test_compose_shift_beyond_float_factorials():
+    # order 171: 171! overflows a float, and 1/171! is below its normal range.
+    # u = (1, ..., 1) is the truncated e^z, and a constant shift keeps the
+    # truncation, so the composition is the order-171 series of e^(z + 0.1)
+    u = ser.CoeffSeries(1, 171, np.ones(172))
+    comp = ser.compose_shift(u, (ser.from_entries(1, 171, [((0,), 0.1)]),))
+    for x in (-0.5, 0.0, 0.8):
+        want = math.exp(x + 0.1)
+        assert abs(ser.evaluate(comp, x) - want) < REL_TOL * want
+
+
 def test_divide_by_coordinate():
     # h(z) = z + 3 z^2 => h/z = 1 + 3 z ; EGF: (0, 1, 6) -> (1, 3)
     u = ser.from_entries(1, 4, [((1,), 1.0), ((2,), 6.0)])
@@ -237,21 +241,6 @@ def test_divide_by_coordinate():
     nz = ser.from_entries(1, 4, [((0,), 1.0)])
     with pytest.raises(ser.LeadingCoefficientError):
         ser.divide_by_coordinate(nz)
-
-
-def test_serialization_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(12)
-    u = random_series(rng, 2, 6)
-    # exercise awkward values: negative zero, tiny, huge
-    c = np.array(u.coeffs)
-    c[0] = -0.0 + 1e-308j
-    c[1] = 1e17 - 3.0j
-    u = ser.CoeffSeries(2, 6, c)
-    path = tmp_path / "u.txt"
-    ser.write_series(u, path)
-    v = ser.read_series(path)
-    assert v.dim == u.dim and v.order == u.order
-    assert np.array_equal(u.coeffs, v.coeffs)  # bit-exact
 
 
 def test_shape_mismatch_rejected():
@@ -351,3 +340,36 @@ def test_real_evaluator_matches_evaluate_many(dim, order, kind, draw_seed):
     got = ser.RealEvaluator(u)(pts)
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@seed(20260814)
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]).flatmap(
+        # dims 1-2 reach |alpha| = 200; the dim-3 index table stops at 60
+        lambda dim: st.lists(
+            st.integers(min_value=0, max_value=(200, 100, 20)[dim - 1]),
+            min_size=dim,
+            max_size=dim,
+        )
+    ),
+    st.sampled_from([1.0, 0.5, 2.0, -1.5]),
+)
+def test_taylor_weights_match_exact_arithmetic(alpha, z):
+    dim = len(alpha)
+    order = (200, 200, 60)[dim - 1]
+    _, lookup = ser.index_table(dim, order)
+    want = Fraction(z) ** sum(alpha)
+    for a in alpha:
+        want /= math.factorial(a)
+    tables = [ser.taylor_weights(dim, order, [z] * dim)]
+    if z == 1.0:
+        tables.append(ser.taylor_weights(dim, order))  # the cached unit table
+    for w in tables:
+        assert np.all(np.isfinite(w)) and (z < 0 or np.all(w >= 0))
+        got = w[lookup[tuple(alpha)]]
+        if abs(want) >= sys.float_info.min:
+            assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * abs(want)
+        else:
+            # below the normal range the weight underflows with the sign it should have
+            assert abs(got) <= 2 * sys.float_info.min and got * want >= 0
