@@ -176,11 +176,13 @@ def _mc_config(cfg: dict, args) -> McConfig:
 
 
 def _parse_x0(run_cfg: dict, dim: int):
-    x0 = run_cfg.get("x0", 0.0)
+    x0 = run_cfg.get("x0", 0.0 if dim == 1 else [0.0] * dim)  # the origin by default
     if isinstance(x0, (list, tuple)):
         if len(x0) != dim:
-            raise ConfigError(f"x0 has {len(x0)} components, model dimension is {dim}")
+            raise ConfigError(f"run.x0 has {len(x0)} components, model dimension is {dim}")
         return np.array([float(v) for v in x0])
+    if dim > 1:
+        raise ConfigError(f"run.x0 is a scalar, model dimension is {dim}; give a list of {dim} values")
     return float(x0)
 
 
@@ -239,6 +241,22 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], b
     # the model is rebuilt per N so operator and state share one truncation
     u_full, f_exact = _payoff(fn_cfg, model.dim, max(orders) + buffer)
 
+    # oracle settings are checked here, so a config error costs no flow
+    mc_cfg = oracles.get("mc")
+    mc = _mc_config(mc_cfg, args) if mc_cfg is not None else None
+    dual_cfg = oracles.get("dual")
+    if dual_cfg is not None:
+        extra = set(dual_cfg) - {"k_max"}
+        if extra:
+            raise ConfigError(f"unknown dual settings: {sorted(extra)}")
+        if name != "unit-interval":
+            raise ConfigError("the dual-chain oracle only applies to the unit-interval preset")
+        if mode == "holomorphic":
+            raise ConfigError("the dual-chain oracle computes E[exp X_T]; use an affine mode")
+        if not _is_identity_payoff(u_full):
+            raise ConfigError("the dual-chain oracle needs the identity payoff h(x) = x")
+        k_max = int(dual_cfg.get("k_max", 400))
+
     rows: list[Row] = []
     for n in orders:
         u0 = _truncate(u_full, n + buffer)
@@ -278,9 +296,7 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], b
                 if out_dir is not None and not sweep:
                     flow_to_csv(res.flow, out_dir / f"flow_{r.replace('-', '_')}.csv")
 
-    mc_cfg = oracles.get("mc")
-    if mc_cfg is not None:
-        mc = _mc_config(mc_cfg, args)
+    if mc is not None:
         if mode in ("holomorphic", "both"):
             t0 = time.perf_counter()
             est = simulate_expectation(model, f_exact, x0, T, mc)
@@ -291,18 +307,7 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], b
             est = simulate_expectation(model, g, x0, T, mc)
             rows.append(_mc_row(est, "affine", time.perf_counter() - t0))
 
-    dual_cfg = oracles.get("dual")
     if dual_cfg is not None:
-        extra = set(dual_cfg) - {"k_max"}
-        if extra:
-            raise ConfigError(f"unknown dual settings: {sorted(extra)}")
-        if name != "unit-interval":
-            raise ConfigError("the dual-chain oracle only applies to the unit-interval preset")
-        if mode == "holomorphic":
-            raise ConfigError("the dual-chain oracle computes E[exp X_T]; use an affine mode")
-        if not _is_identity_payoff(u_full):
-            raise ConfigError("the dual-chain oracle needs the identity payoff h(x) = x")
-        k_max = int(dual_cfg.get("k_max", 400))
         t0 = time.perf_counter()
         dual = UnitIntervalModel(k_max=k_max).dual_expectation(T)
         rows.append(

@@ -299,28 +299,68 @@ def exp_star(u: CoeffSeries) -> CoeffSeries:
 
     Degree-by-degree recurrence: along the first coordinate i with delta_i > 0,
     E_{delta} = (E * u^(e_i))_{delta - e_i}, seeded with E_0 = exp(u_0).
+    The right side reads only degrees below |delta|, so each degree is one
+    gather and one bincount over the rows of ``_exp_star_table``.
     Avoids the cancellation-prone direct sum of powers of (u - u_0).
     """
-    dim, order = u.dim, u.order
+    deg_start, row_start, dst, left, src, w = _exp_star_table(u.dim, u.order)
+    shifted = u.coeffs[src]  # u^(e_i)_gamma = u_{gamma + e_i}, row by row
+    e = np.zeros(len(u.coeffs), dtype=np.complex128)
+    e[0] = np.exp(u.coeffs[0])
+    for d in range(1, u.order + 1):
+        lo, hi = deg_start[d], deg_start[d + 1]
+        rows = slice(row_start[d], row_start[d + 1])
+        terms = w[rows] * e[left[rows]] * shifted[rows]
+        e[lo:hi] = np.bincount(dst[rows], weights=terms.real, minlength=hi - lo) + 1j * np.bincount(
+            dst[rows], weights=terms.imag, minlength=hi - lo
+        )
+    return CoeffSeries(u.dim, u.order, e)
+
+
+@lru_cache(maxsize=None)
+def _exp_star_table(dim: int, order: int) -> tuple[np.ndarray, ...]:
+    """Rows of exp_star's recurrence, grouped by the degree they fill.
+
+    For every delta != 0, with i its first nonzero coordinate and
+    alpha = delta - e_i, the rows are those of ``_conv_table`` for alpha:
+    E_delta = sum w * E[left] * u[src], where src indexes right + e_i.
+    Returns (deg_start, row_start, dst, left, src, w): the indices of degree
+    d are deg_start[d]:deg_start[d+1], its rows row_start[d]:row_start[d+1],
+    and dst is each row's output index relative to deg_start[d].
+    """
     idx, lookup = index_table(dim, order)
     out, left, right, w = _conv_table(dim, order)
-    # rows of the conv table grouped by output index
-    row_start = np.searchsorted(out, np.arange(len(idx) + 1))
-    shifted = [
-        shift(u, tuple(1 if k == i else 0 for k in range(dim))).coeffs
-        for i in range(dim)
-    ]
-    e = np.zeros(len(idx), dtype=np.complex128)
-    e[0] = np.exp(u.coeffs[0])
-    for j, delta in enumerate(idx):
-        if j == 0:
-            continue
+    degs = _degrees(dim, order)
+    conv_start = np.searchsorted(out, np.arange(len(idx) + 1))
+    deg_start = np.searchsorted(degs, np.arange(order + 2))
+    # up[i][gamma] = index of gamma + e_i (every gamma a row reads has one)
+    up = np.zeros((dim, len(idx)), dtype=np.int64)
+    for i in range(dim):
+        dst, src = _shift_table(dim, order, tuple(1 if k == i else 0 for k in range(dim)))
+        up[i, dst] = src
+    empty = np.zeros(0, dtype=np.int64)
+    rows, local, shifted = [empty], [empty], [empty]
+    for j, delta in enumerate(idx[1:], start=1):
         i = next(k for k, d in enumerate(delta) if d > 0)
-        alpha = tuple(d - 1 if k == i else d for k, d in enumerate(delta))
-        ia = lookup[alpha]
-        rows = slice(row_start[ia], row_start[ia + 1])
-        e[j] = np.sum(w[rows] * e[left[rows]] * shifted[i][right[rows]])
-    return CoeffSeries(dim, order, e)
+        alpha = lookup[tuple(d - 1 if k == i else d for k, d in enumerate(delta))]
+        r = np.arange(conv_start[alpha], conv_start[alpha + 1])
+        rows.append(r)
+        local.append(np.full(len(r), j - deg_start[degs[j]]))
+        shifted.append(up[i, right[r]])
+    # rows before each delta; every degree's rows are contiguous
+    before = np.cumsum([0] + [len(r) for r in rows])
+    rows = np.concatenate(rows)
+    table = (
+        deg_start,
+        before[deg_start],
+        np.concatenate(local),
+        left[rows],
+        np.concatenate(shifted),
+        w[rows],
+    )
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 def log_star(c: CoeffSeries, phi0: complex | None = None) -> CoeffSeries:
@@ -352,27 +392,45 @@ def log_star(c: CoeffSeries, phi0: complex | None = None) -> CoeffSeries:
 def compose_shift(u: CoeffSeries, vec: Sequence[CoeffSeries]) -> CoeffSeries:
     """Coefficients of the shifted composition h_u(z + (h_v1(z), ..., h_vd(z))).
 
-    Realised as sum_beta (1/beta!) u^(beta) * v^{*beta}, beta capped at the
-    order.
-
-    When every v_i has zero constant coefficient the cap is exact (v^{*beta}
-    starts at degree |beta|); with a constant part present the beta tail is a
-    factorially damped truncation absorbed into the result.
+    h_u is the polynomial sum_gamma u_gamma z^gamma / gamma!, so the
+    composition is sum_gamma u_gamma (z + v(z))^gamma / gamma!, truncated at
+    the order: one product with the map of ``_compose_table``, which is built
+    once per shape and jump size. The result is exact for the polynomial h_u,
+    with or without a constant part in v; the only approximation is the
+    truncation of h_u itself.
     """
     if len(vec) != u.dim:
         raise ValueError(f"need {u.dim} shift components, got {len(vec)}")
     dim, order = _check_same_shape(u, *vec)
-    idx, _ = index_table(dim, order)
-    inv_fact = taylor_weights(dim, order)
-    # incremental vector powers in graded-lex order: pow[beta] = pow[beta - e_i] * v_i
-    powers: dict[MultiIndex, CoeffSeries] = {idx[0]: unit(dim, order)}
-    acc = np.array(u.coeffs, dtype=np.complex128)  # beta = 0 term
-    for j, beta in enumerate(idx[1:], start=1):
-        i = next(k for k, b in enumerate(beta) if b > 0)
-        prev = tuple(b - 1 if k == i else b for k, b in enumerate(beta))
-        powers[beta] = mul(powers[prev], vec[i])
-        acc += inv_fact[j] * mul(shift(u, beta), powers[beta]).coeffs
-    return CoeffSeries(dim, order, acc)
+    table = _compose_table(dim, order, tuple(v.coeffs.tobytes() for v in vec))
+    return CoeffSeries(dim, order, table @ u.coeffs)
+
+
+@lru_cache(maxsize=32)
+def _compose_table(dim: int, order: int, sizes: tuple[bytes, ...]) -> np.ndarray:
+    """Map u -> coefficients of h_u o (id + v), v given by its coefficient bytes.
+
+    Column gamma holds q_gamma, the coefficients of (z + v(z))^gamma / gamma!,
+    from the normalised powers q_gamma = q_{gamma - e_i} * (e_i + v_i) / gamma_i
+    along the first coordinate i with gamma_i > 0. No factorial is formed, so
+    any order runs. Keyed by value, so equal jump sizes of rebuilt models
+    share one read-only table.
+    """
+    idx, lookup = index_table(dim, order)
+    lines = []
+    for i, raw in enumerate(sizes):
+        c = np.frombuffer(raw, dtype=np.complex128).copy()
+        if order > 0:
+            c[lookup[tuple(1 if k == i else 0 for k in range(dim))]] += 1.0
+        lines.append(CoeffSeries(dim, order, c))
+    cols = [unit(dim, order)]
+    for gamma in idx[1:]:
+        i = next(k for k, g in enumerate(gamma) if g > 0)
+        prev = lookup[tuple(g - 1 if k == i else g for k, g in enumerate(gamma))]
+        cols.append(CoeffSeries(dim, order, mul(cols[prev], lines[i]).coeffs / gamma[i]))
+    table = np.stack([q.coeffs for q in cols], axis=1)
+    table.setflags(write=False)
+    return table
 
 
 def taylor_weights(dim: int, order: int, z=None) -> np.ndarray:
@@ -402,8 +460,7 @@ def taylor_weights(dim: int, order: int, z=None) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _unit_weights(dim: int, order: int) -> np.ndarray:
     # 1/k! correctly rounded: exact integer division underflows to 0 and never
-    # overflows, and it keeps the 1/beta! of compose_shift, whose terms cancel
-    # when a jump lands on the origin, as accurate as a float can hold them
+    # overflows, so each weight is as accurate as a float can hold it
     inv = np.array([1 / math.factorial(k) for k in range(order + 1)])
     w = _table_product(np.tile(inv, (dim, 1)))
     w.setflags(write=False)

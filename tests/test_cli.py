@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+from holoseq import cli
 from holoseq import series as ser
 from holoseq.cli import main
 
@@ -29,6 +30,19 @@ UNIT_INTERVAL = {
     "run": {"mode": "affine", "T": 0.5, "x0": 0.5, "affine_route": "log-linear"},
     "numerics": {"order": 8},
 }
+
+
+# an inline dimension-two model: unit diffusion, payoff h(x) = x_1^2
+DIM_TWO = {
+    "model": {"dim": 2, "diffusion": [[[[[0, 0], 1.0]], None], [None, [[[0, 0], 1.0]]]]},
+    "function": {"family": "series", "entries": [[[2, 0], 2.0]]},
+    "run": {"mode": "holomorphic", "T": 1.0},
+    "numerics": {"order": 6},
+}
+
+
+def _no_flow(*args, **kwargs):
+    raise AssertionError("a flow ran before the config was checked")
 
 
 def write_cfg(tmp_path, cfg, name="run.yaml"):
@@ -300,6 +314,31 @@ class TestExitCodes:
             cfg = dict(UNIT_INTERVAL, oracles={"dual": {"k_max": 100, **setting}})
         code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 2 and next(iter(setting)) in err
+
+    def test_scalar_x0_in_dim_two_names_field(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "holomorphic_expectation", _no_flow)
+        cfg = dict(DIM_TWO, run={"mode": "holomorphic", "T": 1.0, "x0": 0.3})
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 2 and "run.x0" in err
+
+    def test_missing_x0_in_dim_two_is_the_origin(self, tmp_path, capsys):
+        at_origin = dict(DIM_TWO, run={"mode": "holomorphic", "T": 1.0, "x0": [0.0, 0.0]})
+        _, want, _ = run_cli(capsys, "run", write_cfg(tmp_path, at_origin))
+        code, out, err = run_cli(capsys, "run", write_cfg(tmp_path, DIM_TWO))
+        assert code == 0, err
+        rows = [[line for line in text.splitlines() if line.startswith("linear-flow")] for text in (out, want)]
+        assert rows[0] and rows[0][0].split()[:3] == rows[1][0].split()[:3]
+
+    @pytest.mark.parametrize(
+        "oracles,key",
+        [({"mc": {"paths": -1, "dt": 0.01}}, "paths"), ({"dual": {"kmax": 10}}, "kmax")],
+    )
+    def test_oracle_settings_checked_before_flows(self, tmp_path, capsys, monkeypatch, oracles, key):
+        monkeypatch.setattr(cli, "holomorphic_expectation", _no_flow)
+        monkeypatch.setattr(cli, "affine_expectation", _no_flow)
+        cfg = dict(UNIT_INTERVAL, oracles=oracles)
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 2 and key in err
 
     def test_chain_rejects_sweep(self, tmp_path, capsys):
         cfg = {

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from holoseq import series as ser
 
+import reference_kernels as refk
+
 EXACT = 0.0
 REL_TOL = 1e-12
 EVAL_TOL = 1e-13
@@ -230,6 +232,16 @@ def test_compose_shift_beyond_float_factorials():
     for x in (-0.5, 0.0, 0.8):
         want = math.exp(x + 0.1)
         assert abs(ser.evaluate(comp, x) - want) < REL_TOL * want
+    # coefficient a is sum_{k <= 171 - a} 0.1^k / k!
+    want = np.cumsum(ser.taylor_weights(1, 171, 0.1))[::-1]
+    np.testing.assert_allclose(comp.coeffs, want, rtol=1e-14, atol=0)
+
+
+def test_exp_star_beyond_float_factorials():
+    # exp*(c + tau z) has coefficients e^c tau^k
+    c, tau = 0.3 - 0.2j, 0.95
+    e = ser.exp_star(ser.from_entries(1, 171, [((0,), c), ((1,), tau)]))
+    np.testing.assert_allclose(e.coeffs, np.exp(c) * tau ** np.arange(172), rtol=1e-12, atol=0)
 
 
 def test_divide_by_coordinate():
@@ -373,3 +385,141 @@ def test_taylor_weights_match_exact_arithmetic(alpha, z):
         else:
             # below the normal range the weight underflows with the sign it should have
             assert abs(got) <= 2 * sys.float_info.min and got * want >= 0
+
+
+# --- cached kernels against the per-index references --------------------------
+
+
+def _jump_sizes(rng, dim, order, kind):
+    """One jump-size vector: constant, affine, or vanishing at the origin."""
+    vec = []
+    for i in range(dim):
+        entries = []
+        if kind in ("constant", "affine"):
+            entries.append(((0,) * dim, complex(*rng.uniform(-0.5, 0.5, 2))))
+        if kind in ("affine", "origin") and order >= 1:
+            for k in range(dim):
+                e_k = tuple(1 if m == k else 0 for m in range(dim))
+                entries.append((e_k, complex(*rng.uniform(-0.2, 0.2, 2))))
+        if kind == "origin" and order >= 2:
+            e_i2 = tuple(2 if m == i else 0 for m in range(dim))
+            entries.append((e_i2, complex(*rng.uniform(-0.2, 0.2, 2))))
+        vec.append(ser.from_entries(dim, order, entries))
+    return tuple(vec)
+
+
+def exact_compose_1d(u, v):
+    """h_u(z + h_v(z)) in dimension one, truncated at the order, in exact arithmetic.
+
+    Horner's rule on ordinary coefficients u_k / k!, over Gaussian rationals
+    held as (re, im) pairs of Fractions; every float converts exactly.
+    """
+    n = u.order
+
+    def ordinary(c):
+        return [(Fraction(x.real) / math.factorial(k), Fraction(x.imag) / math.factorial(k)) for k, x in enumerate(c)]
+
+    a, w = ordinary(u.coeffs), ordinary(v.coeffs)
+    if n >= 1:
+        w[1] = (w[1][0] + 1, w[1][1])
+    r = [a[n]] + [(Fraction(0), Fraction(0))] * n
+    for k in range(n - 1, -1, -1):
+        nxt = [(Fraction(0), Fraction(0))] * (n + 1)
+        for i, (pr, pi) in enumerate(r):
+            for j in range(n + 1 - i):
+                qr, qi = w[j]
+                if (pr or pi) and (qr or qi):
+                    sr, si = nxt[i + j]
+                    nxt[i + j] = (sr + pr * qr - pi * qi, si + pr * qi + pi * qr)
+        nxt[0] = (nxt[0][0] + a[k][0], nxt[0][1] + a[k][1])
+        r = nxt
+    return np.array([math.factorial(k) * complex(float(re), float(im)) for k, (re, im) in enumerate(r)])
+
+
+def _close(got, want):
+    return np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]).flatmap(
+        # the per-index references are slow beyond order 10 in dimension three
+        lambda dim: st.tuples(st.just(dim), st.integers(0, (24, 24, 10)[dim - 1]))
+    ),
+    st.sampled_from(["constant", "affine", "origin"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kernels_match_per_index_references(shape, kind, draw_seed):
+    dim, order = shape
+    rng = np.random.default_rng(draw_seed)
+    u = random_series(rng, dim, order, scale=0.5)
+    vec = _jump_sizes(rng, dim, order, kind)
+    assert _close(ser.compose_shift(u, vec).coeffs, refk.compose_shift(u, vec).coeffs)
+    assert _close(ser.exp_star(u).coeffs, refk.exp_star(u).coeffs)
+
+
+@seed(20261018)
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 60),
+    st.sampled_from(["constant", "affine", "origin"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_dim_one_kernels_to_order_60(order, kind, draw_seed):
+    # in dimension one the composition is checked against exact arithmetic:
+    # the per-index reference itself drifts at high order (up to 7.5e-10 at
+    # order 60 with affine jump sizes of slope components up to 0.3)
+    rng = np.random.default_rng(draw_seed)
+    u = random_series(rng, 1, order, scale=0.5)
+    vec = _jump_sizes(rng, 1, order, kind)
+    assert _close(ser.compose_shift(u, vec).coeffs, exact_compose_1d(u, vec[0]))
+    assert _close(ser.exp_star(u).coeffs, refk.exp_star(u).coeffs)
+
+
+@pytest.mark.parametrize("dim,order", [(1, 16), (2, 9)])
+def test_compose_shift_onto_origin_is_constant(dim, order):
+    # the jump -z sends every state to the origin: h_u(z - z) = u_0, exactly
+    rng = np.random.default_rng(21)
+    u = random_series(rng, dim, order)
+    vec = tuple(
+        ser.from_entries(dim, order, [(tuple(1 if m == i else 0 for m in range(dim)), -1.0)])
+        for i in range(dim)
+    )
+    comp = ser.compose_shift(u, vec)
+    assert comp.coeffs[0] == u.coeffs[0]
+    assert np.all(comp.coeffs[1:] == 0)
+
+
+def test_compose_shift_builds_its_map_once(monkeypatch):
+    # an equal jump size in new objects (as a rebuilt model has) reuses the map
+    calls = []
+    real_mul = ser.mul
+
+    def counting_mul(u, v):
+        calls.append(1)
+        return real_mul(u, v)
+
+    monkeypatch.setattr(ser, "mul", counting_mul)
+    rng = np.random.default_rng(22)
+    u = random_series(rng, 2, 7)
+    sizes = rng.uniform(-0.4, 0.4, size=(2, 2))
+
+    def jump():
+        return tuple(ser.from_entries(2, 7, [((0, 0), a), ((1, 0), b)]) for a, b in sizes)
+
+    first = ser.compose_shift(u, jump())
+    calls.clear()
+    second = ser.compose_shift(u, jump())
+    assert calls == []
+    assert np.array_equal(first.coeffs, second.coeffs)
+
+
+def test_cached_tables_are_read_only():
+    vec = (ser.from_entries(2, 4, [((0, 0), 0.25)]), ser.from_entries(2, 4, [((1, 0), -0.5)]))
+    table = ser._compose_table(2, 4, tuple(v.coeffs.tobytes() for v in vec))
+    with pytest.raises(ValueError):
+        table[0, 0] = 2.0
+    for arr in ser._exp_star_table(2, 4):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
