@@ -171,11 +171,14 @@ class GridReport:
         return [f for f in self.findings if f.kind == kind]
 
 
+# a diffusion eigenvalue below -_PSD_TOL is reported as not PSD
+_PSD_TOL = 1e-10
+
+
 def validate_on_grid(
     chars: Characteristics,
     points: Iterable[Sequence[float]] | np.ndarray,
     box: tuple[Sequence[float], Sequence[float]] | None = None,
-    psd_tol: float = 1e-10,
 ) -> GridReport:
     """Spot-check model sanity on a state grid. Reports, never raises.
 
@@ -190,7 +193,7 @@ def validate_on_grid(
     diff = chars.diffusion_values(pts)
     for p, a in zip(pts, diff):
         w = np.linalg.eigvalsh((a + a.T) / 2)
-        if w.min() < -psd_tol:
+        if w.min() < -_PSD_TOL:
             findings.append(
                 GridFinding(
                     "diffusion-not-psd", tuple(p.tolist()), f"min eigenvalue {w.min():.3e}"

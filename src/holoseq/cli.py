@@ -167,8 +167,6 @@ def _mc_config(cfg: dict, args) -> McConfig:
         cfg["paths"] = args.mc_paths
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if cfg.get("state_box") is not None:
-        cfg["state_box"] = tuple(float(v) for v in cfg["state_box"])
     try:
         return McConfig(**cfg)
     except (ValueError, TypeError) as e:

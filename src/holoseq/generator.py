@@ -76,9 +76,9 @@ def apply_l_composition(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
     """L(u) with the jump part as a compensated shifted composition.
 
     Per atom: u o j_m - u - sum_i u^(e_i) * j_m[i], then weighted, multiplied
-    by the intensity and pole-divided. Exact in the jump degrees whenever the
-    jump sizes vanish at the origin; otherwise the beta tail beyond the order
-    is a factorially damped truncation.
+    by the intensity and pole-divided. ``compose_shift`` is exact for the
+    truncated polynomial h_u whatever the jump sizes, so the only
+    approximation is the truncation of h_u itself.
     """
     out = _drift_diffusion_part(u, chars)
     if chars.kernel is not None and chars.kernel.atoms:

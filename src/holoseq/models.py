@@ -5,8 +5,9 @@ Three kinds of reference models live here:
 * finite-state chains, where both expectation flows reduce to matrix
   exponentials (the linear one exactly, the quadratic one after a log), giving
   oracles for the sequence-flow machinery at zero truncation error;
-* constant-coefficient and affine jump-diffusions, whose exponents solve
-  scalar ODEs with known closed forms (solved in the tests' oracles);
+* affine jump-diffusions, constant-coefficient (Levy) ones included, whose
+  exponents solve scalar ODEs with known closed forms (solved in the tests'
+  oracles);
 * a unit-interval kill model whose generator maps the monomial basis
   (x/2)^k to a birth-death chain on the exponent, so E[e^{X_T}] is computable
   by uniformization of an explicit (explosive) dual chain.
@@ -35,7 +36,6 @@ __all__ = [
     "chain_riccati_rhs",
     "chain_affine_flow",
     "two_state_closed_form",
-    "LevySpec",
     "AffineSpec",
     "UnitIntervalModel",
     "DualResult",
@@ -154,34 +154,14 @@ def two_state_closed_form(l12: float, l21: float, u1: float, u2: float, t: float
 
 
 @dataclass(frozen=True)
-class LevySpec:
-    """Constant-coefficient dynamics: drift b, variance a, compensated atoms
-    (weight, size) arriving at rate ``rate``."""
-
-    b: float = 0.0
-    a: float = 1.0
-    rate: float = 1.0
-    atoms: tuple[tuple[float, float], ...] = ()
-
-    def to_characteristics(self, order: int) -> Characteristics:
-        def c(value):
-            return ser.from_entries(1, order, [((0,), value)])
-
-        kernel = None
-        if self.atoms:
-            kernel = JumpKernel(
-                c(self.rate), tuple(JumpAtom(w, (c(xi),)) for w, xi in self.atoms), 0
-            )
-        return Characteristics(1, (c(self.b),), ((c(self.a),),), kernel)
-
-
-@dataclass(frozen=True)
 class AffineSpec:
     """State-affine dynamics in dimension one:
     b(x) = b0 + b1 x, a(x) = a0 + a1 x, intensity l0 + l1 x, constant jump
     sizes. Exponential moments then close over affine exponents:
     psi' = F1(psi), phi' = F0(psi) with Fk(u) = bk u + ak u^2/2
     + lk sum_m w_m (e^(u xi_m) - 1 - u xi_m).
+    With b1 = a1 = l1 = 0 this is a Levy process, whose exponent F0 is then
+    constant along the flow: E[exp(tau X_T)] = exp(tau x + T F0(tau)).
     """
 
     b0: float = 0.0
@@ -194,7 +174,8 @@ class AffineSpec:
 
     def to_characteristics(self, order: int) -> Characteristics:
         def lin(c0, c1):
-            return ser.from_entries(1, order, [((0,), c0), ((1,), c1)])
+            # no slope entry when it is zero, so a constant spec runs at order 0
+            return ser.from_entries(1, order, [((0,), c0)] + ([((1,), c1)] if c1 else []))
 
         kernel = None
         if self.atoms and (self.l0 or self.l1):
@@ -229,6 +210,11 @@ class DualResult:
             out = out * half + c
         return out
 
+
+# largest evaluation error bound from escaped dual mass before dual_expectation fails
+_DUAL_TAIL_THRESHOLD = 1e-8
+
+
 @dataclass(frozen=True)
 class UnitIntervalModel:
     """Diffusion a(x) = x (1-x)(1-x/2) on [0, 1] with kill-to-origin jumps at
@@ -262,7 +248,7 @@ class UnitIntervalModel:
         base[:2] = 0.0
         return base / 4.0, base / 2.0
 
-    def dual_expectation(self, T: float, tail_threshold: float = 1e-8) -> DualResult:
+    def dual_expectation(self, T: float) -> DualResult:
         """nu(T) = mu exp(T B) by uniformization, mu_k = 2^k / k! (so that
         sum mu_k f_k = e^x); the up-edge out of k_max is dropped and tracked."""
         down, up = self.dual_rates()
@@ -294,10 +280,10 @@ class UnitIntervalModel:
         outflow = mass_in * float(w.sum()) - float(acc.sum())
         outflow = max(outflow, 0.0)
         bound = outflow * 2.0 ** -(self.k_max + 1)
-        if bound > tail_threshold:
+        if bound > _DUAL_TAIL_THRESHOLD:
             raise EscapeMassError(
                 f"escaped dual mass {outflow:.3e} bounds the evaluation error by "
-                f"{bound:.3e} > {tail_threshold:.1e}; increase k_max"
+                f"{bound:.3e} > {_DUAL_TAIL_THRESHOLD:.1e}; increase k_max"
             )
         return DualResult(acc, outflow, bound)
 
@@ -320,19 +306,11 @@ _CHAIN_RATES = np.array(
 TWO_STATE_RATES = (0.6, 0.9)
 
 
-def _bm(order: int = 12):
-    return LevySpec(b=0.0, a=1.0).to_characteristics(order)
-
-
-def _compound_poisson(order: int = 12):
-    return LevySpec(b=0.0, a=1.0, rate=1.0, atoms=((1.0, 0.5), (1.0, -0.5))).to_characteristics(
-        order
-    )
-
-
 PRESETS = {
-    "bm": _bm,
-    "compound-poisson": _compound_poisson,
+    "bm": lambda order=12: AffineSpec(a0=1.0).to_characteristics(order),
+    "compound-poisson": lambda order=12: AffineSpec(
+        a0=1.0, l0=1.0, atoms=((1.0, 0.5), (1.0, -0.5))
+    ).to_characteristics(order),
     "affine-linear-jumps": lambda order=12: AFFINE_LINEAR_JUMPS.to_characteristics(order),
     "unit-interval": lambda order=12: UnitIntervalModel().characteristics(order),
     "finite-chain": lambda order=12: FiniteChain(_CHAIN_RATES),

@@ -12,6 +12,7 @@ bit-identical for a fixed config regardless of how batches would be scheduled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,16 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.paths < 1 or self.dt <= 0:
             raise ValueError("paths and dt must be positive")
+        if self.state_box is not None:
+            try:
+                lo, hi = (float(v) for v in self.state_box)
+            except (TypeError, ValueError):
+                lo = hi = math.nan
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(
+                    f"state_box must be two finite values lo < hi, got {self.state_box!r}"
+                )
+            object.__setattr__(self, "state_box", (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -93,8 +104,6 @@ def generator_values(chars: Characteristics, f, xs: np.ndarray) -> np.ndarray:
     h = _fd_steps(pts)  # (n, dim)
     grad = np.empty((n, dim), dtype=np.complex128)
     diag = np.empty((n, dim), dtype=np.complex128)
-    plus1 = {}
-    minus1 = {}
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = 1.0
@@ -102,7 +111,6 @@ def generator_values(chars: Characteristics, f, xs: np.ndarray) -> np.ndarray:
         fm1 = call(pts - h[:, [i]] * e)
         fp2 = call(pts + 2 * h[:, [i]] * e)
         fm2 = call(pts - 2 * h[:, [i]] * e)
-        plus1[i], minus1[i] = fp1, fm1
         hi = h[:, i]
         grad[:, i] = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * hi)
         diag[:, i] = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * hi * hi)

@@ -15,7 +15,7 @@ are measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -115,17 +115,17 @@ def dopri5(
     weights: np.ndarray | None = None,
     record=None,
 ):
-    """Adaptive 5(4) pairs over a flat state; snapshots land exactly on
-    requested times (steps are clipped, no interpolation)."""
+    """Adaptive 5(4) pairs over a flat state; the snapshots start at (t0, y0)
+    and land exactly on requested times (steps are clipped, no interpolation)."""
     y = np.array(y0)
     w = np.ones(y.size) if weights is None else np.asarray(weights, dtype=float)
     targets = _merge_record(t0, t1, record)
-    times, states = [], []
+    times, states = [t0], [y.copy()]
     span = t1 - t0
     if span < 0:
         raise ValueError("flows run forward: need t1 >= t0")
     if span == 0 or targets.size == 0:
-        return np.array([t0]), [y.copy()], {"nfev": 0, "accepted": 0, "rejected": 0}
+        return np.array(times), states, {"nfev": 0, "accepted": 0, "rejected": 0}
     h = first_step if first_step is not None else span / 100
     h = min(h, span)
     t = t0
@@ -169,7 +169,7 @@ def dopri5(
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Snapshots of a sequence flow; times[0] is the first recorded time."""
+    """Snapshots of a sequence flow, the first at its start t = 0."""
 
     times: np.ndarray
     series: tuple[CoeffSeries, ...]
@@ -209,26 +209,6 @@ def _operator(model, apply) -> Callable[[CoeffSeries], CoeffSeries]:
     return model
 
 
-def _run(rhs, T, y0, config: OdeConfig, weights, record):
-    """Integrate on [0, T] and prepend the initial snapshot."""
-    times, states, stats = dopri5(
-        rhs,
-        0.0,
-        T,
-        y0,
-        rtol=config.rtol,
-        atol=config.atol,
-        first_step=config.first_step,
-        max_steps=config.max_steps,
-        weights=weights,
-        record=record,
-    )
-    if times.size == 0 or times[0] != 0.0:
-        times = np.concatenate([[0.0], times])
-        states = [np.array(y0)] + states
-    return times, states, stats
-
-
 def _flow(apply, model, u0: CoeffSeries, T: float, config, record) -> FlowResult:
     config = config or OdeConfig()
     op = _operator(model, apply)
@@ -238,7 +218,9 @@ def _flow(apply, model, u0: CoeffSeries, T: float, config, record) -> FlowResult
         return op(CoeffSeries(dim, order, y)).coeffs
 
     w = ser.taylor_weights(dim, order)
-    times, states, stats = _run(rhs, T, u0.coeffs.copy(), config, w, record)
+    times, states, stats = dopri5(
+        rhs, 0.0, T, u0.coeffs, weights=w, record=record, **asdict(config)
+    )
     snaps = tuple(CoeffSeries(dim, order, y) for y in states)
     return FlowResult(times, snaps, stats)
 
@@ -300,7 +282,9 @@ def riccati_from_linear(
 
     y0 = np.concatenate([c0.coeffs, [complex(u0.coeffs[0])]])
     w = np.concatenate([ser.taylor_weights(dim, order), [1.0]])
-    times, states, stats = _run(rhs, T, y0, config, w, record)
+    times, states, stats = dopri5(
+        rhs, 0.0, T, y0, weights=w, record=record, **asdict(config)
+    )
     snaps = []
     for y in states:
         c = CoeffSeries(dim, order, y[:n])

@@ -249,11 +249,14 @@ def mul(u: CoeffSeries, v: CoeffSeries) -> CoeffSeries:
     dim, order = _check_same_shape(u, v)
     out, left, right, w = _conv_table(dim, order)
     terms = w * u.coeffs[left] * v.coeffs[right]
-    n = len(u.coeffs)
-    c = np.bincount(out, weights=terms.real, minlength=n) + 1j * np.bincount(
-        out, weights=terms.imag, minlength=n
+    return CoeffSeries(dim, order, _row_sum(out, terms, len(u.coeffs)))
+
+
+def _row_sum(dst: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
+    """Complex sums of ``terms`` by destination index in [0, n), row order kept."""
+    return np.bincount(dst, weights=terms.real, minlength=n) + 1j * np.bincount(
+        dst, weights=terms.imag, minlength=n
     )
-    return CoeffSeries(dim, order, c)
 
 
 def shift(u: CoeffSeries, beta: Sequence[int] | int) -> CoeffSeries:
@@ -297,77 +300,34 @@ def divide_by_coordinate(u: CoeffSeries, coord: int = 0) -> CoeffSeries:
 def exp_star(u: CoeffSeries) -> CoeffSeries:
     """Coefficients of exp(h_u) up to the order.
 
-    Degree-by-degree recurrence: along the first coordinate i with delta_i > 0,
-    E_{delta} = (E * u^(e_i))_{delta - e_i}, seeded with E_0 = exp(u_0).
-    The right side reads only degrees below |delta|, so each degree is one
-    gather and one bincount over the rows of ``_exp_star_table``.
-    Avoids the cancellation-prone direct sum of powers of (u - u_0).
+    The Euler operator theta = sum_i z_i d_i scales coefficient delta by
+    |delta|, and theta e^h = e^h theta h gives, for delta != 0,
+    E_delta = sum_{beta + gamma = delta, gamma != 0} w |gamma|/|delta| E_beta u_gamma,
+    seeded with E_0 = exp(u_0). The right side reads only degrees below
+    |delta|, so each degree is one gather and one bincount over the rows of
+    ``_euler_rows``. Avoids the cancellation-prone direct sum of powers of
+    (u - u_0).
     """
-    deg_start, row_start, dst, left, src, w = _exp_star_table(u.dim, u.order)
-    shifted = u.coeffs[src]  # u^(e_i)_gamma = u_{gamma + e_i}, row by row
+    deg_start, row_start, dst, left, right, w = _euler_rows(u.dim, u.order)
+    ur = u.coeffs[right]
     e = np.zeros(len(u.coeffs), dtype=np.complex128)
     e[0] = np.exp(u.coeffs[0])
     for d in range(1, u.order + 1):
         lo, hi = deg_start[d], deg_start[d + 1]
         rows = slice(row_start[d], row_start[d + 1])
-        terms = w[rows] * e[left[rows]] * shifted[rows]
-        e[lo:hi] = np.bincount(dst[rows], weights=terms.real, minlength=hi - lo) + 1j * np.bincount(
-            dst[rows], weights=terms.imag, minlength=hi - lo
-        )
+        e[lo:hi] = _row_sum(dst[rows], w[rows] * e[left[rows]] * ur[rows], hi - lo)
     return CoeffSeries(u.dim, u.order, e)
-
-
-@lru_cache(maxsize=None)
-def _exp_star_table(dim: int, order: int) -> tuple[np.ndarray, ...]:
-    """Rows of exp_star's recurrence, grouped by the degree they fill.
-
-    For every delta != 0, with i its first nonzero coordinate and
-    alpha = delta - e_i, the rows are those of ``_conv_table`` for alpha:
-    E_delta = sum w * E[left] * u[src], where src indexes right + e_i.
-    Returns (deg_start, row_start, dst, left, src, w): the indices of degree
-    d are deg_start[d]:deg_start[d+1], its rows row_start[d]:row_start[d+1],
-    and dst is each row's output index relative to deg_start[d].
-    """
-    idx, lookup = index_table(dim, order)
-    out, left, right, w = _conv_table(dim, order)
-    degs = _degrees(dim, order)
-    conv_start = np.searchsorted(out, np.arange(len(idx) + 1))
-    deg_start = np.searchsorted(degs, np.arange(order + 2))
-    # up[i][gamma] = index of gamma + e_i (every gamma a row reads has one)
-    up = np.zeros((dim, len(idx)), dtype=np.int64)
-    for i in range(dim):
-        dst, src = _shift_table(dim, order, tuple(1 if k == i else 0 for k in range(dim)))
-        up[i, dst] = src
-    empty = np.zeros(0, dtype=np.int64)
-    rows, local, shifted = [empty], [empty], [empty]
-    for j, delta in enumerate(idx[1:], start=1):
-        i = next(k for k, d in enumerate(delta) if d > 0)
-        alpha = lookup[tuple(d - 1 if k == i else d for k, d in enumerate(delta))]
-        r = np.arange(conv_start[alpha], conv_start[alpha + 1])
-        rows.append(r)
-        local.append(np.full(len(r), j - deg_start[degs[j]]))
-        shifted.append(up[i, right[r]])
-    # rows before each delta; every degree's rows are contiguous
-    before = np.cumsum([0] + [len(r) for r in rows])
-    rows = np.concatenate(rows)
-    table = (
-        deg_start,
-        before[deg_start],
-        np.concatenate(local),
-        left[rows],
-        np.concatenate(shifted),
-        w[rows],
-    )
-    for a in table:
-        a.setflags(write=False)
-    return table
 
 
 def log_star(c: CoeffSeries, phi0: complex | None = None) -> CoeffSeries:
     """Inverse of exp_star up to the degree-zero branch.
 
-    Writes c = c_0 (1 + d) with d_0 = 0 and sums (-1)^(k-1)/k d^{*k},
-    k = 1..order.
+    The same Euler-operator identity as ``exp_star``, solved for the
+    logarithm psi: for delta != 0,
+    c_0 psi_delta = c_delta - sum w |gamma|/|delta| c_beta psi_gamma
+    over beta + gamma = delta with beta, gamma != 0. That is the sum over
+    the rows of ``_euler_rows``: their beta = 0 rows read the degree being
+    filled, which is still zero.
 
     The degree-zero coefficient is ``phi0`` when given (callers integrating a
     flow supply the branch), else the principal log of c_0.
@@ -377,16 +337,44 @@ def log_star(c: CoeffSeries, phi0: complex | None = None) -> CoeffSeries:
         raise LeadingCoefficientError(
             f"leading coefficient {c0!r} within division guard {EPS_DIV}"
         )
-    d = CoeffSeries(c.dim, c.order, c.coeffs / c0)
-    d = lin_comb((1.0, d), (-1.0, unit(c.dim, c.order)))
-    acc = np.zeros(len(c.coeffs), dtype=np.complex128)
-    power = unit(c.dim, c.order)
-    for k in range(1, c.order + 1):
-        power = mul(power, d)
-        w_k = (-1.0) ** (k - 1) * (1.0 / k)
-        acc += w_k * power.coeffs
-    acc[0] = np.log(c0) if phi0 is None else complex(phi0)
-    return CoeffSeries(c.dim, c.order, acc)
+    deg_start, row_start, dst, left, right, w = _euler_rows(c.dim, c.order)
+    wc = w * c.coeffs[left]
+    psi = np.zeros(len(c.coeffs), dtype=np.complex128)
+    for d in range(1, c.order + 1):
+        lo, hi = deg_start[d], deg_start[d + 1]
+        rows = slice(row_start[d], row_start[d + 1])
+        lower = _row_sum(dst[rows], wc[rows] * psi[right[rows]], hi - lo)
+        psi[lo:hi] = (c.coeffs[lo:hi] - lower) / c0
+    psi[0] = np.log(c0) if phi0 is None else complex(phi0)
+    return CoeffSeries(c.dim, c.order, psi)
+
+
+@lru_cache(maxsize=None)
+def _euler_rows(dim: int, order: int) -> tuple[np.ndarray, ...]:
+    """Rows of the exp_star/log_star recurrence, grouped by the degree they fill.
+
+    The rows of ``_conv_table`` with gamma = right != 0, weighted by
+    |gamma|/|delta| for their output delta. Returns (deg_start, row_start,
+    dst, left, right, w): the indices of degree d are
+    deg_start[d]:deg_start[d+1], its rows row_start[d]:row_start[d+1], and
+    dst is each row's output index relative to deg_start[d].
+    """
+    out, left, right, w = _conv_table(dim, order)
+    degs = _degrees(dim, order)
+    keep = right != 0
+    out, left, right = out[keep], left[keep], right[keep]
+    deg_start = np.searchsorted(degs, np.arange(order + 2))
+    table = (
+        deg_start,
+        np.searchsorted(degs[out], np.arange(order + 2)),
+        out - deg_start[degs[out]],
+        left,
+        right,
+        w[keep] * degs[right] / degs[out],
+    )
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 def compose_shift(u: CoeffSeries, vec: Sequence[CoeffSeries]) -> CoeffSeries:

@@ -1,9 +1,10 @@
 """Closed-form and pointwise oracles that exist only to check the engine.
 
-Each takes the model object it checks as its first argument: the Lévy
-exponent of a ``LevySpec``, the scalar affine transform of an ``AffineSpec``,
-the dual chain's coefficients in the sequence convention, and the generator
-at one state by finite differences.
+Each takes the model object it checks as its first argument: the scalar
+affine transform of an ``AffineSpec``, the dual chain's coefficients in the
+sequence convention, and the generator at one state by finite differences.
+``_affine_f(spec, tau, lin=False)`` is the Lévy exponent of a spec with
+b1 = a1 = l1 = 0.
 """
 
 import math
@@ -11,18 +12,10 @@ import math
 import numpy as np
 
 from holoseq.characteristics import Characteristics
-from holoseq.models import AffineSpec, DualResult, LevySpec
+from holoseq.models import AffineSpec, DualResult
 from holoseq.montecarlo import generator_values
 from holoseq.odeflow import dopri5
 from holoseq.series import CoeffSeries
-
-
-def levy_exponent(spec: LevySpec, tau: complex) -> complex:
-    """Growth rate of E[exp(tau X_t)]: b tau + a tau^2/2 + jump terms."""
-    out = spec.b * tau + 0.5 * spec.a * tau * tau
-    for w, xi in spec.atoms:
-        out += spec.rate * w * (np.exp(tau * xi) - 1.0 - tau * xi)
-    return complex(out)
 
 
 def _affine_f(spec: AffineSpec, u: complex, lin: bool) -> complex:

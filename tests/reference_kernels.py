@@ -1,9 +1,11 @@
-"""The per-index series kernels that ``holoseq.series`` replaced with tables.
+"""The series kernels that ``holoseq.series`` replaced with tables.
 
 ``compose_shift`` sums (1/beta!) u^(beta) * v^{*beta} over every multi-index,
-with one ``mul`` per index, and ``exp_star`` fills one coefficient per Python
-iteration. ``holoseq.series`` now applies a cached composition map and steps
-``exp_star`` by degree; the property tests check both against these.
+with one ``mul`` per index, ``exp_star`` fills one coefficient per Python
+iteration, and ``log_star`` sums the power series of log(1 + d) with one
+``mul`` per degree. ``holoseq.series`` now applies a cached composition map
+and runs ``exp_star`` and ``log_star`` as one degree-by-degree recurrence;
+the property tests check them against these.
 """
 
 import numpy as np
@@ -49,3 +51,34 @@ def exp_star(u: CoeffSeries) -> CoeffSeries:
         rows = slice(row_start[ia], row_start[ia + 1])
         e[j] = np.sum(w[rows] * e[left[rows]] * shifted[i][right[rows]])
     return CoeffSeries(dim, order, e)
+
+
+def _unit_leading(c: CoeffSeries) -> CoeffSeries:
+    """d with c = c_0 (1 + d), so d_0 = 0."""
+    d = CoeffSeries(c.dim, c.order, c.coeffs / complex(c.coeffs[0]))
+    return ser.lin_comb((1.0, d), (-1.0, ser.unit(c.dim, c.order)))
+
+
+def log_star(c: CoeffSeries, phi0=None) -> CoeffSeries:
+    """log(h_c) as log c_0 + sum_k (-1)^(k-1)/k d^{*k}, k = 1..order, where c = c_0 (1 + d)."""
+    dim, order = c.dim, c.order
+    d = _unit_leading(c)
+    acc = np.zeros(len(c.coeffs), dtype=np.complex128)
+    power = ser.unit(dim, order)
+    for k in range(1, order + 1):
+        power = ser.mul(power, d)
+        acc += (-1.0) ** (k - 1) * (1.0 / k) * power.coeffs
+    acc[0] = np.log(complex(c.coeffs[0])) if phi0 is None else complex(phi0)
+    return CoeffSeries(dim, order, acc)
+
+
+def log_star_term_scale(c: CoeffSeries) -> np.ndarray:
+    """sum_k |d|^{*k} / k coefficientwise: the size of the terms ``log_star`` sums,
+    which bounds the scale of its rounding error."""
+    d = CoeffSeries(c.dim, c.order, np.abs(_unit_leading(c).coeffs))
+    acc = np.zeros(len(c.coeffs))
+    power = ser.unit(c.dim, c.order)
+    for k in range(1, c.order + 1):
+        power = ser.mul(power, d)
+        acc += power.coeffs.real / k
+    return acc

@@ -331,7 +331,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "oracles,key",
-        [({"mc": {"paths": -1, "dt": 0.01}}, "paths"), ({"dual": {"kmax": 10}}, "kmax")],
+        [
+            ({"mc": {"paths": -1, "dt": 0.01}}, "paths"),
+            ({"dual": {"kmax": 10}}, "kmax"),
+            ({"mc": {"paths": 2000, "dt": 0.01, "state_box": [1.0, -1.0]}}, "state_box"),
+            ({"mc": {"paths": 2000, "dt": 0.01, "state_box": [-1.0, 1.0, 2.0]}}, "state_box"),
+        ],
     )
     def test_oracle_settings_checked_before_flows(self, tmp_path, capsys, monkeypatch, oracles, key):
         monkeypatch.setattr(cli, "holomorphic_expectation", _no_flow)

@@ -18,7 +18,6 @@ from holoseq.models import (
     AffineSpec,
     EscapeMassError,
     FiniteChain,
-    LevySpec,
     UnitIntervalModel,
     build_preset,
     chain_affine_flow,
@@ -28,7 +27,7 @@ from holoseq.models import (
     two_state_closed_form,
 )
 
-from oracles import affine_transform, dual_series, levy_exponent
+from oracles import _affine_f, affine_transform, dual_series
 
 # frozen anchors: the compensated exponent rate at tau = 1 for unit diffusion
 # with +-1/2 jumps, and the unit-interval dual value at (T, x) = (1/2, 1/2)
@@ -112,18 +111,20 @@ class TestFiniteChain:
 
 
 class TestLevySpec:
+    # a Levy process is the affine spec with b1 = a1 = l1 = 0, and its exponent is F0
     def test_exponent_closed_form(self):
-        spec = LevySpec(b=0.0, a=1.0, rate=1.0, atoms=((1.0, 0.5), (1.0, -0.5)))
-        assert abs(levy_exponent(spec, 1.0) - EXPONENT_AT_ONE) < 5e-16
+        spec = AffineSpec(a0=1.0, l0=1.0, atoms=((1.0, 0.5), (1.0, -0.5)))
+        assert abs(_affine_f(spec, 1.0, lin=False) - EXPONENT_AT_ONE) < 5e-16
         # pure diffusion part
-        assert abs(levy_exponent(LevySpec(b=0.3, a=2.0), 0.5) - (0.15 + 0.25)) < 1e-15
+        assert abs(_affine_f(AffineSpec(b0=0.3, a0=2.0), 0.5, lin=False) - (0.15 + 0.25)) < 1e-15
 
     def test_to_characteristics(self):
-        chars = LevySpec(b=0.2, a=1.5).to_characteristics(6)
+        chars = AffineSpec(b0=0.2, a0=1.5).to_characteristics(6)
         assert chars.kernel is None
+        assert AffineSpec(b0=0.2, a0=1.5).to_characteristics(0).order == 0
         assert chars.drift[0].coefficient((0,)) == 0.2
         assert chars.diffusion[0][0].coefficient((0,)) == 1.5
-        with_jumps = LevySpec(atoms=((2.0, 0.3),), rate=0.7).to_characteristics(6)
+        with_jumps = AffineSpec(atoms=((2.0, 0.3),), l0=0.7).to_characteristics(6)
         assert with_jumps.kernel.total_weight() == 2.0
         assert with_jumps.kernel.intensity.coefficient((0,)) == 0.7
 

@@ -52,7 +52,7 @@ class TestIntegrators:
         ts, ys, _ = dopri5(
             lambda t, y: -y, 0.0, 1.0, np.array([1.0]), record=[0.25, 0.5, 0.75]
         )
-        np.testing.assert_array_equal(ts, [0.25, 0.5, 0.75, 1.0])
+        np.testing.assert_array_equal(ts, [0.0, 0.25, 0.5, 0.75, 1.0])
         for t, y in zip(ts, ys):
             assert abs(y[0] - math.exp(-t)) < 1e-9
 
