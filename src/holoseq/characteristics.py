@@ -97,6 +97,8 @@ class Characteristics:
     _diffusion_eval: tuple[tuple[RealEvaluator, ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    # the generator matrix L, compiled by ``holoseq.generator`` on first use
+    _l_matrix: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "drift", tuple(self.drift))

@@ -5,19 +5,23 @@ holomorphic function: for h_u the series of degree <= N, L(u) collects the
 coefficients of A h_u, and R(u) those of e^{-h_u} A e^{h_u} (the quadratic
 form driving the exponential-moment flow).
 
-L and R share one assembly. Drift and diffusion multiply shifted coefficients
-by the characteristic series. Each jump atom contributes the shifted
-composition g = u o j - u, compensated in degree one, weighted, multiplied by
-the intensity and pole-divided; R replaces g by exp*(g) - 1.
+L is linear and fixed by the characteristics and the order, so it is compiled
+once per ``Characteristics`` into a dense read-only n x n matrix, and each
+linear right-hand side is one matrix-vector product. Drift and diffusion are
+multiplication matrices with their columns placed by a coefficient shift.
+Each jump atom is its composition map u -> u o (id + j) minus the identity,
+compensated in degree one, weighted, multiplied by the intensity and
+pole-divided. R is L plus the quadratic diffusion term plus, per atom,
+exp*(g) - 1 - g for g = u o j - u, multiplied and pole-divided alike.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import numpy as np
 
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics
-from holoseq.series import CoeffSeries
+from holoseq.series import CoeffSeries, LeadingCoefficientError
 
 __all__ = [
     "apply_l_composition",
@@ -29,61 +33,87 @@ def _basis(dim: int, i: int) -> tuple[int, ...]:
     return tuple(1 if k == i else 0 for k in range(dim))
 
 
-def _is_zero(s: CoeffSeries) -> bool:
-    return not s.coeffs.any()
+def _mul_matrix(b: CoeffSeries) -> np.ndarray:
+    """Matrix of u -> mul(u, b): row out, column left, weight w * b[right]."""
+    out, left, right, w = ser._conv_table(b.dim, b.order)
+    n = len(b.coeffs)
+    return ser._row_sum(out * n + left, w * b.coeffs[right], n * n).reshape(n, n)
 
 
-def _drift_diffusion_part(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
-    # identically-zero characteristics are skipped: they contribute nothing
-    dim = chars.dim
-    out = ser.zero(dim, u.order)
+def _mul_shift_matrix(b: CoeffSeries, beta: tuple[int, ...]) -> np.ndarray:
+    """Matrix of u -> mul(shift(u, beta), b): the columns of mul by b, placed
+    where the shift reads them."""
+    m = _mul_matrix(b)
+    dst, src = ser._shift_table(b.dim, b.order, beta)
+    out = np.zeros_like(m)
+    out[:, src] = m[:, dst]
+    return out
+
+
+def _divide_rows(m: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Rows of ``divide_by_coordinate(., 0)`` applied to every column of m.
+
+    Raises LeadingCoefficientError when a row on the axis z_1 = 0 does not
+    vanish, so that no coefficient vector divides exactly."""
+    idxm = ser._index_matrix(dim, order)
+    bad = np.abs(m[idxm[:, 0] == 0])
+    if bad.size and bad.max() > ser.EPS_DIV:
+        raise LeadingCoefficientError(
+            f"jump part does not vanish on z_1=0 (max |entry| = {bad.max():.3e}); "
+            "a pole intensity needs jump sizes vanishing at the origin"
+        )
+    dst, src = ser._shift_table(dim, order, _basis(dim, 0))
+    out = np.zeros_like(m)
+    out[dst] = m[src] / (idxm[dst, 0] + 1.0)[:, None]
+    return out
+
+
+def _compile_l(chars: Characteristics) -> np.ndarray:
+    dim, order = chars.dim, chars.order
+    n = len(ser.index_table(dim, order)[0])
+    out = np.zeros((n, n), dtype=np.complex128)
     for i in range(dim):
-        if not _is_zero(chars.drift[i]):
-            out = out + ser.mul(ser.shift(u, _basis(dim, i)), chars.drift[i])
+        out += _mul_shift_matrix(chars.drift[i], _basis(dim, i))
     for i in range(dim):
         for j in range(i, dim):
-            if _is_zero(chars.diffusion[i][j]):
-                continue
-            beta = tuple(
-                (2 if k == i else 0) if i == j else (1 if k in (i, j) else 0)
-                for k in range(dim)
-            )
+            beta = tuple(a + b for a, b in zip(_basis(dim, i), _basis(dim, j)))
             w = 0.5 if i == j else 1.0
-            out = out + w * ser.mul(ser.shift(u, beta), chars.diffusion[i][j])
-    return out
-
-
-def _jump_part(
-    u: CoeffSeries, chars: Characteristics, tilt: Callable[[CoeffSeries], CoeffSeries]
-) -> CoeffSeries:
-    """lambda * sum_m w_m (tilt(u o j_m - u) - sum_i u^(e_i) * j_m[i]), pole-divided."""
-    dim = chars.dim
+            out += w * _mul_shift_matrix(chars.diffusion[i][j], beta)
     k = chars.kernel
-    acc = None
-    for atom in k.atoms:
-        term = tilt(ser.compose_shift(u, atom.size) - u)
-        for i in range(dim):
-            term = term - ser.mul(ser.shift(u, _basis(dim, i)), atom.size[i])
-        term = atom.weight * term
-        acc = term if acc is None else acc + term
-    out = ser.mul(k.intensity, acc)
-    for _ in range(k.pole_order):
-        out = ser.divide_by_coordinate(out, 0)
+    if k is not None and k.atoms:
+        jumps = np.zeros((n, n), dtype=np.complex128)
+        for atom in k.atoms:
+            term = ser._compose_map(atom.size) - np.eye(n)
+            for i in range(dim):
+                term -= _mul_shift_matrix(atom.size[i], _basis(dim, i))
+            jumps += atom.weight * term
+        jumps = _mul_matrix(k.intensity) @ jumps
+        for _ in range(k.pole_order):
+            jumps = _divide_rows(jumps, dim, order)
+        out += jumps
+    out.setflags(write=False)
     return out
+
+
+def _linear(u: CoeffSeries, chars: Characteristics) -> np.ndarray:
+    """L u against the matrix compiled on first use and kept on ``chars``."""
+    ser._check_same_shape(u, chars.drift[0])
+    if chars._l_matrix is None:
+        object.__setattr__(chars, "_l_matrix", _compile_l(chars))
+    return chars._l_matrix @ u.coeffs
 
 
 def apply_l_composition(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
     """L(u) with the jump part as a compensated shifted composition.
 
     Per atom: u o j_m - u - sum_i u^(e_i) * j_m[i], then weighted, multiplied
-    by the intensity and pole-divided. ``compose_shift`` is exact for the
+    by the intensity and pole-divided. The composition map is exact for the
     truncated polynomial h_u whatever the jump sizes, so the only
-    approximation is the truncation of h_u itself.
+    approximation is the truncation of h_u itself. Raises
+    LeadingCoefficientError when a pole intensity meets a jump part that
+    does not vanish at the origin.
     """
-    out = _drift_diffusion_part(u, chars)
-    if chars.kernel is not None and chars.kernel.atoms:
-        out = out + _jump_part(u, chars, lambda g: g)
-    return out
+    return CoeffSeries(u.dim, u.order, _linear(u, chars))
 
 
 def apply_r(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
@@ -91,19 +121,30 @@ def apply_r(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
 
     R(u) = L(u) + sum over unordered coordinate pairs (i, j) of
     a[i][j] * u^(e_i) * u^(e_j) / (e_i + e_j)!  plus, per atom,
-    exp*(u o j - u) - 1 - u^(1) . j in place of the linear jump part.
-    The unordered-pair weight reproduces (1/2) grad(h)^T a grad(h).
+    exp*(g) - 1 - g for g = u o j - u, weighted, multiplied by the intensity
+    and pole-divided: with L's compensated jump part that makes
+    exp*(g) - 1 - u^(1) . j. The unordered-pair weight reproduces
+    (1/2) grad(h)^T a grad(h).
     """
     dim = chars.dim
-    out = _drift_diffusion_part(u, chars)
+    out = _linear(u, chars)
+    grads = [ser.shift(u, _basis(dim, i)) for i in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            if _is_zero(chars.diffusion[i][j]):
+            a = chars.diffusion[i][j]
+            if not a.coeffs.any():
                 continue
             w = 0.5 if i == j else 1.0
-            grad2 = ser.mul(ser.shift(u, _basis(dim, i)), ser.shift(u, _basis(dim, j)))
-            out = out + w * ser.mul(chars.diffusion[i][j], grad2)
-    if chars.kernel is not None and chars.kernel.atoms:
+            out = out + w * ser.mul(a, ser.mul(grads[i], grads[j])).coeffs
+    k = chars.kernel
+    if k is not None and k.atoms:
         one = ser.unit(dim, u.order)
-        out = out + _jump_part(u, chars, lambda g: ser.exp_star(g) - one)
-    return out
+        acc = ser.zero(dim, u.order)
+        for atom in k.atoms:
+            g = ser.compose_shift(u, atom.size) - u
+            acc = acc + atom.weight * (ser.exp_star(g) - one - g)
+        tilt = ser.mul(k.intensity, acc)
+        for _ in range(k.pole_order):
+            tilt = ser.divide_by_coordinate(tilt, 0)
+        out = out + tilt.coeffs
+    return CoeffSeries(dim, u.order, out)

@@ -390,8 +390,12 @@ def compose_shift(u: CoeffSeries, vec: Sequence[CoeffSeries]) -> CoeffSeries:
     if len(vec) != u.dim:
         raise ValueError(f"need {u.dim} shift components, got {len(vec)}")
     dim, order = _check_same_shape(u, *vec)
-    table = _compose_table(dim, order, tuple(v.coeffs.tobytes() for v in vec))
-    return CoeffSeries(dim, order, table @ u.coeffs)
+    return CoeffSeries(dim, order, _compose_map(vec) @ u.coeffs)
+
+
+def _compose_map(vec: Sequence[CoeffSeries]) -> np.ndarray:
+    """The read-only map u -> h_u o (id + v) of ``compose_shift``."""
+    return _compose_table(vec[0].dim, vec[0].order, tuple(v.coeffs.tobytes() for v in vec))
 
 
 @lru_cache(maxsize=32)

@@ -6,16 +6,18 @@ L(u) = sum_{|beta|=1} u^(beta) * b^beta
 
 with jump moment series m^beta = lambda * sum_m w_m j_m^{*beta}. It contracts
 shifted coefficients against jump moments instead of composing u with the
-jump sizes, so it shares only the drift and diffusion part with
-``holoseq.generator``.
+jump sizes. It shares no code with ``holoseq.generator``, whose compiled
+matrix it checks: its drift and diffusion part is the per-call series
+assembly of ``reference_kernels``.
 """
 
 import math
 
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics
-from holoseq.generator import _drift_diffusion_part
 from holoseq.series import CoeffSeries
+
+from reference_kernels import drift_diffusion_series
 
 
 def moment_series(chars: Characteristics, beta) -> CoeffSeries:
@@ -50,7 +52,7 @@ def apply_l_moment(u: CoeffSeries, chars: Characteristics, b_max: int | None = N
     """L(u) with the jump part contracted against m^beta for 2 <= |beta| <= b_max
     (default: the series order)."""
     cap = u.order if b_max is None else b_max
-    out = _drift_diffusion_part(u, chars)
+    out = drift_diffusion_series(u, chars)
     if chars.kernel is None:
         return out
     for beta in ser.index_table(chars.dim, cap)[0]:

@@ -1,16 +1,27 @@
-"""The series kernels that ``holoseq.series`` replaced with tables.
+"""The kernels that ``holoseq`` replaced with tables and compiled matrices.
 
 ``compose_shift`` sums (1/beta!) u^(beta) * v^{*beta} over every multi-index,
 with one ``mul`` per index, ``exp_star`` fills one coefficient per Python
 iteration, and ``log_star`` sums the power series of log(1 + d) with one
 ``mul`` per degree. ``holoseq.series`` now applies a cached composition map
-and runs ``exp_star`` and ``log_star`` as one degree-by-degree recurrence;
-the property tests check them against these.
+and runs ``exp_star`` and ``log_star`` as one degree-by-degree recurrence.
+
+``apply_l_series`` and ``apply_r_series`` assemble the generator from series
+operations on every call: drift and diffusion multiply shifted coefficients
+by the characteristic series, and each jump atom contributes the shifted
+composition g = u o j - u, compensated in degree one, weighted, multiplied
+by the intensity and pole-divided, with R replacing g by exp*(g) - 1.
+``holoseq.generator`` compiles L once into a matrix instead.
+
+The property tests check each replacement against these.
 """
+
+from typing import Callable
 
 import numpy as np
 
 from holoseq import series as ser
+from holoseq.characteristics import Characteristics
 from holoseq.series import CoeffSeries
 
 
@@ -82,3 +93,73 @@ def log_star_term_scale(c: CoeffSeries) -> np.ndarray:
         power = ser.mul(power, d)
         acc += power.coeffs.real / k
     return acc
+
+
+def _basis(dim: int, i: int) -> tuple[int, ...]:
+    return tuple(1 if k == i else 0 for k in range(dim))
+
+
+def _is_zero(s: CoeffSeries) -> bool:
+    return not s.coeffs.any()
+
+
+def drift_diffusion_series(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
+    """sum_i u^(e_i) * b_i + sum_{|beta|=2} (1/beta!) u^(beta) * a^beta."""
+    dim = chars.dim
+    out = ser.zero(dim, u.order)
+    for i in range(dim):
+        if not _is_zero(chars.drift[i]):
+            out = out + ser.mul(ser.shift(u, _basis(dim, i)), chars.drift[i])
+    for i in range(dim):
+        for j in range(i, dim):
+            if _is_zero(chars.diffusion[i][j]):
+                continue
+            beta = tuple(a + b for a, b in zip(_basis(dim, i), _basis(dim, j)))
+            w = 0.5 if i == j else 1.0
+            out = out + w * ser.mul(ser.shift(u, beta), chars.diffusion[i][j])
+    return out
+
+
+def _jump_series(
+    u: CoeffSeries, chars: Characteristics, tilt: Callable[[CoeffSeries], CoeffSeries]
+) -> CoeffSeries:
+    """lambda * sum_m w_m (tilt(u o j_m - u) - sum_i u^(e_i) * j_m[i]), pole-divided."""
+    dim = chars.dim
+    k = chars.kernel
+    acc = None
+    for atom in k.atoms:
+        term = tilt(ser.compose_shift(u, atom.size) - u)
+        for i in range(dim):
+            term = term - ser.mul(ser.shift(u, _basis(dim, i)), atom.size[i])
+        term = atom.weight * term
+        acc = term if acc is None else acc + term
+    out = ser.mul(k.intensity, acc)
+    for _ in range(k.pole_order):
+        out = ser.divide_by_coordinate(out, 0)
+    return out
+
+
+def apply_l_series(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
+    """L(u) assembled from series operations on every call."""
+    out = drift_diffusion_series(u, chars)
+    if chars.kernel is not None and chars.kernel.atoms:
+        out = out + _jump_series(u, chars, lambda g: g)
+    return out
+
+
+def apply_r_series(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
+    """R(u) assembled from series operations on every call: the drift and
+    diffusion part, the quadratic term and exp*(u o j - u) - 1 per atom."""
+    dim = chars.dim
+    out = drift_diffusion_series(u, chars)
+    for i in range(dim):
+        for j in range(i, dim):
+            if _is_zero(chars.diffusion[i][j]):
+                continue
+            w = 0.5 if i == j else 1.0
+            grad2 = ser.mul(ser.shift(u, _basis(dim, i)), ser.shift(u, _basis(dim, j)))
+            out = out + w * ser.mul(chars.diffusion[i][j], grad2)
+    if chars.kernel is not None and chars.kernel.atoms:
+        one = ser.unit(dim, u.order)
+        out = out + _jump_series(u, chars, lambda g: ser.exp_star(g) - one)
+    return out

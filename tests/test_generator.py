@@ -1,9 +1,12 @@
 """Generator action on coefficient sequences, checked against a pointwise
-finite-difference oracle and hand-expanded worked cases."""
+finite-difference oracle, hand-expanded worked cases, the moment form and the
+per-call series assembly the compiled matrix replaced."""
 
-import math
+import gc
+import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -14,6 +17,7 @@ from holoseq.montecarlo import generator_values
 
 from moment_form import apply_l_moment
 from oracles import pointwise_generator
+from reference_kernels import apply_l_series, apply_r_series
 from test_characteristics import bm_chars, compound_poisson_chars, const, unit_interval_chars
 
 EXACT = 1e-12
@@ -74,6 +78,30 @@ def affine_models(draw, dim, order):
         for _ in range(2)
     )
     return Characteristics(dim, drift, diffusion, JumpKernel(affine(), atoms, 0))
+
+
+@st.composite
+def polynomial_models(draw, dim, order, pole=False):
+    """Drift, symmetric diffusion, intensity and 1-2 atoms, each a random
+    polynomial of degree <= 2. With ``pole`` (dim 1): intensity s(x)/x and one
+    atom of jump size -x, which vanishes at the origin as the pole needs."""
+    quadratic = [a for a in ser.index_table(dim, order)[0] if sum(a) <= 2]
+
+    def poly():
+        c = draw(st.lists(unit_floats, min_size=len(quadratic), max_size=len(quadratic)))
+        return ser.from_entries(dim, order, zip(quadratic, c))
+
+    drift = tuple(poly() for _ in range(dim))
+    upper = {(i, j): poly() for i in range(dim) for j in range(i, dim)}
+    diffusion = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(dim)) for i in range(dim))
+    if pole:
+        atoms = (JumpAtom(draw(st.floats(0.1, 1.0)), (ser.from_entries(1, order, [((1,), -1.0)]),)),)
+    else:
+        atoms = tuple(
+            JumpAtom(draw(st.floats(0.0, 1.0)), tuple(poly() for _ in range(dim)))
+            for _ in range(draw(st.integers(1, 2)))
+        )
+    return Characteristics(dim, drift, diffusion, JumpKernel(poly(), atoms, int(pole)))
 
 
 @st.composite
@@ -180,6 +208,77 @@ class TestFormAgreement:
         got_m = apply_l_moment(u, chars)
         got_c = apply_l_composition(u, chars)
         np.testing.assert_allclose(got_c.coeffs, got_m.coeffs, atol=1e-10)
+
+
+class TestCompiledGenerator:
+    """The compiled L and the R built on it against the per-call series assembly."""
+
+    @staticmethod
+    def assert_close(got, want):
+        scale = max(1.0, np.abs(want.coeffs).max())
+        assert np.abs(got.coeffs - want.coeffs).max() <= 1e-13 * scale
+
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(1, 10, False), (1, 10, True), (2, 6, False), (3, 4, False)]).flatmap(
+            lambda shape: st.tuples(polynomial_models(*shape), dense_series(*shape[:2]))
+        )
+    )
+    def test_matches_series_assembly(self, case):
+        chars, u = case
+        self.assert_close(apply_l_composition(u, chars), apply_l_series(u, chars))
+        self.assert_close(apply_r(u, chars), apply_r_series(u, chars))
+
+    def test_pole_with_jump_not_vanishing_at_origin_raises(self):
+        # s(x) = 1 over a simple pole, constant jump 0.1: (lambda * jump part)
+        # does not vanish at x = 0, so no series divides by x exactly
+        order = 6
+        kernel = JumpKernel(const(1, order, 1.0), (JumpAtom(1.0, (const(1, order, 0.1),)),), 1)
+        chars = Characteristics(1, (ser.zero(1, order),), ((const(1, order, 1.0),),), kernel)
+        u = ser.from_entries(1, order, [((2,), 2.0)])
+        with pytest.raises(ser.LeadingCoefficientError):
+            apply_l_composition(u, chars)
+        with pytest.raises(ser.LeadingCoefficientError):
+            apply_r(u, chars)
+
+    def test_order_mismatch_raises(self):
+        chars = bm_chars()
+        u = ser.unit(1, chars.order + 1)
+        with pytest.raises(ValueError, match="series shapes differ"):
+            apply_l_composition(u, chars)
+        with pytest.raises(ValueError, match="series shapes differ"):
+            apply_r(u, chars)
+
+    def test_matrix_is_compiled_once_and_read_only(self, monkeypatch):
+        chars = two_dim_chars(order=8, jumps=True)
+        u = random_poly(2, 8, 3, np.random.default_rng(41))
+        first = apply_l_composition(u, chars)
+        assert not chars._l_matrix.flags.writeable
+        calls = []
+        for name in ("mul", "compose_shift"):
+            fn = getattr(ser, name)
+            monkeypatch.setattr(ser, name, lambda *a, _fn=fn, _n=name: calls.append(_n) or _fn(*a))
+        second = apply_l_composition(u, chars)
+        assert calls == []
+        np.testing.assert_array_equal(first.coeffs, second.coeffs)
+        apply_r(u, chars)  # the counters do see the series kernels
+        assert set(calls) == {"mul", "compose_shift"}
+
+    def test_each_characteristics_holds_its_own_matrix(self):
+        a = two_dim_chars(order=6, jumps=True)
+        b = Characteristics(a.dim, a.drift, a.diffusion, a.kernel)
+        assert a == b and a is not b
+        u = ser.unit(2, 6)
+        apply_l_composition(u, a)
+        apply_l_composition(u, b)
+        assert a._l_matrix is not b._l_matrix
+        np.testing.assert_array_equal(a._l_matrix, b._l_matrix)
+        # nothing outside the object keeps the matrix alive
+        gone = weakref.ref(a._l_matrix)
+        del a
+        gc.collect()
+        assert gone() is None
 
 
 class TestPointwise:
