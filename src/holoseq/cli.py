@@ -82,7 +82,15 @@ class Row:
     rel_diff: float | None = None
 
 
-def _section(cfg: dict, name: str, required: bool = True) -> dict:
+def _check_keys(sec: dict, name: str, known) -> None:
+    extra = set(sec) - set(known)
+    if extra:
+        raise ConfigError(f"unknown {name} settings: {sorted(map(str, extra))}")
+
+
+def _section(cfg: dict, name: str, required: bool = True, keys=None) -> dict:
+    """``cfg[name]`` as a mapping, {} when optional and absent; with ``keys``
+    any other key is an error."""
     sec = cfg.get(name)
     if sec is None:
         if required:
@@ -90,12 +98,22 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict:
         return {}
     if not isinstance(sec, dict):
         raise ConfigError(f"section {name!r} must be a mapping")
+    if keys is not None:
+        _check_keys(sec, name, keys)
     return sec
 
 
 # --- payoff families ------------------------------------------------------------
 
-_TRIG = {"cos": (1.0, 0.0, -1.0, 0.0), "sin": (0.0, 1.0, 0.0, -1.0)}
+# derivatives of f at 0 cycle with period 4: f(s x) has coefficients cyc[k % 4] s^k
+_TAYLOR = {
+    "exp": ((1.0, 1.0, 1.0, 1.0), np.exp),
+    "cos": ((1.0, 0.0, -1.0, 0.0), np.cos),
+    "sin": ((0.0, 1.0, 0.0, -1.0), np.sin),
+}
+# the settings each payoff family reads besides ``family``
+_FAMILY_KEYS = {"series": ("entries",), "polynomial": ("coefficients",)}
+_FAMILY_KEYS.update(dict.fromkeys(_TAYLOR, ("scale", "amplitude")))
 
 
 def _payoff(fn_cfg: dict, dim: int, order: int):
@@ -106,6 +124,8 @@ def _payoff(fn_cfg: dict, dim: int, order: int):
     ``series`` entries are [alpha, re(, im)] pairs in derivative convention.
     """
     family = fn_cfg.get("family", "series")
+    if family in _FAMILY_KEYS:
+        _check_keys(fn_cfg, f"function ({family})", ("family",) + _FAMILY_KEYS[family])
     if family == "series":
         entries = fn_cfg.get("entries")
         if not entries:
@@ -127,18 +147,12 @@ def _payoff(fn_cfg: dict, dim: int, order: int):
         u0 = ser.from_entries(1, order, [((k,), c * math.factorial(k)) for k, c in enumerate(cs)])
         poly = np.polynomial.Polynomial(cs)
         return u0, (lambda xs: poly(np.asarray(xs, dtype=float)))
-    if family in ("exp", "cos", "sin"):
+    if family in _TAYLOR:
         s = float(fn_cfg.get("scale", 1.0))
         amp = float(fn_cfg.get("amplitude", 1.0))
-        if family == "exp":
-            entries = [((k,), amp * s**k) for k in range(order + 1)]
-            fn = lambda xs: amp * np.exp(s * np.asarray(xs, dtype=float))
-        else:
-            cyc = _TRIG[family]
-            entries = [((k,), amp * cyc[k % 4] * s**k) for k in range(order + 1)]
-            trig = np.cos if family == "cos" else np.sin
-            fn = lambda xs: amp * trig(s * np.asarray(xs, dtype=float))
-        return ser.from_entries(1, order, entries), fn
+        cyc, f = _TAYLOR[family]
+        entries = [((k,), amp * cyc[k % 4] * s**k) for k in range(order + 1)]
+        return ser.from_entries(1, order, entries), lambda xs: amp * f(s * np.asarray(xs, dtype=float))
     raise ConfigError(f"unknown function family {family!r}")
 
 
@@ -151,10 +165,7 @@ def _is_identity_payoff(u0: CoeffSeries) -> bool:
 
 
 def _ode_config(cfg: dict) -> OdeConfig:
-    known = {"rtol", "atol", "first_step", "max_steps"}
-    extra = set(cfg) - known
-    if extra:
-        raise ConfigError(f"unknown ode settings: {sorted(extra)}")
+    _check_keys(cfg, "ode", ("rtol", "atol", "first_step", "max_steps"))
     try:
         return OdeConfig(**cfg)
     except (ValueError, TypeError) as e:
@@ -202,11 +213,10 @@ def _sweep_list(arg: str | None) -> list[int] | None:
 def _grid_check(chars: Characteristics, grid_cfg: dict) -> list[str]:
     lo, hi = float(grid_cfg.get("lo", -1.0)), float(grid_cfg.get("hi", 1.0))
     n = int(grid_cfg.get("n", 9))
-    if chars.dim == 1:
-        pts = np.linspace(lo, hi, n).reshape(-1, 1)
-    else:
-        axes = [np.linspace(lo, hi, n)] * chars.dim
-        pts = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=1)
+    if n < 1:
+        raise ConfigError(f"grid.n must be >= 1, got {n}")
+    axes = [np.linspace(lo, hi, n)] * chars.dim
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=1)
     box = grid_cfg.get("box")
     if box is not None:
         box = (
@@ -217,12 +227,40 @@ def _grid_check(chars: Characteristics, grid_cfg: dict) -> list[str]:
     return [f"{f.kind} at {f.point}: {f.detail}" for f in report.findings]
 
 
-def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], buffer: int) -> list[Row]:
-    run_cfg = _section(cfg, "run")
-    num_cfg = _section(cfg, "numerics", required=False)
+_MODES = {"holomorphic": ("holomorphic",), "affine": ("affine",), "both": ("holomorphic", "affine")}
+
+
+def _run_modes(run_cfg: dict) -> tuple[str, ...]:
     mode = run_cfg.get("mode", "holomorphic")
-    if mode not in ("holomorphic", "affine", "both"):
+    if mode not in _MODES:
         raise ConfigError(f"run.mode must be holomorphic, affine or both, got {mode!r}")
+    return _MODES[mode]
+
+
+def _timed(rows: list[Row], quantity: str, mode: str, kind: str, call, describe=lambda v: (v, "")):
+    """Run ``call`` once, append its timed row and return its result;
+    ``describe`` maps the result to the row's (value, detail)."""
+    t0 = time.perf_counter()
+    res = call()
+    seconds = time.perf_counter() - t0
+    value, detail = describe(res)
+    rows.append(Row(quantity, mode, complex(value), kind, detail, seconds))
+    return res
+
+
+def _mc_detail(est):
+    detail = f"stderr {est.stderr:.2e}, paths {est.paths}"
+    if est.clamps:
+        detail += f", clamps {est.clamps}"
+    if est.absorbed:
+        detail += f", absorbed {est.absorbed}"
+    return est.mean, detail
+
+
+def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], buffer: int) -> list[Row]:
+    run_cfg = _section(cfg, "run", keys=("mode", "T", "x0", "affine_route"))
+    num_cfg = _section(cfg, "numerics", required=False)
+    modes = _run_modes(run_cfg)
     T = float(run_cfg.get("T", 1.0))
     if T <= 0:
         raise ConfigError(f"run.T must be positive, got {T}")
@@ -233,7 +271,7 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], b
     ode = _ode_config(num_cfg.get("ode") or {})
     sweep = args.sweep_order is not None
 
-    oracles = _section(cfg, "oracles", required=False)
+    oracles = _section(cfg, "oracles", required=False, keys=("mc", "dual"))
     fn_cfg = _section(cfg, "function")
     # payoff at the largest working order; per-N truncations restrict it, and
     # the model is rebuilt per N so operator and state share one truncation
@@ -244,90 +282,49 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], b
     mc = _mc_config(mc_cfg, args) if mc_cfg is not None else None
     dual_cfg = oracles.get("dual")
     if dual_cfg is not None:
-        extra = set(dual_cfg) - {"k_max"}
-        if extra:
-            raise ConfigError(f"unknown dual settings: {sorted(extra)}")
+        _check_keys(dual_cfg, "dual", ("k_max",))
         if name != "unit-interval":
             raise ConfigError("the dual-chain oracle only applies to the unit-interval preset")
-        if mode == "holomorphic":
+        if "affine" not in modes:
             raise ConfigError("the dual-chain oracle computes E[exp X_T]; use an affine mode")
         if not _is_identity_payoff(u_full):
             raise ConfigError("the dual-chain oracle needs the identity payoff h(x) = x")
         k_max = int(dual_cfg.get("k_max", 400))
+
+    # the module globals are looked up at call time, so tests can replace them
+    routes = []
+    if "holomorphic" in modes:
+        routes.append(("linear", "holomorphic", lambda m, u: holomorphic_expectation(m, u, T, x0, ode)))
+    if "affine" in modes:
+        for r in ("riccati", "log-linear"):
+            if route in (r, "both"):
+                routes.append((r, "affine", lambda m, u, r=r: affine_expectation(m, u, T, x0, ode, route=r)))
 
     rows: list[Row] = []
     for n in orders:
         u0 = _truncate(u_full, n + buffer)
         model_n = model if u0.order == model.order else build(u0.order)
         tag = f" N={n}" if sweep else ""
-        if mode in ("holomorphic", "both"):
-            t0 = time.perf_counter()
-            res = holomorphic_expectation(model_n, u0, T, x0, ode)
-            rows.append(
-                Row(
-                    f"linear-flow{tag}",
-                    "holomorphic",
-                    res.value,
-                    "engine",
-                    f"tail {res.tail:.2e}, nfev {res.flow.stats.get('nfev', 0)}",
-                    time.perf_counter() - t0,
-                )
+        for label, row_mode, call in routes:
+            res = _timed(
+                rows, f"{label}-flow{tag}", row_mode, "engine", lambda: call(model_n, u0),
+                lambda res: (res.value, f"tail {res.tail:.2e}, nfev {res.flow.stats['nfev']}"),
             )
             if out_dir is not None and not sweep:
-                flow_to_csv(res.flow, out_dir / "flow_linear.csv")
-        if mode in ("affine", "both"):
-            for r in ("riccati", "log-linear"):
-                if route != "both" and r != route:
-                    continue
-                t0 = time.perf_counter()
-                res = affine_expectation(model_n, u0, T, x0, ode, route=r)
-                rows.append(
-                    Row(
-                        f"{r}-flow{tag}",
-                        "affine",
-                        res.value,
-                        "engine",
-                        f"tail {res.tail:.2e}, nfev {res.flow.stats.get('nfev', 0)}",
-                        time.perf_counter() - t0,
-                    )
-                )
-                if out_dir is not None and not sweep:
-                    flow_to_csv(res.flow, out_dir / f"flow_{r.replace('-', '_')}.csv")
+                flow_to_csv(res.flow, out_dir / f"flow_{label.replace('-', '_')}.csv")
 
     if mc is not None:
-        if mode in ("holomorphic", "both"):
-            t0 = time.perf_counter()
-            est = simulate_expectation(model, f_exact, x0, T, mc)
-            rows.append(_mc_row(est, "holomorphic", time.perf_counter() - t0))
-        if mode in ("affine", "both"):
-            g = lambda xs: np.exp(f_exact(xs))
-            t0 = time.perf_counter()
-            est = simulate_expectation(model, g, x0, T, mc)
-            rows.append(_mc_row(est, "affine", time.perf_counter() - t0))
+        payoffs = {"holomorphic": f_exact, "affine": lambda xs: np.exp(f_exact(xs))}
+        for m in modes:
+            _timed(rows, "monte-carlo", m, "oracle", lambda: simulate_expectation(model, payoffs[m], x0, T, mc), _mc_detail)
 
     if dual_cfg is not None:
-        t0 = time.perf_counter()
-        dual = UnitIntervalModel(k_max=k_max).dual_expectation(T)
-        rows.append(
-            Row(
-                "dual-chain",
-                "affine",
-                complex(dual.evaluate(float(x0))),
-                "oracle",
-                f"outflow {dual.outflow:.2e}, bound {dual.impact_bound:.2e}",
-                time.perf_counter() - t0,
-            )
+        _timed(
+            rows, "dual-chain", "affine", "oracle",
+            lambda: UnitIntervalModel(k_max=k_max).dual_expectation(T),
+            lambda dual: (dual.evaluate(float(x0)), f"outflow {dual.outflow:.2e}, bound {dual.impact_bound:.2e}"),
         )
     return rows
-
-
-def _mc_row(est, mode: str, seconds: float) -> Row:
-    detail = f"stderr {est.stderr:.2e}, paths {est.paths}"
-    if est.clamps:
-        detail += f", clamps {est.clamps}"
-    if est.absorbed:
-        detail += f", absorbed {est.absorbed}"
-    return Row("monte-carlo", mode, complex(est.mean), "oracle", detail, seconds)
 
 
 def _truncate(u: CoeffSeries, order: int) -> CoeffSeries:
@@ -341,10 +338,12 @@ def _truncate(u: CoeffSeries, order: int) -> CoeffSeries:
 def _chain_rows(chain: FiniteChain, cfg, args) -> list[Row]:
     if args.sweep_order is not None:
         raise ConfigError("--sweep-order applies to series models, not finite chains")
-    run_cfg = _section(cfg, "run")
+    _check_keys(cfg, "finite-chain", ("model", "function", "run", "numerics"))
+    run_cfg = _section(cfg, "run", keys=("mode", "T", "x0"))
     fn_cfg = _section(cfg, "function")
     if fn_cfg.get("family", "values") != "values":
         raise ConfigError("chain models take function family 'values'")
+    _check_keys(fn_cfg, "function (values)", ("family", "values"))
     values = fn_cfg.get("values")
     if values is None or len(values) != chain.n_states:
         raise ConfigError(f"function.values must list {chain.n_states} per-state payoffs")
@@ -355,29 +354,19 @@ def _chain_rows(chain: FiniteChain, cfg, args) -> list[Row]:
     i = run_cfg.get("x0", 0)
     if not isinstance(i, int) or not 0 <= i < chain.n_states:
         raise ConfigError(f"run.x0 must be a start-state index in [0, {chain.n_states})")
-    mode = run_cfg.get("mode", "holomorphic")
-    if mode not in ("holomorphic", "affine", "both"):
-        raise ConfigError(f"run.mode must be holomorphic, affine or both, got {mode!r}")
+    modes = _run_modes(run_cfg)
 
+    start = lambda v: (v, f"start state {i}")  # noqa: E731
     rows: list[Row] = []
-    if mode in ("holomorphic", "both"):
-        t0 = time.perf_counter()
-        val = chain_expectation(chain, h, T, route="ode")[i]
-        rows.append(Row("chain-ode", "holomorphic", complex(val), "engine", f"start state {i}", time.perf_counter() - t0))
-        t0 = time.perf_counter()
-        val = chain_expectation(chain, h, T, route="expm")[i]
-        rows.append(Row("matrix-exponential", "holomorphic", complex(val), "oracle", "", time.perf_counter() - t0))
-    if mode in ("affine", "both"):
-        t0 = time.perf_counter()
-        psi = chain_affine_flow(chain, h, T, route="riccati")
-        rows.append(Row("riccati-flow", "affine", complex(np.exp(psi[i])), "engine", f"start state {i}", time.perf_counter() - t0))
-        t0 = time.perf_counter()
-        psi = chain_affine_flow(chain, h, T, route="log-linear")
-        rows.append(Row("log-linear-flow", "affine", complex(np.exp(psi[i])), "oracle", "", time.perf_counter() - t0))
+    if "holomorphic" in modes:
+        _timed(rows, "chain-ode", "holomorphic", "engine", lambda: chain_expectation(chain, h, T, route="ode")[i], start)
+        _timed(rows, "matrix-exponential", "holomorphic", "oracle", lambda: chain_expectation(chain, h, T, route="expm")[i])
+    if "affine" in modes:
+        _timed(rows, "riccati-flow", "affine", "engine", lambda: np.exp(chain_affine_flow(chain, h, T, route="riccati")[i]), start)
+        _timed(rows, "log-linear-flow", "affine", "oracle", lambda: np.exp(chain_affine_flow(chain, h, T, route="log-linear")[i]))
         if chain.n_states == 2:
-            t0 = time.perf_counter()
-            c = two_state_closed_form(chain.rates[0, 1], chain.rates[1, 0], h[0], h[1], T)
-            rows.append(Row("closed-form", "affine", complex(c[i]), "oracle", "", time.perf_counter() - t0))
+            q = chain.rates
+            _timed(rows, "closed-form", "affine", "oracle", lambda: two_state_closed_form(q[0, 1], q[1, 0], h[0], h[1], T)[i])
     return rows
 
 
@@ -469,8 +458,9 @@ def _echo_header(cfg: dict, args, name: str, numerics: dict | None = None) -> No
 def run_config(cfg: dict, args) -> list[Row]:
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be a mapping")
+    _check_keys(cfg, "top-level", ("model", "function", "run", "numerics", "grid", "oracles"))
     model_cfg = _section(cfg, "model")
-    num_cfg = _section(cfg, "numerics", required=False)
+    num_cfg = _section(cfg, "numerics", required=False, keys=("order", "buffer", "ode"))
     order = int(num_cfg.get("order", 12))
     buffer = int(num_cfg.get("buffer", 2))
     if order < 2:
@@ -478,12 +468,14 @@ def run_config(cfg: dict, args) -> list[Row]:
     if buffer < 0:
         raise ConfigError(f"numerics.buffer must be >= 0, got {buffer}")
     if "preset" in model_cfg:
+        _check_keys(model_cfg, "model", ("preset",))
         name = str(model_cfg["preset"])
 
         def build(o: int):
             return build_preset(name, order=o)
 
     else:
+        _check_keys(model_cfg, "model", ("dim", "drift", "diffusion", "kernel"))
         name = "inline"
 
         def build(o: int):
@@ -512,9 +504,8 @@ def run_config(cfg: dict, args) -> list[Row]:
             "working_order": {n: n + buffer for n in orders},
         }
         _echo_header(cfg, args, name, numerics)
-        grid_cfg = cfg.get("grid")
-        if grid_cfg is not None:
-            problems = _grid_check(model, grid_cfg)
+        if cfg.get("grid") is not None:
+            problems = _grid_check(model, _section(cfg, "grid", keys=("lo", "hi", "n", "box")))
             if problems:
                 raise ConfigError("model failed grid validation: " + "; ".join(problems))
         rows = _diffusive_rows(model, build, name, cfg, args, out_dir, orders, buffer)
@@ -557,13 +548,10 @@ def main(argv=None) -> int:
         return 2
     try:
         run_config(cfg, args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except NUMERICAL_ERRORS as e:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, KeyError) as e:
+    except (ValueError, TypeError, KeyError) as e:  # ConfigError is a ValueError
         print(f"config error: {e}", file=sys.stderr)
         return 2
     return 0

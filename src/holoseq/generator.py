@@ -21,7 +21,7 @@ import numpy as np
 
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics
-from holoseq.series import CoeffSeries, LeadingCoefficientError
+from holoseq.series import CoeffSeries
 
 __all__ = [
     "apply_l_composition",
@@ -50,24 +50,6 @@ def _mul_shift_matrix(b: CoeffSeries, beta: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _divide_rows(m: np.ndarray, dim: int, order: int) -> np.ndarray:
-    """Rows of ``divide_by_coordinate(., 0)`` applied to every column of m.
-
-    Raises LeadingCoefficientError when a row on the axis z_1 = 0 does not
-    vanish, so that no coefficient vector divides exactly."""
-    idxm = ser._index_matrix(dim, order)
-    bad = np.abs(m[idxm[:, 0] == 0])
-    if bad.size and bad.max() > ser.EPS_DIV:
-        raise LeadingCoefficientError(
-            f"jump part does not vanish on z_1=0 (max |entry| = {bad.max():.3e}); "
-            "a pole intensity needs jump sizes vanishing at the origin"
-        )
-    dst, src = ser._shift_table(dim, order, _basis(dim, 0))
-    out = np.zeros_like(m)
-    out[dst] = m[src] / (idxm[dst, 0] + 1.0)[:, None]
-    return out
-
-
 def _compile_l(chars: Characteristics) -> np.ndarray:
     dim, order = chars.dim, chars.order
     n = len(ser.index_table(dim, order)[0])
@@ -89,7 +71,7 @@ def _compile_l(chars: Characteristics) -> np.ndarray:
             jumps += atom.weight * term
         jumps = _mul_matrix(k.intensity) @ jumps
         for _ in range(k.pole_order):
-            jumps = _divide_rows(jumps, dim, order)
+            jumps = ser._divide_coeffs(jumps, dim, order)
         out += jumps
     out.setflags(write=False)
     return out

@@ -7,15 +7,17 @@ exponential gives E[exp h(X_T)]). A third route recovers psi from the linear
 flow by a *-logarithm, tracking the degree-zero branch with an auxiliary
 scalar ODE so the two quadratic routes stay comparable.
 
-The integrator is dimension-agnostic over flat complex state vectors; the
-adaptive error norm weights coefficient alpha by 1 / alpha! so tolerance is
-enforced in the majorant metric at unit radius, matching how truncation tails
-are measured.
+The three solvers share one integration path around one integrator, which is
+dimension-agnostic over flat complex state vectors and keeps the start and
+end states only: a flow holds snapshots at t = 0 and t = T. The adaptive
+error norm weights coefficient alpha by 1 / alpha! so tolerance is enforced
+in the majorant metric at unit radius, matching how truncation tails are
+measured.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -94,14 +96,6 @@ def _norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol, atol, weights) 
     return float(np.sqrt(np.mean((np.abs(err) * weights / scale) ** 2)))
 
 
-def _merge_record(t0: float, t1: float, record) -> np.ndarray:
-    pts = [t1] if record is None else [float(t) for t in record] + [t1]
-    out = np.unique(np.asarray(pts, dtype=float))
-    if out.size and (out[0] < t0 - 1e-14 or out[-1] > t1 * (1 + 1e-14) + 1e-14):
-        raise ValueError(f"record times must lie in [{t0}, {t1}]")
-    return out[out > t0 + 1e-14 * max(1.0, abs(t1))]
-
-
 def dopri5(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     t0: float,
@@ -113,36 +107,29 @@ def dopri5(
     first_step: float | None = None,
     max_steps: int = 1_000_000,
     weights: np.ndarray | None = None,
-    record=None,
 ):
-    """Adaptive 5(4) pairs over a flat state; the snapshots start at (t0, y0)
-    and land exactly on requested times (steps are clipped, no interpolation)."""
+    """Adaptive 5(4) pairs over a flat state from t0 to t1; returns the times
+    (t0, t1), the start and end states and the step counts. The last step is
+    clipped to land on t1 (no interpolation)."""
     y = np.array(y0)
     w = np.ones(y.size) if weights is None else np.asarray(weights, dtype=float)
-    targets = _merge_record(t0, t1, record)
-    times, states = [t0], [y.copy()]
+    times = np.array([t0, t1], dtype=float)
     span = t1 - t0
     if span < 0:
         raise ValueError("flows run forward: need t1 >= t0")
-    if span == 0 or targets.size == 0:
-        return np.array(times), states, {"nfev": 0, "accepted": 0, "rejected": 0}
+    tiny = 1e-14 * max(1.0, abs(t1))
+    if span <= tiny:
+        return times, [y, y], {"nfev": 0, "accepted": 0, "rejected": 0}
+    start = y
     h = first_step if first_step is not None else span / 100
     h = min(h, span)
     t = t0
     k1 = rhs(t, y)
     nfev, accepted, rejected = 1, 0, 0
-    ptr = 0
-    tiny = 1e-14 * max(1.0, abs(t1))
-    while ptr < targets.size:
-        target = targets[ptr]
-        if t >= target - tiny:
-            times.append(target)
-            states.append(y.copy())
-            ptr += 1
-            continue
+    while t < t1 - tiny:
         if accepted + rejected >= max_steps:
             raise FlowBudgetError(f"exceeded {max_steps} steps at t={t:.6g}")
-        h_step = min(h, target - t)
+        h_step = min(h, t1 - t)
         if h_step < tiny:
             raise StepSizeUnderflowError(f"step size {h_step:.3e} underflow at t={t:.6g}", t)
         k = [k1]
@@ -164,16 +151,16 @@ def dopri5(
         else:
             rejected += 1
             h = h_step * max(0.2, 0.9 * en ** -0.2)
-    return np.array(times), states, {"nfev": nfev, "accepted": accepted, "rejected": rejected}
+    return times, [start, y], {"nfev": nfev, "accepted": accepted, "rejected": rejected}
 
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Snapshots of a sequence flow, the first at its start t = 0."""
+    """Start and end snapshots of a sequence flow, at t = 0 and t = T."""
 
     times: np.ndarray
     series: tuple[CoeffSeries, ...]
-    stats: dict = field(default_factory=dict)
+    stats: dict
 
     @property
     def final(self) -> CoeffSeries:
@@ -184,7 +171,6 @@ class FlowResult:
 class ExpectationResult:
     value: complex
     tail: float
-    radius: float
     flow: FlowResult
 
     def __float__(self) -> float:
@@ -209,59 +195,45 @@ def _operator(model, apply) -> Callable[[CoeffSeries], CoeffSeries]:
     return model
 
 
-def _flow(apply, model, u0: CoeffSeries, T: float, config, record) -> FlowResult:
-    config = config or OdeConfig()
+def _flow(rhs, u0: CoeffSeries, y0: np.ndarray, T: float, config, snapshot) -> FlowResult:
+    """The integration path of all three solvers: dopri5 from y0 over
+    [0, T], with the leading series block of the state weighted like u0 and
+    any trailing scalar by 1; ``snapshot`` turns the start and end states
+    into series."""
+    w = np.ones(y0.size)
+    w[: u0.coeffs.size] = ser.taylor_weights(u0.dim, u0.order)
+    times, states, stats = dopri5(rhs, 0.0, T, y0, weights=w, **asdict(config or OdeConfig()))
+    return FlowResult(times, tuple(snapshot(y) for y in states), stats)
+
+
+def _series_flow(apply, model, u0: CoeffSeries, T: float, config) -> FlowResult:
     op = _operator(model, apply)
     dim, order = u0.dim, u0.order
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return op(CoeffSeries(dim, order, y)).coeffs
 
-    w = ser.taylor_weights(dim, order)
-    times, states, stats = dopri5(
-        rhs, 0.0, T, u0.coeffs, weights=w, record=record, **asdict(config)
-    )
-    snaps = tuple(CoeffSeries(dim, order, y) for y in states)
-    return FlowResult(times, snaps, stats)
+    return _flow(rhs, u0, u0.coeffs, T, config, lambda y: CoeffSeries(dim, order, y))
 
 
-def solve_linear(
-    model,
-    u0: CoeffSeries,
-    T: float,
-    config: OdeConfig | None = None,
-    record=None,
-) -> FlowResult:
+def solve_linear(model, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
     """c(t) with c' = L(c), c(0) = u0; model is Characteristics or a callable
     series operator."""
-    return _flow(apply_l_composition, model, u0, T, config, record)
+    return _series_flow(apply_l_composition, model, u0, T, config)
 
 
-def solve_riccati(
-    model,
-    u0: CoeffSeries,
-    T: float,
-    config: OdeConfig | None = None,
-    record=None,
-) -> FlowResult:
+def solve_riccati(model, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
     """psi(t) with psi' = R(psi), psi(0) = u0."""
-    return _flow(apply_r, model, u0, T, config, record)
+    return _series_flow(apply_r, model, u0, T, config)
 
 
-def riccati_from_linear(
-    model,
-    u0: CoeffSeries,
-    T: float,
-    config: OdeConfig | None = None,
-    record=None,
-) -> FlowResult:
+def riccati_from_linear(model, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
     """psi(t) = log* c(t) where c flows linearly from exp*(u0).
 
     The degree-zero branch is not recoverable from c alone once Im log c_0
     wanders; an auxiliary scalar phi0' = (Lc)_0 / c_0 with phi0(0) = u0_0
     integrates the branch alongside and is handed to the *-logarithm.
     """
-    config = config or OdeConfig()
     op = _operator(model, apply_l_composition)
     dim, order = u0.dim, u0.order
     c0 = ser.exp_star(u0)
@@ -280,16 +252,11 @@ def riccati_from_linear(
         out[n] = dc[0] / lead
         return out
 
+    def snapshot(y: np.ndarray) -> CoeffSeries:
+        return ser.log_star(CoeffSeries(dim, order, y[:n]), phi0=complex(y[n]))
+
     y0 = np.concatenate([c0.coeffs, [complex(u0.coeffs[0])]])
-    w = np.concatenate([ser.taylor_weights(dim, order), [1.0]])
-    times, states, stats = dopri5(
-        rhs, 0.0, T, y0, weights=w, record=record, **asdict(config)
-    )
-    snaps = []
-    for y in states:
-        c = CoeffSeries(dim, order, y[:n])
-        snaps.append(ser.log_star(c, phi0=complex(y[n])))
-    return FlowResult(times, tuple(snaps), stats)
+    return _flow(rhs, u0, y0, T, config, snapshot)
 
 
 def _radius_for(x0) -> float:
@@ -298,17 +265,11 @@ def _radius_for(x0) -> float:
 
 
 def holomorphic_expectation(
-    model,
-    u0: CoeffSeries,
-    T: float,
-    x0,
-    config: OdeConfig | None = None,
-    record=None,
+    model, u0: CoeffSeries, T: float, x0, config: OdeConfig | None = None
 ) -> ExpectationResult:
     """E[h(X_T) | X_0 = x0] for the payoff with coefficients u0."""
-    flow = solve_linear(model, u0, T, config, record)
-    r = _radius_for(x0)
-    return ExpectationResult(ser.evaluate(flow.final, x0), tail_mass(flow.final, r), r, flow)
+    flow = solve_linear(model, u0, T, config)
+    return ExpectationResult(ser.evaluate(flow.final, x0), tail_mass(flow.final, _radius_for(x0)), flow)
 
 
 def affine_expectation(
@@ -318,23 +279,21 @@ def affine_expectation(
     x0,
     config: OdeConfig | None = None,
     route: str = "riccati",
-    record=None,
 ) -> ExpectationResult:
     """E[exp h(X_T) | X_0 = x0], via the quadratic flow or the *-log of the
     linear one (``route`` in {"riccati", "log-linear"})."""
     if route == "riccati":
-        flow = solve_riccati(model, u0, T, config, record)
+        flow = solve_riccati(model, u0, T, config)
     elif route == "log-linear":
-        flow = riccati_from_linear(model, u0, T, config, record)
+        flow = riccati_from_linear(model, u0, T, config)
     else:
         raise ValueError(f"unknown route {route!r}")
-    r = _radius_for(x0)
     psi = flow.final
-    return ExpectationResult(np.exp(ser.evaluate(psi, x0)), tail_mass(psi, r), r, flow)
+    return ExpectationResult(np.exp(ser.evaluate(psi, x0)), tail_mass(psi, _radius_for(x0)), flow)
 
 
 def flow_to_csv(flow: FlowResult, path) -> None:
-    """One row per snapshot: t then re/im per multi-index, full precision."""
+    """Rows for t = 0 and t = T: t then re/im per multi-index, full precision."""
     idx = flow.series[0].indices
     cols = ["t"]
     for alpha in idx:

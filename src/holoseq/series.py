@@ -43,7 +43,8 @@ __all__ = [
     "abs_norm",
 ]
 
-# Division guard for leading coefficients (log_star, Riccati-from-linear).
+# Division guard for leading coefficients (log_star, Riccati-from-linear) and
+# for the pole division of divide_by_coordinate.
 EPS_DIV = 1e-12
 
 MultiIndex = tuple[int, ...]
@@ -284,17 +285,25 @@ def divide_by_coordinate(u: CoeffSeries, coord: int = 0) -> CoeffSeries:
     """
     if not 0 <= coord < u.dim:
         raise ValueError(f"coordinate {coord} out of range for dim={u.dim}")
-    idxm = _index_matrix(u.dim, u.order)
-    on_axis = idxm[:, coord] == 0
-    bad = np.abs(u.coeffs[on_axis])
+    return CoeffSeries(u.dim, u.order, _divide_coeffs(u.coeffs, u.dim, u.order, coord))
+
+
+def _divide_coeffs(c: np.ndarray, dim: int, order: int, coord: int = 0) -> np.ndarray:
+    """``divide_by_coordinate`` on a coefficient vector, or on every column of
+    a matrix whose rows are indexed like a series (the form that divides a
+    compiled operator)."""
+    idxm = _index_matrix(dim, order)
+    bad = np.abs(c[idxm[:, coord] == 0])
     if bad.size and bad.max() > EPS_DIV:
         raise LeadingCoefficientError(
-            f"series does not vanish on z_{coord}=0 (max |coeff| = {bad.max():.3e})"
+            f"series does not vanish on z_{coord}=0 (max |coeff| = {bad.max():.3e}); "
+            "a pole intensity needs jump sizes vanishing at the origin"
         )
-    e_i = tuple(1 if k == coord else 0 for k in range(u.dim))
-    shifted = shift(u, e_i)
-    denom = idxm[:, coord].astype(np.float64) + 1.0
-    return CoeffSeries(u.dim, u.order, shifted.coeffs / denom)
+    dst, src = _shift_table(dim, order, tuple(1 if k == coord else 0 for k in range(dim)))
+    denom = idxm[dst, coord] + 1.0
+    out = np.zeros_like(c)
+    out[dst] = c[src] / denom.reshape(denom.shape + (1,) * (c.ndim - 1))
+    return out
 
 
 def exp_star(u: CoeffSeries) -> CoeffSeries:

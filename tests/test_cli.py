@@ -6,6 +6,7 @@ captured stdout/stderr rather than subprocess plumbing.
 
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +179,14 @@ class TestRun:
         assert errs[0] > errs[1]
         assert float(rows[-1].split()[3]) == pytest.approx(math.exp(0.5), rel=1e-5)
 
+    def test_readme_example_runs(self, tmp_path, capsys):
+        # every key of the documented config is accepted, and it runs
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        cfg = yaml.safe_load(readme.split("```yaml\n", 1)[1].split("```", 1)[0])
+        code, out, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg), "--mc-paths", "200")
+        assert code == 0, err
+        assert sum(line.startswith(("linear-flow", "riccati-flow", "log-linear-flow")) for line in out.splitlines()) == 3
+
     def test_mc_override_flags(self, tmp_path, capsys):
         cfg = dict(BASE, oracles={"mc": {"paths": 5000, "dt": 0.005, "seed": 1}})
         code, out, _ = run_cli(
@@ -314,6 +323,39 @@ class TestExitCodes:
             cfg = dict(UNIT_INTERVAL, oracles={"dual": {"k_max": 100, **setting}})
         code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 2 and next(iter(setting)) in err
+
+    @pytest.mark.parametrize(
+        "edit,key",
+        [
+            (lambda c: c.update(modle={"preset": "bm"}), "modle"),
+            (lambda c: c["run"].update(affine_rout="log-linear"), "affine_rout"),
+            (lambda c: c["numerics"].update(ordr=20), "ordr"),
+            (lambda c: c.update(grid={"n": 5, "nn": 3}), "nn"),
+            (lambda c: c.update(oracles={"montecarlo": {"paths": 10}}), "montecarlo"),
+            (lambda c: c["function"].update(scale=2.0), "scale"),
+            (lambda c: c.update(function={"family": "exp", "scal": 2.0}), "scal"),
+            (lambda c: c.update(function={"family": "series", "entries": [[2, 2.0]], "coefficients": [1.0]}),
+             "coefficients"),
+            (lambda c: c["model"].update(dim=1), "dim"),
+            (lambda c: c.update(model={"diffusion": [[0, 1.0]], "drfit": [[0, 1.0]]}), "drfit"),
+            (lambda c: c.update(model={"preset": "finite-chain"},
+                                function={"family": "values", "values": [1, 0, 0, 0], "scale": 2.0}), "scale"),
+            (lambda c: c.update(model={"preset": "finite-chain"}, function={"family": "values", "values": [1, 0, 0, 0]},
+                                run={"mode": "both", "T": 1.0, "x0": 0, "affine_route": "riccati"}), "affine_route"),
+            (lambda c: c.update(model={"preset": "two-state-affine"}, function={"family": "values", "values": [1, 0]},
+                                run={"mode": "both", "T": 1.0, "x0": 0}, oracles={"mc": {"paths": 10}}), "oracles"),
+            (lambda c: c.update(grid={"lo": -1.0, "hi": 1.0, "n": 0}), "grid.n"),
+            # three typos at once: the first one read is named
+            (lambda c: (c["run"].update(affine_rout="log-linear"), c.update(numerics={"ordr": 20}, grid={"n": 0, "nn": 3})),
+             "ordr"),
+        ],
+    )
+    def test_config_typos_rejected(self, tmp_path, capsys, monkeypatch, edit, key):
+        monkeypatch.setattr(cli, "holomorphic_expectation", _no_flow)
+        cfg = {k: dict(v) for k, v in BASE.items()}
+        edit(cfg)
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 2 and key in err
 
     def test_scalar_x0_in_dim_two_names_field(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "holomorphic_expectation", _no_flow)

@@ -48,13 +48,13 @@ class TestIntegrators:
         ts, ys, _ = dopri5(lambda t, y: np.array([math.cos(t)]), 0.0, 2.0, np.array([0.0]))
         assert abs(ys[-1][0] - math.sin(2.0)) < 1e-9
 
-    def test_dopri5_record_times_exact(self):
-        ts, ys, _ = dopri5(
-            lambda t, y: -y, 0.0, 1.0, np.array([1.0]), record=[0.25, 0.5, 0.75]
-        )
-        np.testing.assert_array_equal(ts, [0.0, 0.25, 0.5, 0.75, 1.0])
-        for t, y in zip(ts, ys):
-            assert abs(y[0] - math.exp(-t)) < 1e-9
+    def test_dopri5_returns_start_and_end(self):
+        y0 = np.array([1.0])
+        ts, ys, _ = dopri5(lambda t, y: -y, 0.25, 1.0, y0)
+        np.testing.assert_array_equal(ts, [0.25, 1.0])
+        assert len(ys) == 2
+        np.testing.assert_array_equal(ys[0], y0)
+        assert abs(ys[1][0] - math.exp(-0.75)) < 1e-9
 
     def test_dopri5_step_budget(self):
         with pytest.raises(FlowBudgetError):
@@ -96,13 +96,43 @@ class TestLinearFlow:
         # polynomial payoff: flow stays polynomial, no mass in the top degrees
         assert at_x.tail < 1e-12
 
-    def test_record_snapshots_match_closed_form(self):
-        u0 = ser.from_entries(1, 6, [((2,), 2.0)])
-        flow = solve_linear(bm_chars(order=6), u0, 1.0, record=[0.25, 0.5])
-        np.testing.assert_allclose(flow.times, [0.0, 0.25, 0.5, 1.0])
-        mid = flow.series[2]
-        assert abs(mid.coefficient((0,)) - 0.5) < 1e-10
-        assert abs(mid.coefficient((2,)) - 2.0) < 1e-10
+
+class TestSharedFlow:
+    """The integration path the three solvers share: what it keeps, and
+    where its step control lands on a fixed case."""
+
+    @pytest.mark.parametrize("solve", [solve_linear, solve_riccati, riccati_from_linear])
+    def test_flow_keeps_start_and_end_snapshot(self, solve):
+        T = 0.7
+        u0 = ser.from_entries(1, 6, [((0,), 0.3), ((1,), 0.4)])
+        flow = solve(compound_poisson_chars(order=6), u0, T)
+        np.testing.assert_array_equal(flow.times, [0.0, T])
+        assert len(flow.series) == 2 and flow.final is flow.series[1]
+        if solve is riccati_from_linear:
+            # log* exp* u0 recovers u0 up to rounding
+            np.testing.assert_allclose(flow.series[0].coeffs, u0.coeffs, atol=1e-13)
+        else:
+            np.testing.assert_array_equal(flow.series[0].coeffs, u0.coeffs)
+
+    @pytest.mark.parametrize(
+        "route,value,nfev",
+        [
+            ("linear", 0.35, 25),
+            ("riccati", 1.7063862310814977, 25),
+            ("log-linear", 1.7063862310169975, 37),
+        ],
+    )
+    def test_compound_poisson_routes_pinned(self, route, value, nfev):
+        # any change that moves the step control moves nfev
+        chars = build_preset("compound-poisson", order=16)
+        u0 = ser.from_entries(1, 16, [((1,), 0.7)])
+        ode = OdeConfig(rtol=1e-10)
+        if route == "linear":
+            res = holomorphic_expectation(chars, u0, 0.5, 0.5, ode)
+        else:
+            res = affine_expectation(chars, u0, 0.5, 0.5, ode, route=route)
+        assert res.value == pytest.approx(value, rel=1e-13, abs=0)
+        assert res.flow.stats["nfev"] == nfev
 
 
 class TestQuadraticFlow:
@@ -226,23 +256,18 @@ class TestDiagnostics:
         res = holomorphic_expectation(build_preset("compound-poisson", order=171), u0, 1.0, 0.0)
         assert abs(res.value - 1.5) < 1e-12
 
-    def test_radius_defaults_to_one_at_origin(self):
-        u0 = ser.from_entries(1, 8, [((2,), 2.0)])
-        res = holomorphic_expectation(bm_chars(), u0, 1.0, 0.0)
-        assert res.radius == 1.0
-        res2 = holomorphic_expectation(bm_chars(), u0, 1.0, 0.25)
-        assert res2.radius == 0.25
-
     def test_flow_csv_round_trip(self, tmp_path):
         u0 = ser.from_entries(1, 4, [((2,), 2.0)])
-        flow = solve_linear(bm_chars(order=4), u0, 1.0, record=[0.5])
+        flow = solve_linear(bm_chars(order=4), u0, 1.0)
         path = tmp_path / "flow.csv"
         flow_to_csv(flow, path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "t" and rows[0][1] == "re[0]" and rows[0][2] == "im[0]"
-        assert len(rows) == 1 + len(flow.times)
+        # a header, then the rows for t = 0 and t = T
+        assert len(rows) == 3
         got = np.array([[float(v) for v in row] for row in rows[1:]])
-        np.testing.assert_array_equal(got[:, 0], flow.times)
-        # full-precision round trip of the final snapshot
-        np.testing.assert_array_equal(got[-1, 1::2], flow.final.coeffs.real)
+        np.testing.assert_array_equal(got[:, 0], [0.0, 1.0])
+        # full-precision round trip of both snapshots
+        np.testing.assert_array_equal(got[0, 1::2], u0.coeffs.real)
+        np.testing.assert_array_equal(got[1, 1::2], flow.final.coeffs.real)

@@ -253,6 +253,19 @@ def test_divide_by_coordinate():
     nz = ser.from_entries(1, 4, [((0,), 1.0)])
     with pytest.raises(ser.LeadingCoefficientError):
         ser.divide_by_coordinate(nz)
+    # the matrix form divides a compiled operator: its columns, each taken
+    # as a series, divide as divide_by_coordinate divides them
+    dim, order = 2, 4
+    idxm = np.array(ser.index_table(dim, order)[0])
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((len(idxm), 3)) + 1j * rng.standard_normal((len(idxm), 3))
+    m[idxm[:, 1] == 0] = 0.0  # vanish on z_1 = 0 (the second coordinate)
+    got = ser._divide_coeffs(m, dim, order, 1)
+    for k in range(m.shape[1]):
+        col = ser.divide_by_coordinate(ser.CoeffSeries(dim, order, m[:, k]), 1)
+        np.testing.assert_array_equal(got[:, k], col.coeffs)
+    with pytest.raises(ser.LeadingCoefficientError):
+        ser._divide_coeffs(m, dim, order, 0)
 
 
 def test_shape_mismatch_rejected():
