@@ -97,8 +97,10 @@ class Characteristics:
     _diffusion_eval: tuple[tuple[RealEvaluator, ...], ...] = field(
         init=False, repr=False, compare=False
     )
-    # the generator matrix L, compiled by ``holoseq.generator`` on first use
+    # the generator matrix L and the quadratic rows of R, compiled by
+    # ``holoseq.generator`` on first use
     _l_matrix: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    _r_rows: tuple[np.ndarray, ...] | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "drift", tuple(self.drift))

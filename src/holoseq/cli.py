@@ -385,7 +385,8 @@ def _attach_diffs(rows: list[Row], sweep: bool) -> None:
             ref, targets = engines[0].value, oracles
         for r in targets:
             r.abs_diff = abs(r.value - ref)
-            r.rel_diff = r.abs_diff / max(abs(ref), 1e-300)
+            # against a zero reference only the absolute difference means anything
+            r.rel_diff = r.abs_diff / abs(ref) if ref != 0 else None
 
 
 def _fmt_value(v: complex) -> str:
@@ -476,6 +477,9 @@ def run_config(cfg: dict, args) -> list[Row]:
 
     else:
         _check_keys(model_cfg, "model", ("dim", "drift", "diffusion", "kernel"))
+        kernel_cfg = _section(model_cfg, "kernel", required=False, keys=("intensity", "atoms", "pole_order"))
+        for m, atom in enumerate(kernel_cfg.get("atoms", [])):
+            _check_keys(atom, f"kernel atom {m}", ("weight", "size"))
         name = "inline"
 
         def build(o: int):

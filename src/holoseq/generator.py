@@ -5,14 +5,17 @@ holomorphic function: for h_u the series of degree <= N, L(u) collects the
 coefficients of A h_u, and R(u) those of e^{-h_u} A e^{h_u} (the quadratic
 form driving the exponential-moment flow).
 
-L is linear and fixed by the characteristics and the order, so it is compiled
-once per ``Characteristics`` into a dense read-only n x n matrix, and each
-linear right-hand side is one matrix-vector product. Drift and diffusion are
-multiplication matrices with their columns placed by a coefficient shift.
-Each jump atom is its composition map u -> u o (id + j) minus the identity,
-compensated in degree one, weighted, multiplied by the intensity and
-pole-divided. R is L plus the quadratic diffusion term plus, per atom,
-exp*(g) - 1 - g for g = u o j - u, multiplied and pole-divided alike.
+What depends only on the characteristics and the order is compiled once per
+``Characteristics``, on first use, and kept read-only on it. L is linear, so
+it is a dense n x n matrix and each linear right-hand side is one
+matrix-vector product. Drift and diffusion are multiplication matrices with
+their columns placed by a coefficient shift. Each jump atom is its
+composition map u -> u o (id + j) minus the identity, compensated in degree
+one, weighted, multiplied by the intensity and pole-divided. R is L plus the
+quadratic diffusion term plus, per atom, exp*(g) - 1 - g for g = u o j - u,
+multiplied and pole-divided alike. The quadratic term is compiled into rows
+(out, left, right, weight), so it costs one gather and one row sum; the
+atoms' tilt depends on u through exp*, so it runs per call.
 """
 
 from __future__ import annotations
@@ -77,6 +80,54 @@ def _compile_l(chars: Characteristics) -> np.ndarray:
     return out
 
 
+def _compile_quadratic(chars: Characteristics) -> tuple[np.ndarray, ...]:
+    """Rows (out, left, right, weight) of the quadratic diffusion term.
+
+    sum over i <= j of w_ij a_ij * u^(e_i) * u^(e_j), with w_ii = 1/2 and
+    w_ij = 1 otherwise, is sum_rows weight u[left] u[right] by output index.
+    Each product of shifted coefficients is a row of ``_conv_table`` whose
+    indices are moved to where the shifts read them (rows reading above the
+    order vanish and are dropped). Multiplying by a_ij joins those rows with
+    the rows of a_ij's support only. Rows with the same output and the same
+    unordered pair of reads are merged, so the rows come sorted by output.
+    """
+    dim, order = chars.dim, chars.order
+    out, left, right, w = ser._conv_table(dim, order)
+    n = len(ser.index_table(dim, order)[0])
+    src = []  # src[i][alpha]: index of alpha + e_i, or -1 above the order
+    for i in range(dim):
+        dst, s = ser._shift_table(dim, order, _basis(dim, i))
+        src.append(np.full(n, -1, dtype=np.int64))
+        src[i][dst] = s
+    empty = np.zeros(0, dtype=np.int64)
+    parts = [(empty, empty, empty, np.zeros(0, dtype=np.complex128))]
+    for i in range(dim):
+        for j in range(i, dim):
+            a = chars.diffusion[i][j].coeffs
+            if not a.any():
+                continue
+            # rows of u^(e_i) * u^(e_j), grouped by output gamma
+            keep = (src[i][left] >= 0) & (src[j][right] >= 0)
+            g_l, g_r, g_w = src[i][left[keep]], src[j][right[keep]], w[keep]
+            count = np.bincount(out[keep], minlength=n)
+            first = np.cumsum(count) - count
+            # rows of a * (.) with a_beta != 0, each joined with every row of
+            # its gamma: rows holds first[gamma] + 0, 1, ..., count[gamma] - 1
+            # for each of them in turn
+            o = np.flatnonzero(a[left] != 0)
+            reps = count[right[o]]
+            rows = np.arange(reps.sum()) + np.repeat(first[right[o]] - (np.cumsum(reps) - reps), reps)
+            scale = (0.5 if i == j else 1.0) * w[o] * a[left[o]]
+            parts.append((np.repeat(out[o], reps), g_l[rows], g_r[rows], np.repeat(scale, reps) * g_w[rows]))
+    q_out, q_l, q_r, q_w = (np.concatenate(c) for c in zip(*parts))
+    key = (q_out * n + np.minimum(q_l, q_r)) * n + np.maximum(q_l, q_r)
+    key, inv = np.unique(key, return_inverse=True)
+    table = (key // (n * n), key // n % n, key % n, ser._row_sum(inv, q_w, len(key)))
+    for t in table:
+        t.setflags(write=False)
+    return table
+
+
 def _linear(u: CoeffSeries, chars: Characteristics) -> np.ndarray:
     """L u against the matrix compiled on first use and kept on ``chars``."""
     ser._check_same_shape(u, chars.drift[0])
@@ -107,26 +158,30 @@ def apply_r(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
     and pole-divided: with L's compensated jump part that makes
     exp*(g) - 1 - u^(1) . j. The unordered-pair weight reproduces
     (1/2) grad(h)^T a grad(h).
+
+    L and the rows of the quadratic term are compiled on first use and kept
+    on ``chars``; a call is one matrix-vector product, one gather and row
+    sum, and per atom one ``compose_shift`` and one ``exp_star``, then one
+    ``mul`` by the intensity and the pole division. Raises
+    LeadingCoefficientError as ``apply_l_composition`` does.
     """
-    dim = chars.dim
+    dim, order = u.dim, u.order
     out = _linear(u, chars)
-    grads = [ser.shift(u, _basis(dim, i)) for i in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            a = chars.diffusion[i][j]
-            if not a.coeffs.any():
-                continue
-            w = 0.5 if i == j else 1.0
-            out = out + w * ser.mul(a, ser.mul(grads[i], grads[j])).coeffs
+    if chars._r_rows is None:
+        object.__setattr__(chars, "_r_rows", _compile_quadratic(chars))
+    q_out, q_left, q_right, q_weight = chars._r_rows
+    out += ser._row_sum(q_out, q_weight * u.coeffs[q_left] * u.coeffs[q_right], len(out))
     k = chars.kernel
     if k is not None and k.atoms:
-        one = ser.unit(dim, u.order)
-        acc = ser.zero(dim, u.order)
+        acc = np.zeros_like(out)
         for atom in k.atoms:
-            g = ser.compose_shift(u, atom.size) - u
-            acc = acc + atom.weight * (ser.exp_star(g) - one - g)
-        tilt = ser.mul(k.intensity, acc)
+            g = ser.compose_shift(u, atom.size).coeffs - u.coeffs
+            e = ser.exp_star(CoeffSeries(dim, order, g)).coeffs
+            term = e - g
+            term[0] = e[0] - 1.0 - g[0]  # (e - 1) - g, the 1 in degree zero
+            acc += atom.weight * term
+        tilt = ser.mul(k.intensity, CoeffSeries(dim, order, acc)).coeffs
         for _ in range(k.pole_order):
-            tilt = ser.divide_by_coordinate(tilt, 0)
-        out = out + tilt.coeffs
-    return CoeffSeries(dim, u.order, out)
+            tilt = ser._divide_coeffs(tilt, dim, order)
+        out += tilt
+    return CoeffSeries(dim, order, out)

@@ -313,30 +313,33 @@ def exp_star(u: CoeffSeries) -> CoeffSeries:
     |delta|, and theta e^h = e^h theta h gives, for delta != 0,
     E_delta = sum_{beta + gamma = delta, gamma != 0} w |gamma|/|delta| E_beta u_gamma,
     seeded with E_0 = exp(u_0). The right side reads only degrees below
-    |delta|, so each degree is one gather and one bincount over the rows of
-    ``_euler_rows``. Avoids the cancellation-prone direct sum of powers of
-    (u - u_0).
+    |delta|, so E solves a strictly lower triangular system. One scatter
+    builds its matrix (row delta, column beta, entry w |gamma|/|delta|
+    u_gamma), and forward substitution fills each degree with one
+    matrix-vector product over the degrees below it. Nothing pivots, so the
+    recurrence runs in its own order. Avoids the cancellation-prone direct
+    sum of powers of (u - u_0).
     """
-    deg_start, row_start, dst, left, right, w = _euler_rows(u.dim, u.order)
-    ur = u.coeffs[right]
+    deg_start, by_left, _, _, right, w = _euler_rows(u.dim, u.order)
+    m = _euler_matrix(len(u.coeffs), by_left, w * u.coeffs[right])
     e = np.zeros(len(u.coeffs), dtype=np.complex128)
     e[0] = np.exp(u.coeffs[0])
     for d in range(1, u.order + 1):
         lo, hi = deg_start[d], deg_start[d + 1]
-        rows = slice(row_start[d], row_start[d + 1])
-        e[lo:hi] = _row_sum(dst[rows], w[rows] * e[left[rows]] * ur[rows], hi - lo)
+        e[lo:hi] = m[lo:hi, :lo] @ e[:lo]
     return CoeffSeries(u.dim, u.order, e)
 
 
 def log_star(c: CoeffSeries, phi0: complex | None = None) -> CoeffSeries:
     """Inverse of exp_star up to the degree-zero branch.
 
-    The same Euler-operator identity as ``exp_star``, solved for the
+    The same Euler-operator recurrence as ``exp_star``, solved for the
     logarithm psi: for delta != 0,
     c_0 psi_delta = c_delta - sum w |gamma|/|delta| c_beta psi_gamma
-    over beta + gamma = delta with beta, gamma != 0. That is the sum over
-    the rows of ``_euler_rows``: their beta = 0 rows read the degree being
-    filled, which is still zero.
+    over beta + gamma = delta with beta, gamma != 0. Its matrix is
+    ``exp_star``'s with the roles of beta and gamma swapped (row delta,
+    column gamma, entry w |gamma|/|delta| c_beta). The beta = 0 entries land
+    on the diagonal, which forward substitution does not read.
 
     The degree-zero coefficient is ``phi0`` when given (callers integrating a
     flow supply the branch), else the principal log of c_0.
@@ -346,37 +349,44 @@ def log_star(c: CoeffSeries, phi0: complex | None = None) -> CoeffSeries:
         raise LeadingCoefficientError(
             f"leading coefficient {c0!r} within division guard {EPS_DIV}"
         )
-    deg_start, row_start, dst, left, right, w = _euler_rows(c.dim, c.order)
-    wc = w * c.coeffs[left]
+    deg_start, _, by_right, left, _, w = _euler_rows(c.dim, c.order)
+    m = _euler_matrix(len(c.coeffs), by_right, w * c.coeffs[left])
     psi = np.zeros(len(c.coeffs), dtype=np.complex128)
     for d in range(1, c.order + 1):
         lo, hi = deg_start[d], deg_start[d + 1]
-        rows = slice(row_start[d], row_start[d + 1])
-        lower = _row_sum(dst[rows], wc[rows] * psi[right[rows]], hi - lo)
-        psi[lo:hi] = (c.coeffs[lo:hi] - lower) / c0
+        psi[lo:hi] = (c.coeffs[lo:hi] - m[lo:hi, :lo] @ psi[:lo]) / c0
     psi[0] = np.log(c0) if phi0 is None else complex(phi0)
     return CoeffSeries(c.dim, c.order, psi)
 
 
+def _euler_matrix(n: int, flat: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The n x n matrix with ``entries`` at the row-major positions ``flat``."""
+    m = np.zeros((n, n), dtype=np.complex128)
+    m.flat[flat] = entries
+    return m
+
+
 @lru_cache(maxsize=None)
 def _euler_rows(dim: int, order: int) -> tuple[np.ndarray, ...]:
-    """Rows of the exp_star/log_star recurrence, grouped by the degree they fill.
+    """Rows of the exp_star/log_star recurrence.
 
     The rows of ``_conv_table`` with gamma = right != 0, weighted by
-    |gamma|/|delta| for their output delta. Returns (deg_start, row_start,
-    dst, left, right, w): the indices of degree d are
-    deg_start[d]:deg_start[d+1], its rows row_start[d]:row_start[d+1], and
-    dst is each row's output index relative to deg_start[d].
+    |gamma|/|delta| for their output delta. Returns (deg_start, by_left,
+    by_right, left, right, w): the indices of degree d are
+    deg_start[d]:deg_start[d+1], and by_left and by_right are each row's
+    row-major position in an n x n matrix, row delta and column beta = left
+    or gamma = right. Each position occurs once, since beta + gamma = delta
+    fixes the other index.
     """
     out, left, right, w = _conv_table(dim, order)
     degs = _degrees(dim, order)
     keep = right != 0
     out, left, right = out[keep], left[keep], right[keep]
-    deg_start = np.searchsorted(degs, np.arange(order + 2))
+    n = len(degs)
     table = (
-        deg_start,
-        np.searchsorted(degs[out], np.arange(order + 2)),
-        out - deg_start[degs[out]],
+        np.searchsorted(degs, np.arange(order + 2)),
+        out * n + left,
+        out * n + right,
         left,
         right,
         w[keep] * degs[right] / degs[out],

@@ -165,6 +165,27 @@ class TestRun:
         assert flow[0]["t"] == "0" and "re[2]" in flow[0]
         assert float(flow[-1]["re[0]"]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_zero_reference_has_no_relative_diff(self, tmp_path, capsys):
+        # E[X_T] = 0 for Brownian motion from the origin: the engine value is
+        # exactly 0, so the Monte Carlo row gets an absolute difference only
+        cfg = dict(
+            BASE,
+            function={"family": "polynomial", "coefficients": [0.0, 1.0]},
+            oracles={"mc": {"paths": 2000, "dt": 0.01, "seed": 0}},
+        )
+        out_dir = tmp_path / "art"
+        code, out, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg), "--out", str(out_dir))
+        assert code == 0, err
+        with open(out_dir / "results.csv") as fh:
+            rows = {r["quantity"]: r for r in csv.DictReader(fh)}
+        assert float(rows["linear-flow"]["value_re"]) == 0.0
+        mc = rows["monte-carlo"]
+        assert float(mc["abs_diff"]) == abs(float(mc["value_re"])) > 0
+        assert mc["rel_diff"] == ""
+        line = next(line for line in out.splitlines() if line.startswith("monte-carlo"))
+        assert line.split()[3] == f"{float(mc['abs_diff']):.2e}"
+        assert "e+" not in line
+
     def test_sweep_rows(self, tmp_path, capsys):
         cfg = dict(BASE, function={"family": "exp", "scale": 1.0})
         code, out, _ = run_cli(
@@ -354,6 +375,22 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "holomorphic_expectation", _no_flow)
         cfg = {k: dict(v) for k, v in BASE.items()}
         edit(cfg)
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 2 and key in err
+
+    @pytest.mark.parametrize(
+        "kernel,key",
+        [
+            ({"intensity": [[0, 1.0]], "atoms": [{"weight": 1.0, "size": [[0, 0.1]]}], "pole_ordr": 1}, "pole_ordr"),
+            ({"intensity": [[0, 1.0]], "atoms": [{"weight": 1.0, "size": [[0, 0.1]], "wieght": 2.0}]}, "wieght"),
+            ({"intensity": [[0, 1.0]], "atom": [{"weight": 1.0, "size": [[0, 0.1]]}]}, "atom"),
+            ({"intensity": [[0, 1.0]], "atoms": [{"weight": 1.0, "size": [[0, 0.1]]}, {"weight": 0.5, "sizes": [[0, 0.2]]}]},
+             "sizes"),
+        ],
+    )
+    def test_kernel_typos_rejected(self, tmp_path, capsys, monkeypatch, kernel, key):
+        monkeypatch.setattr(cli, "holomorphic_expectation", _no_flow)
+        cfg = dict(BASE, model={"diffusion": [[0, 1.0]], "kernel": kernel})
         code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 2 and key in err
 

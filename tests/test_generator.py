@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from holoseq import generator
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics, JumpAtom, JumpKernel
 from holoseq.generator import apply_l_composition, apply_r
@@ -52,6 +53,31 @@ def two_dim_chars(order=10, jumps=False):
         )
         kernel = JumpKernel(ser.from_entries(2, order, [((0, 0), 0.8), ((1, 0), 0.1)]), atoms, 0)
     return Characteristics(2, (b1, b2), ((a11, a12), (a12, a22)), kernel)
+
+
+def nd_affine_chars(dim, order):
+    """Drift b0 + B x with a tridiagonal B, diffusion A0 + 0.04 x_k on the
+    diagonal entry (k, k) with a tridiagonal A0, intensity 0.8 + 0.1 x_1 and
+    two atoms of constant size: the affine models of the ``flow-nd``
+    benchmark."""
+    B = -0.4 * np.eye(dim) + 0.1 * np.eye(dim, k=1) + 0.05 * np.eye(dim, k=-1)
+    A0 = 0.15 * np.eye(dim) + 0.03 * (np.eye(dim, k=1) + np.eye(dim, k=-1))
+    e = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+    zero = (0,) * dim
+
+    def affine(c0, slopes):
+        return ser.from_entries(dim, order, [(zero, c0)] + [(e[k], c) for k, c in slopes])
+
+    drift = tuple(affine(0.05 * (i + 1), enumerate(B[i])) for i in range(dim))
+    diffusion = tuple(
+        tuple(affine(A0[i, j], [(i, 0.04)] if i == j else []) for j in range(dim)) for i in range(dim)
+    )
+    sign = np.arange(dim) % 2 == 0
+    atoms = (
+        JumpAtom(0.6, tuple(const(dim, order, x) for x in 0.2 * np.where(sign, 1.0, -0.5))),
+        JumpAtom(0.4, tuple(const(dim, order, x) for x in -0.15 * np.where(sign, 1.0, -0.6))),
+    )
+    return Characteristics(dim, drift, diffusion, JumpKernel(affine(0.8, [(0, 0.1)]), atoms, 0))
 
 
 unit_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -230,6 +256,25 @@ class TestCompiledGenerator:
         self.assert_close(apply_l_composition(u, chars), apply_l_series(u, chars))
         self.assert_close(apply_r(u, chars), apply_r_series(u, chars))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: nd_affine_chars(2, 12),
+            lambda: nd_affine_chars(3, 7),
+            lambda: unit_interval_chars(order=16),
+            lambda: two_dim_chars(order=10),
+            lambda: bm_chars(order=12),
+        ],
+        ids=["flow-nd-d2n12", "flow-nd-d3n7", "pole-d1n16", "no-kernel-d2n10", "no-kernel-d1n12"],
+    )
+    def test_r_matches_series_assembly_on_fixed_models(self, make):
+        chars = make()
+        rng = np.random.default_rng(27)
+        n = len(ser.index_table(chars.dim, chars.order)[0])
+        for scale in (0.1, 0.5):
+            u = ser.CoeffSeries(chars.dim, chars.order, scale * rng.uniform(-1.0, 1.0, n))
+            self.assert_close(apply_r(u, chars), apply_r_series(u, chars))
+
     def test_pole_with_jump_not_vanishing_at_origin_raises(self):
         # s(x) = 1 over a simple pole, constant jump 0.1: (lambda * jump part)
         # does not vanish at x = 0, so no series divides by x exactly
@@ -279,6 +324,38 @@ class TestCompiledGenerator:
         del a
         gc.collect()
         assert gone() is None
+
+
+    def test_r_rows_are_compiled_once_and_read_only(self, monkeypatch):
+        chars = nd_affine_chars(2, 8)
+        u = random_poly(2, 8, 3, np.random.default_rng(42))
+        first = apply_r(u, chars)
+        rows = chars._r_rows
+        assert rows is not None and len(rows[0]) > 0
+        assert not any(t.flags.writeable for t in rows)
+        monkeypatch.setattr(generator, "_compile_quadratic", _no_compile)
+        second = apply_r(u, chars)
+        assert chars._r_rows is rows
+        np.testing.assert_array_equal(first.coeffs, second.coeffs)
+
+    def test_each_characteristics_holds_its_own_r_rows(self):
+        a = nd_affine_chars(2, 6)
+        b = Characteristics(a.dim, a.drift, a.diffusion, a.kernel)
+        assert a == b and a is not b
+        u = ser.unit(2, 6)
+        apply_r(u, a)
+        apply_r(u, b)
+        assert a._r_rows is not b._r_rows
+        assert all(np.array_equal(x, y) for x, y in zip(a._r_rows, b._r_rows))
+        # nothing outside the object keeps the rows alive
+        gone = weakref.ref(a._r_rows[3])
+        del a
+        gc.collect()
+        assert gone() is None
+
+
+def _no_compile(chars):
+    raise AssertionError("the quadratic rows were compiled twice")
 
 
 class TestPointwise:

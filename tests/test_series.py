@@ -494,6 +494,83 @@ def exact_log_1d(c):
     return np.array([complex(float(a), float(b)) for a, b in psi])
 
 
+def _gauss(z):
+    """A complex float as an exact Gaussian rational (re, im)."""
+    return (Fraction(float(z.real)), Fraction(float(z.imag)))
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def exact_euler(u, solve_log):
+    """The exp_star (or, with ``solve_log``, log_star) recurrence in exact
+    arithmetic over Gaussian rationals, plus its majorant.
+
+    Same rows as the kernel: delta = beta + gamma with gamma != 0 and weight
+    (binomial product) |gamma|/|delta|, here as exact Fractions. exp_star
+    seeds E_0 with the float exp(u_0) the kernel uses; log_star needs no
+    seed, as its rows never read psi_0. The majorant runs the same
+    recurrence on |u| (all terms positive), so it bounds the size of every
+    sum the kernel rounds.
+    """
+    dim, order = u.dim, u.order
+    out, left, right, w = ser._conv_table(dim, order)
+    degs = ser._degrees(dim, order)
+    n = len(u.coeffs)
+    c = [_gauss(z) for z in u.coeffs]
+    mag = np.abs(u.coeffs)
+    x = [(Fraction(0), Fraction(0))] * n
+    maj = np.zeros(n)
+    if solve_log:
+        inv0 = _gmul((c[0][0], -c[0][1]), (1 / (c[0][0] ** 2 + c[0][1] ** 2), Fraction(0)))
+    else:
+        x[0] = _gauss(np.exp(u.coeffs[0]))
+        maj[0] = abs(np.exp(u.coeffs[0]))
+    rows = [[] for _ in range(n)]
+    for o, b, g, wt in zip(out, left, right, w):
+        if g != 0 and not (solve_log and b == 0):
+            rows[o].append((b, g, Fraction(int(wt) * int(degs[g]), int(degs[o]))))
+    for d in range(1, n):
+        re, im, m = Fraction(0), Fraction(0), 0.0
+        for b, g, wt in rows[d]:
+            # exp: E_beta u_gamma; log: c_beta psi_gamma
+            p = _gmul(c[b], x[g]) if solve_log else _gmul(x[b], c[g])
+            re, im = re + wt * p[0], im + wt * p[1]
+            m += float(wt) * (mag[b] * maj[g] if solve_log else maj[b] * mag[g])
+        if solve_log:
+            x[d] = _gmul((c[d][0] - re, c[d][1] - im), inv0)
+            maj[d] = (mag[d] + m) / mag[0]
+        else:
+            x[d], maj[d] = (re, im), m
+    return np.array([complex(float(a), float(b)) for a, b in x]), maj
+
+
+@seed(20261019)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]).flatmap(
+        lambda dim: st.tuples(st.just(dim), st.integers(0, (32, 12, 7)[dim - 1]))
+    ),
+    st.sampled_from([0.5, 1.5]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_euler_kernel_matches_exact_arithmetic(shape, scale, draw_seed):
+    # the forward substitution against the same recurrence in exact
+    # arithmetic, to 1e-13 of the majorant that bounds its rounding
+    dim, order = shape
+    rng = np.random.default_rng(draw_seed)
+    u = random_series(rng, dim, order, scale=scale)
+    want, maj = exact_euler(u, solve_log=False)
+    got = ser.exp_star(u).coeffs
+    assert got[0] == want[0]
+    assert np.all(np.abs(got - want) <= 1e-13 * maj)
+    c = _leading_away_from_zero(rng, dim, order)
+    want, maj = exact_euler(c, solve_log=True)
+    got = ser.log_star(c).coeffs
+    assert np.all(np.abs(got[1:] - want[1:]) <= 1e-13 * maj[1:])
+
+
 @seed(20261018)
 @settings(max_examples=60, deadline=None)
 @given(
