@@ -2,12 +2,11 @@
 
 import os as _os
 
-# BLAS pools size themselves once, when numpy first loads, so HOLOSEQ_THREADS
-# has to be translated to the usual knobs before any submodule imports numpy.
-_t = _os.environ.get("HOLOSEQ_THREADS")
-if _t:
-    for _v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_v, _t)
+# The flows' matrix-vector products are small, so a BLAS pool costs more than
+# it saves; pools size themselves when numpy loads, so pin them before that.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(_v in _os.environ for _v in _THREAD_VARS):
+    _os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
 
 from holoseq.series import (
     CoeffSeries,

@@ -88,6 +88,13 @@ def _check_keys(sec: dict, name: str, known) -> None:
         raise ConfigError(f"unknown {name} settings: {sorted(map(str, extra))}")
 
 
+def _int_setting(value, name: str) -> int:
+    """An integer config value; a float or bool is an error, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _section(cfg: dict, name: str, required: bool = True, keys=None) -> dict:
     """``cfg[name]`` as a mapping, {} when optional and absent; with ``keys``
     any other key is an error."""
@@ -184,15 +191,26 @@ def _mc_config(cfg: dict, args) -> McConfig:
         raise ConfigError(f"mc config: {e}") from None
 
 
+def _horizon(run_cfg: dict) -> float:
+    T = float(run_cfg.get("T", 1.0))
+    if not (math.isfinite(T) and T > 0):
+        raise ConfigError(f"run.T must be positive and finite, got {T}")
+    return T
+
+
 def _parse_x0(run_cfg: dict, dim: int):
     x0 = run_cfg.get("x0", 0.0 if dim == 1 else [0.0] * dim)  # the origin by default
     if isinstance(x0, (list, tuple)):
         if len(x0) != dim:
             raise ConfigError(f"run.x0 has {len(x0)} components, model dimension is {dim}")
-        return np.array([float(v) for v in x0])
-    if dim > 1:
+        x0 = np.array([float(v) for v in x0])
+    elif dim > 1:
         raise ConfigError(f"run.x0 is a scalar, model dimension is {dim}; give a list of {dim} values")
-    return float(x0)
+    else:
+        x0 = float(x0)
+    if not np.all(np.isfinite(x0)):
+        raise ConfigError(f"run.x0 must be finite, got {run_cfg['x0']!r}")
+    return x0
 
 
 def _sweep_list(arg: str | None) -> list[int] | None:
@@ -212,19 +230,28 @@ def _sweep_list(arg: str | None) -> list[int] | None:
 
 def _grid_check(chars: Characteristics, grid_cfg: dict) -> list[str]:
     lo, hi = float(grid_cfg.get("lo", -1.0)), float(grid_cfg.get("hi", 1.0))
-    n = int(grid_cfg.get("n", 9))
+    n = _int_setting(grid_cfg.get("n", 9), "grid.n")
     if n < 1:
         raise ConfigError(f"grid.n must be >= 1, got {n}")
     axes = [np.linspace(lo, hi, n)] * chars.dim
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=1)
     box = grid_cfg.get("box")
     if box is not None:
-        box = (
-            [float(v) for v in np.broadcast_to(box[0], chars.dim)],
-            [float(v) for v in np.broadcast_to(box[1], chars.dim)],
-        )
+        box = _parse_box(box, chars.dim)
     report = validate_on_grid(chars, pts, box)
     return [f"{f.kind} at {f.point}: {f.detail}" for f in report.findings]
+
+
+def _parse_box(box, dim: int) -> np.ndarray:
+    """``grid.box`` as its rows (lower, upper): two values, or two lists of
+    ``dim`` values."""
+    try:
+        corners = np.array(box, dtype=float)
+    except (TypeError, ValueError):
+        corners = None
+    if corners is None or corners.shape not in ((2,), (2, dim)):
+        raise ConfigError(f"grid.box must be two values or two lists of {dim} values, got {box!r}")
+    return corners
 
 
 _MODES = {"holomorphic": ("holomorphic",), "affine": ("affine",), "both": ("holomorphic", "affine")}
@@ -261,9 +288,7 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], b
     run_cfg = _section(cfg, "run", keys=("mode", "T", "x0", "affine_route"))
     num_cfg = _section(cfg, "numerics", required=False)
     modes = _run_modes(run_cfg)
-    T = float(run_cfg.get("T", 1.0))
-    if T <= 0:
-        raise ConfigError(f"run.T must be positive, got {T}")
+    T = _horizon(run_cfg)
     x0 = _parse_x0(run_cfg, model.dim)
     route = run_cfg.get("affine_route", "riccati")
     if route not in ("riccati", "log-linear", "both"):
@@ -289,7 +314,7 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], b
             raise ConfigError("the dual-chain oracle computes E[exp X_T]; use an affine mode")
         if not _is_identity_payoff(u_full):
             raise ConfigError("the dual-chain oracle needs the identity payoff h(x) = x")
-        k_max = int(dual_cfg.get("k_max", 400))
+        k_max = _int_setting(dual_cfg.get("k_max", 400), "oracles.dual.k_max")
 
     # the module globals are looked up at call time, so tests can replace them
     routes = []
@@ -348,11 +373,9 @@ def _chain_rows(chain: FiniteChain, cfg, args) -> list[Row]:
     if values is None or len(values) != chain.n_states:
         raise ConfigError(f"function.values must list {chain.n_states} per-state payoffs")
     h = np.array([float(v) for v in values])
-    T = float(run_cfg.get("T", 1.0))
-    if T <= 0:
-        raise ConfigError(f"run.T must be positive, got {T}")
+    T = _horizon(run_cfg)
     i = run_cfg.get("x0", 0)
-    if not isinstance(i, int) or not 0 <= i < chain.n_states:
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < chain.n_states:
         raise ConfigError(f"run.x0 must be a start-state index in [0, {chain.n_states})")
     modes = _run_modes(run_cfg)
 
@@ -462,8 +485,8 @@ def run_config(cfg: dict, args) -> list[Row]:
     _check_keys(cfg, "top-level", ("model", "function", "run", "numerics", "grid", "oracles"))
     model_cfg = _section(cfg, "model")
     num_cfg = _section(cfg, "numerics", required=False, keys=("order", "buffer", "ode"))
-    order = int(num_cfg.get("order", 12))
-    buffer = int(num_cfg.get("buffer", 2))
+    order = _int_setting(num_cfg.get("order", 12), "numerics.order")
+    buffer = _int_setting(num_cfg.get("buffer", 2), "numerics.buffer")
     if order < 2:
         raise ConfigError(f"numerics.order must be >= 2, got {order}")
     if buffer < 0:
@@ -478,8 +501,16 @@ def run_config(cfg: dict, args) -> list[Row]:
     else:
         _check_keys(model_cfg, "model", ("dim", "drift", "diffusion", "kernel"))
         kernel_cfg = _section(model_cfg, "kernel", required=False, keys=("intensity", "atoms", "pole_order"))
-        for m, atom in enumerate(kernel_cfg.get("atoms", [])):
+        atoms = kernel_cfg.get("atoms", [])
+        if not isinstance(atoms, list):
+            raise ConfigError(f"model.kernel.atoms must be a list of atoms, got {atoms!r}")
+        for m, atom in enumerate(atoms):
+            if not isinstance(atom, dict):
+                raise ConfigError(f"kernel atom {m} must be a mapping, got {atom!r}")
             _check_keys(atom, f"kernel atom {m}", ("weight", "size"))
+            for key in ("weight", "size"):
+                if key not in atom:
+                    raise ConfigError(f"kernel atom {m} needs a {key!r}")
         name = "inline"
 
         def build(o: int):

@@ -114,6 +114,8 @@ def dopri5(
     y = np.array(y0)
     w = np.ones(y.size) if weights is None else np.asarray(weights, dtype=float)
     times = np.array([t0, t1], dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"flow times must be finite, got t0={t0}, t1={t1}")
     span = t1 - t0
     if span < 0:
         raise ValueError("flows run forward: need t1 >= t0")

@@ -208,6 +208,19 @@ class TestRun:
         assert code == 0, err
         assert sum(line.startswith(("linear-flow", "riccati-flow", "log-linear-flow")) for line in out.splitlines()) == 3
 
+    def test_dual_chain_row(self, tmp_path, capsys):
+        cfg = dict(UNIT_INTERVAL, numerics={"order": 16}, oracles={"dual": {"k_max": 400}})
+        out_dir = tmp_path / "art"
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg), "--out", str(out_dir))
+        assert code == 0, err
+        with open(out_dir / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        dual = [r for r in rows if r["quantity"] == "dual-chain"]
+        assert len(dual) == 1 and dual[0]["kind"] == "oracle" and dual[0]["mode"] == "affine"
+        assert "outflow" in dual[0]["detail"] and "bound" in dual[0]["detail"]
+        # the log-linear engine row is the reference of the oracle's diff
+        assert float(dual[0]["rel_diff"]) <= 1e-4
+
     def test_mc_override_flags(self, tmp_path, capsys):
         cfg = dict(BASE, oracles={"mc": {"paths": 5000, "dt": 0.005, "seed": 1}})
         code, out, _ = run_cli(
@@ -279,6 +292,20 @@ class TestExitCodes:
         }
         code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 2 and "diffusion-not-psd at (-1.0,)" in err and "np.float64" not in err
+
+    def test_grid_jump_leaves_box(self, tmp_path, capsys, monkeypatch):
+        # compound-poisson jumps by +-1/2, so from x = 1 it lands outside [-1, 1]
+        monkeypatch.setattr(cli, "holomorphic_expectation", _no_flow)
+        cfg = dict(BASE, model={"preset": "compound-poisson"}, grid={"lo": -1.0, "hi": 1.0, "n": 3, "box": [-1.0, 1.0]})
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 2 and "jump-leaves-box at (1.0,)" in err
+
+    @pytest.mark.parametrize("box", [[0.0], [-1.0, 0.0, 1.0], [[-1.0, -1.0], [1.0, 1.0]], [-1.0, "top"], {"lo": -1.0}])
+    def test_malformed_grid_box(self, tmp_path, capsys, monkeypatch, box):
+        monkeypatch.setattr(cli, "holomorphic_expectation", _no_flow)
+        cfg = dict(BASE, model={"preset": "compound-poisson"}, grid={"lo": -1.0, "hi": 1.0, "n": 3, "box": box})
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 2 and "grid.box" in err
 
     def test_order_beyond_float_factorials(self, tmp_path, capsys):
         # working order 171 through the default buffer; 171! overflows a float
@@ -369,10 +396,25 @@ class TestExitCodes:
             # three typos at once: the first one read is named
             (lambda c: (c["run"].update(affine_rout="log-linear"), c.update(numerics={"ordr": 20}, grid={"n": 0, "nn": 3})),
              "ordr"),
+            # values of the wrong type are rejected, not truncated or coerced
+            pytest.param(lambda c: c["numerics"].update(order=6.7), "numerics.order", id="float-order"),
+            pytest.param(lambda c: c["numerics"].update(buffer=1.5), "numerics.buffer", id="float-buffer"),
+            pytest.param(lambda c: c.update(grid={"lo": -1.0, "hi": 1.0, "n": 3.5}), "grid.n", id="float-grid-n"),
+            pytest.param(lambda c: c.update(model={"preset": "two-state-affine"},
+                                            function={"family": "values", "values": [1, 0]},
+                                            run={"mode": "both", "T": 1.0, "x0": True}), "run.x0", id="bool-chain-x0"),
+            # a non-finite horizon or start point
+            pytest.param(lambda c: c["run"].update(T=math.inf), "run.T", id="inf-T"),
+            pytest.param(lambda c: c["run"].update(T=math.nan), "run.T", id="nan-T"),
+            pytest.param(lambda c: c["run"].update(x0=math.nan), "run.x0", id="nan-x0"),
+            pytest.param(lambda c: c.update(model={"preset": "two-state-affine"},
+                                            function={"family": "values", "values": [1, 0]},
+                                            run={"mode": "both", "T": math.inf, "x0": 0}), "run.T", id="inf-chain-T"),
         ],
     )
     def test_config_typos_rejected(self, tmp_path, capsys, monkeypatch, edit, key):
-        monkeypatch.setattr(cli, "holomorphic_expectation", _no_flow)
+        for flow in ("holomorphic_expectation", "chain_expectation", "chain_affine_flow"):
+            monkeypatch.setattr(cli, flow, _no_flow)
         cfg = {k: dict(v) for k, v in BASE.items()}
         edit(cfg)
         code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
@@ -386,6 +428,10 @@ class TestExitCodes:
             ({"intensity": [[0, 1.0]], "atom": [{"weight": 1.0, "size": [[0, 0.1]]}]}, "atom"),
             ({"intensity": [[0, 1.0]], "atoms": [{"weight": 1.0, "size": [[0, 0.1]]}, {"weight": 0.5, "sizes": [[0, 0.2]]}]},
              "sizes"),
+            ({"intensity": [[0, 1.0]], "atoms": [{"weight": 1.0}]}, "kernel atom 0 needs a 'size'"),
+            ({"intensity": [[0, 1.0]], "atoms": [{"weight": 1.0, "size": [[0, 0.1]]}, [0.5]]},
+             "kernel atom 1 must be a mapping"),
+            ({"intensity": [[0, 1.0]], "atoms": {"edge": {"weight": 1.0, "size": [[0, 0.1]]}}}, "model.kernel.atoms"),
         ],
     )
     def test_kernel_typos_rejected(self, tmp_path, capsys, monkeypatch, kernel, key):
@@ -415,6 +461,7 @@ class TestExitCodes:
             ({"dual": {"kmax": 10}}, "kmax"),
             ({"mc": {"paths": 2000, "dt": 0.01, "state_box": [1.0, -1.0]}}, "state_box"),
             ({"mc": {"paths": 2000, "dt": 0.01, "state_box": [-1.0, 1.0, 2.0]}}, "state_box"),
+            ({"dual": {"k_max": 400.5}}, "oracles.dual.k_max"),
         ],
     )
     def test_oracle_settings_checked_before_flows(self, tmp_path, capsys, monkeypatch, oracles, key):

@@ -56,6 +56,12 @@ class TestIntegrators:
         np.testing.assert_array_equal(ys[0], y0)
         assert abs(ys[1][0] - math.exp(-0.75)) < 1e-9
 
+    @pytest.mark.parametrize("t0,t1", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)])
+    def test_dopri5_rejects_non_finite_times(self, t0, t1):
+        # a non-finite time would leave the loop at once and return the start state
+        with pytest.raises(ValueError, match="finite"):
+            dopri5(lambda t, y: -y, t0, t1, np.array([1.0]))
+
     def test_dopri5_step_budget(self):
         with pytest.raises(FlowBudgetError):
             dopri5(lambda t, y: -y, 0.0, 1.0, np.array([1.0]), rtol=1e-12, max_steps=2)
