@@ -20,7 +20,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -155,8 +155,10 @@ def _payoff(fn_cfg: dict, dim: int, order: int):
         poly = np.polynomial.Polynomial(cs)
         return u0, (lambda xs: poly(np.asarray(xs, dtype=float)))
     if family in _TAYLOR:
-        s = float(fn_cfg.get("scale", 1.0))
-        amp = float(fn_cfg.get("amplitude", 1.0))
+        s, amp = (float(fn_cfg.get(key, 1.0)) for key in ("scale", "amplitude"))
+        for key, v in (("scale", s), ("amplitude", amp)):
+            if not math.isfinite(v):
+                raise ConfigError(f"function.{key} must be finite, got {v}")
         cyc, f = _TAYLOR[family]
         entries = [((k,), amp * cyc[k % 4] * s**k) for k in range(order + 1)]
         return ser.from_entries(1, order, entries), lambda xs: amp * f(s * np.asarray(xs, dtype=float))
@@ -172,14 +174,15 @@ def _is_identity_payoff(u0: CoeffSeries) -> bool:
 
 
 def _ode_config(cfg: dict) -> OdeConfig:
-    _check_keys(cfg, "ode", ("rtol", "atol", "first_step", "max_steps"))
+    _check_keys(cfg, "numerics.ode", [f.name for f in fields(OdeConfig)])
     try:
         return OdeConfig(**cfg)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"ode config: {e}") from None
+    except ValueError as e:
+        raise ConfigError(f"numerics.ode.{e}") from None
 
 
 def _mc_config(cfg: dict, args) -> McConfig:
+    _check_keys(cfg, "oracles.mc", [f.name for f in fields(McConfig)])
     cfg = dict(cfg)
     if args.mc_paths is not None:
         cfg["paths"] = args.mc_paths
@@ -187,8 +190,8 @@ def _mc_config(cfg: dict, args) -> McConfig:
         cfg["seed"] = args.seed
     try:
         return McConfig(**cfg)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"mc config: {e}") from None
+    except ValueError as e:
+        raise ConfigError(f"oracles.mc.{e}") from None
 
 
 def _horizon(run_cfg: dict) -> float:
@@ -315,6 +318,10 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], b
         if not _is_identity_payoff(u_full):
             raise ConfigError("the dual-chain oracle needs the identity payoff h(x) = x")
         k_max = _int_setting(dual_cfg.get("k_max", 400), "oracles.dual.k_max")
+        try:
+            dual = UnitIntervalModel(k_max=k_max)
+        except ValueError as e:
+            raise ConfigError(f"oracles.dual.{e}") from None
 
     # the module globals are looked up at call time, so tests can replace them
     routes = []
@@ -346,8 +353,8 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], b
     if dual_cfg is not None:
         _timed(
             rows, "dual-chain", "affine", "oracle",
-            lambda: UnitIntervalModel(k_max=k_max).dual_expectation(T),
-            lambda dual: (dual.evaluate(float(x0)), f"outflow {dual.outflow:.2e}, bound {dual.impact_bound:.2e}"),
+            lambda: dual.dual_expectation(T),
+            lambda res: (res.evaluate(float(x0)), f"outflow {res.outflow:.2e}, bound {res.impact_bound:.2e}"),
         )
     return rows
 
@@ -363,7 +370,7 @@ def _truncate(u: CoeffSeries, order: int) -> CoeffSeries:
 def _chain_rows(chain: FiniteChain, cfg, args) -> list[Row]:
     if args.sweep_order is not None:
         raise ConfigError("--sweep-order applies to series models, not finite chains")
-    _check_keys(cfg, "finite-chain", ("model", "function", "run", "numerics"))
+    _check_keys(cfg, "finite-chain", ("model", "function", "run"))
     run_cfg = _section(cfg, "run", keys=("mode", "T", "x0"))
     fn_cfg = _section(cfg, "function")
     if fn_cfg.get("family", "values") != "values":

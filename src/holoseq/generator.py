@@ -8,11 +8,11 @@ form driving the exponential-moment flow).
 What depends only on the characteristics and the order is compiled once per
 ``Characteristics``, on first use, and kept read-only on it. L is linear, so
 it is a dense n x n matrix and each linear right-hand side is one
-matrix-vector product. Drift and diffusion are multiplication matrices with
-their columns placed by a coefficient shift. Each jump atom is its
-composition map u -> u o (id + j) minus the identity, compensated in degree
-one, weighted, multiplied by the intensity and pole-divided. R is L plus the
-quadratic diffusion term plus, per atom, exp*(g) - 1 - g for g = u o j - u,
+matrix-vector product. Drift and diffusion are the matrices of the product
+rows of ``series._mul_rows``. Each jump atom is its composition map
+u -> u o (id + j) minus the identity, compensated in degree one, weighted,
+multiplied by the intensity and pole-divided. R is L plus the quadratic
+diffusion term plus, per atom, exp*(g) - 1 - g for g = u o j - u,
 multiplied and pole-divided alike. The quadratic term is compiled into rows
 (out, left, right, weight), so it costs one gather and one row sum; the
 atoms' tilt depends on u through exp*, so it runs per call.
@@ -36,21 +36,11 @@ def _basis(dim: int, i: int) -> tuple[int, ...]:
     return tuple(1 if k == i else 0 for k in range(dim))
 
 
-def _mul_matrix(b: CoeffSeries) -> np.ndarray:
-    """Matrix of u -> mul(u, b): row out, column left, weight w * b[right]."""
-    out, left, right, w = ser._conv_table(b.dim, b.order)
+def _mul_matrix(b: CoeffSeries, beta: tuple[int, ...] | None = None) -> np.ndarray:
+    """Matrix of u -> mul(shift(u, beta), b): row out, column left, weight w * b[right]."""
+    out, left, right, w = ser._mul_rows(b, beta)
     n = len(b.coeffs)
     return ser._row_sum(out * n + left, w * b.coeffs[right], n * n).reshape(n, n)
-
-
-def _mul_shift_matrix(b: CoeffSeries, beta: tuple[int, ...]) -> np.ndarray:
-    """Matrix of u -> mul(shift(u, beta), b): the columns of mul by b, placed
-    where the shift reads them."""
-    m = _mul_matrix(b)
-    dst, src = ser._shift_table(b.dim, b.order, beta)
-    out = np.zeros_like(m)
-    out[:, src] = m[:, dst]
-    return out
 
 
 def _compile_l(chars: Characteristics) -> np.ndarray:
@@ -58,19 +48,19 @@ def _compile_l(chars: Characteristics) -> np.ndarray:
     n = len(ser.index_table(dim, order)[0])
     out = np.zeros((n, n), dtype=np.complex128)
     for i in range(dim):
-        out += _mul_shift_matrix(chars.drift[i], _basis(dim, i))
+        out += _mul_matrix(chars.drift[i], _basis(dim, i))
     for i in range(dim):
         for j in range(i, dim):
             beta = tuple(a + b for a, b in zip(_basis(dim, i), _basis(dim, j)))
             w = 0.5 if i == j else 1.0
-            out += w * _mul_shift_matrix(chars.diffusion[i][j], beta)
+            out += w * _mul_matrix(chars.diffusion[i][j], beta)
     k = chars.kernel
     if k is not None and k.atoms:
         jumps = np.zeros((n, n), dtype=np.complex128)
         for atom in k.atoms:
             term = ser._compose_map(atom.size) - np.eye(n)
             for i in range(dim):
-                term -= _mul_shift_matrix(atom.size[i], _basis(dim, i))
+                term -= _mul_matrix(atom.size[i], _basis(dim, i))
             jumps += atom.weight * term
         jumps = _mul_matrix(k.intensity) @ jumps
         for _ in range(k.pole_order):
@@ -94,11 +84,7 @@ def _compile_quadratic(chars: Characteristics) -> tuple[np.ndarray, ...]:
     dim, order = chars.dim, chars.order
     out, left, right, w = ser._conv_table(dim, order)
     n = len(ser.index_table(dim, order)[0])
-    src = []  # src[i][alpha]: index of alpha + e_i, or -1 above the order
-    for i in range(dim):
-        dst, s = ser._shift_table(dim, order, _basis(dim, i))
-        src.append(np.full(n, -1, dtype=np.int64))
-        src[i][dst] = s
+    at = [ser._shift_table(dim, order, _basis(dim, i)) for i in range(dim)]
     empty = np.zeros(0, dtype=np.int64)
     parts = [(empty, empty, empty, np.zeros(0, dtype=np.complex128))]
     for i in range(dim):
@@ -107,8 +93,8 @@ def _compile_quadratic(chars: Characteristics) -> tuple[np.ndarray, ...]:
             if not a.any():
                 continue
             # rows of u^(e_i) * u^(e_j), grouped by output gamma
-            keep = (src[i][left] >= 0) & (src[j][right] >= 0)
-            g_l, g_r, g_w = src[i][left[keep]], src[j][right[keep]], w[keep]
+            keep = (at[i][left] >= 0) & (at[j][right] >= 0)
+            g_l, g_r, g_w = at[i][left[keep]], at[j][right[keep]], w[keep]
             count = np.bincount(out[keep], minlength=n)
             first = np.cumsum(count) - count
             # rows of a * (.) with a_beta != 0, each joined with every row of

@@ -13,6 +13,7 @@ bit-identical for a fixed config regardless of how batches would be scheduled.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,12 @@ class McConfig:
     state_box: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.paths < 1 or self.dt <= 0:
-            raise ValueError("paths and dt must be positive")
+        for name, least in (("paths", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+        if not (isinstance(self.dt, numbers.Real) and math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if self.state_box is not None:
             try:
                 lo, hi = (float(v) for v in self.state_box)

@@ -17,6 +17,8 @@ measured.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -67,12 +69,14 @@ class OdeConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
-        if self.first_step is not None and self.first_step <= 0:
-            raise ValueError("first_step must be positive when given")
+        for name in ("rtol", "atol", "first_step"):
+            v = getattr(self, name)
+            ok = isinstance(v, numbers.Real) and math.isfinite(v) and v > 0
+            if not (ok or (v is None and name == "first_step")):
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        m = self.max_steps
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise ValueError(f"max_steps must be a positive integer, got {m!r}")
 
 
 # Dormand-Prince 5(4) tableau, FSAL

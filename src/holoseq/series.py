@@ -37,7 +37,6 @@ __all__ = [
     "compose_shift",
     "taylor_weights",
     "evaluate",
-    "evaluate_many",
     "real_points",
     "RealEvaluator",
     "abs_norm",
@@ -78,8 +77,7 @@ def index_table(dim: int, order: int) -> tuple[tuple[MultiIndex, ...], dict[Mult
 
 @lru_cache(maxsize=None)
 def _degrees(dim: int, order: int) -> np.ndarray:
-    idx, _ = index_table(dim, order)
-    d = np.array([sum(a) for a in idx], dtype=np.int64)
+    d = _index_matrix(dim, order).sum(axis=1)
     d.setflags(write=False)
     return d
 
@@ -125,17 +123,13 @@ def _conv_table(dim: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 @lru_cache(maxsize=None)
-def _shift_table(dim: int, order: int, beta: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (dst, src) realising u^(beta)_alpha = u_{alpha+beta}."""
+def _shift_table(dim: int, order: int, beta: MultiIndex) -> np.ndarray:
+    """Read-only index map of the shift by beta: at[alpha] is the index of
+    alpha + beta, or -1 where |alpha + beta| is above the order."""
     idx, lookup = index_table(dim, order)
-    dst, src = [], []
-    for i, a in enumerate(idx):
-        t = tuple(ak + bk for ak, bk in zip(a, beta))
-        j = lookup.get(t)
-        if j is not None:
-            dst.append(i)
-            src.append(j)
-    return np.array(dst, dtype=np.int64), np.array(src, dtype=np.int64)
+    at = np.array([lookup.get(tuple(a + b for a, b in zip(alpha, beta)), -1) for alpha in idx], dtype=np.int64)
+    at.setflags(write=False)
+    return at
 
 
 @dataclass(frozen=True)
@@ -265,15 +259,23 @@ def shift(u: CoeffSeries, beta: Sequence[int] | int) -> CoeffSeries:
 
     Coefficients above order - |beta| are zero-filled.
     """
-    if isinstance(beta, int):
-        beta = (beta,)
-    b = tuple(int(x) for x in beta)
+    b = (int(beta),) if isinstance(beta, int) else tuple(int(x) for x in beta)
     if len(b) != u.dim or any(x < 0 for x in b):
         raise ValueError(f"bad shift index {b} for dim={u.dim}")
-    dst, src = _shift_table(u.dim, u.order, b)
-    c = np.zeros(len(u.coeffs), dtype=np.complex128)
-    c[dst] = u.coeffs[src]
-    return CoeffSeries(u.dim, u.order, c)
+    at = _shift_table(u.dim, u.order, b)
+    return CoeffSeries(u.dim, u.order, np.where(at >= 0, u.coeffs[at], 0))
+
+
+def _mul_rows(b: CoeffSeries, beta: MultiIndex | None = None) -> tuple[np.ndarray, ...]:
+    """Rows (out, left, right, w) of u -> mul(shift(u, beta), b): the rows of
+    ``_conv_table`` over b's support, in table order, with left moved to where
+    the shift reads (rows reading above the order dropped), so the product is
+    the row sum by out of w * u[left] * b[right]."""
+    out, left, right, w = _conv_table(b.dim, b.order)
+    if beta is not None:
+        left = _shift_table(b.dim, b.order, beta)[left]
+    keep = (left >= 0) & (b.coeffs[right] != 0)
+    return out[keep], left[keep], right[keep], w[keep]
 
 
 def divide_by_coordinate(u: CoeffSeries, coord: int = 0) -> CoeffSeries:
@@ -299,10 +301,11 @@ def _divide_coeffs(c: np.ndarray, dim: int, order: int, coord: int = 0) -> np.nd
             f"series does not vanish on z_{coord}=0 (max |coeff| = {bad.max():.3e}); "
             "a pole intensity needs jump sizes vanishing at the origin"
         )
-    dst, src = _shift_table(dim, order, tuple(1 if k == coord else 0 for k in range(dim)))
+    at = _shift_table(dim, order, tuple(1 if k == coord else 0 for k in range(dim)))
+    dst = np.flatnonzero(at >= 0)
     denom = idxm[dst, coord] + 1.0
     out = np.zeros_like(c)
-    out[dst] = c[src] / denom.reshape(denom.shape + (1,) * (c.ndim - 1))
+    out[dst] = c[at[dst]] / denom.reshape(denom.shape + (1,) * (c.ndim - 1))
     return out
 
 
@@ -423,23 +426,26 @@ def _compose_table(dim: int, order: int, sizes: tuple[bytes, ...]) -> np.ndarray
 
     Column gamma holds q_gamma, the coefficients of (z + v(z))^gamma / gamma!,
     from the normalised powers q_gamma = q_{gamma - e_i} * (e_i + v_i) / gamma_i
-    along the first coordinate i with gamma_i > 0. No factorial is formed, so
-    any order runs. Keyed by value, so equal jump sizes of rebuilt models
-    share one read-only table.
+    along the first coordinate i with gamma_i > 0: one row sum over the
+    product rows of e_i + v_i, whose support is small. No factorial is
+    formed, so any order runs. Keyed by value, so equal jump sizes of rebuilt
+    models share one read-only table.
     """
     idx, lookup = index_table(dim, order)
+    n = len(idx)
     lines = []
     for i, raw in enumerate(sizes):
         c = np.frombuffer(raw, dtype=np.complex128).copy()
         if order > 0:
             c[lookup[tuple(1 if k == i else 0 for k in range(dim))]] += 1.0
-        lines.append(CoeffSeries(dim, order, c))
-    cols = [unit(dim, order)]
-    for gamma in idx[1:]:
+        lines.append(_mul_rows(CoeffSeries(dim, order, c)) + (c,))
+    table = np.zeros((n, n), dtype=np.complex128)
+    table[0, 0] = 1.0
+    for col, gamma in enumerate(idx[1:], start=1):
         i = next(k for k, g in enumerate(gamma) if g > 0)
         prev = lookup[tuple(g - 1 if k == i else g for k, g in enumerate(gamma))]
-        cols.append(CoeffSeries(dim, order, mul(cols[prev], lines[i]).coeffs / gamma[i]))
-    table = np.stack([q.coeffs for q in cols], axis=1)
+        out, left, right, w, c = lines[i]
+        table[:, col] = _row_sum(out, w * table[left, prev] * c[right], n) / gamma[i]
     table.setflags(write=False)
     return table
 
@@ -505,14 +511,6 @@ def evaluate(u: CoeffSeries, z: Sequence[complex] | complex) -> complex:
     return complex(total)
 
 
-def evaluate_many(u: CoeffSeries, zs: np.ndarray) -> np.ndarray:
-    """``evaluate`` at each point; zs has shape (npoints, dim) or (npoints,)."""
-    pts = np.asarray(zs, dtype=np.complex128)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    return np.array([evaluate(u, p) for p in pts], dtype=np.complex128)
-
-
 def real_points(xs, dim: int) -> np.ndarray:
     """Real state points as an (npoints, dim) float array.
 
@@ -536,8 +534,8 @@ class RealEvaluator:
     sum_alpha Re(u_alpha) x^alpha / alpha!, so only the support of Re(u) is
     kept, with 1/alpha! folded into the weights, and each value is the sum of
     the support monomials built from per-coordinate power tables. The result
-    equals ``evaluate_many(u, x).real`` up to rounding: the summation order
-    differs and there is no compensation.
+    equals ``evaluate(u, x).real`` at each point up to rounding: the summation
+    order differs and there is no compensation.
     """
 
     def __init__(self, u: CoeffSeries):

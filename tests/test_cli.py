@@ -119,18 +119,12 @@ class TestRun:
         mc_line = next(line for line in out.splitlines() if line.startswith("monte-carlo"))
         assert float(mc_line.split()[3]) < 0.2
 
-    def test_series_payoff_monte_carlo(self, tmp_path, capsys, monkeypatch):
+    def test_series_payoff_monte_carlo(self, tmp_path, capsys):
         # raw entries [[2, 2.0]] are h(x) = x^2; the simulated payoff runs
         # through the compiled real evaluator, never the complex kernel
-        def refuse(*args, **kwargs):
-            raise AssertionError("series.evaluate_many called on the Monte Carlo payoff")
-
-        monkeypatch.setattr(ser, "evaluate_many", refuse)
-        cfg = dict(
-            BASE,
-            function={"family": "series", "entries": [[2, 2.0]]},
-            oracles={"mc": {"paths": 4000, "dt": 0.01, "seed": 2}},
-        )
+        function = {"family": "series", "entries": [[2, 2.0]]}
+        assert isinstance(cli._payoff(function, 1, 10)[1], ser.RealEvaluator)
+        cfg = dict(BASE, function=function, oracles={"mc": {"paths": 4000, "dt": 0.01, "seed": 2}})
         code, out, _ = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 0
         mc_line = next(line for line in out.splitlines() if line.startswith("monte-carlo"))
@@ -386,12 +380,15 @@ class TestExitCodes:
              "coefficients"),
             (lambda c: c["model"].update(dim=1), "dim"),
             (lambda c: c.update(model={"diffusion": [[0, 1.0]], "drfit": [[0, 1.0]]}), "drfit"),
-            (lambda c: c.update(model={"preset": "finite-chain"},
-                                function={"family": "values", "values": [1, 0, 0, 0], "scale": 2.0}), "scale"),
-            (lambda c: c.update(model={"preset": "finite-chain"}, function={"family": "values", "values": [1, 0, 0, 0]},
-                                run={"mode": "both", "T": 1.0, "x0": 0, "affine_route": "riccati"}), "affine_route"),
-            (lambda c: c.update(model={"preset": "two-state-affine"}, function={"family": "values", "values": [1, 0]},
-                                run={"mode": "both", "T": 1.0, "x0": 0}, oracles={"mc": {"paths": 10}}), "oracles"),
+            # chain models read no numerics section, so their cases drop BASE's
+            (lambda c: (c.pop("numerics"), c.update(model={"preset": "finite-chain"},
+                        function={"family": "values", "values": [1, 0, 0, 0], "scale": 2.0})), "scale"),
+            (lambda c: (c.pop("numerics"), c.update(model={"preset": "finite-chain"},
+                        function={"family": "values", "values": [1, 0, 0, 0]},
+                        run={"mode": "both", "T": 1.0, "x0": 0, "affine_route": "riccati"})), "affine_route"),
+            (lambda c: (c.pop("numerics"), c.update(model={"preset": "two-state-affine"},
+                        function={"family": "values", "values": [1, 0]},
+                        run={"mode": "both", "T": 1.0, "x0": 0}, oracles={"mc": {"paths": 10}})), "oracles"),
             (lambda c: c.update(grid={"lo": -1.0, "hi": 1.0, "n": 0}), "grid.n"),
             # three typos at once: the first one read is named
             (lambda c: (c["run"].update(affine_rout="log-linear"), c.update(numerics={"ordr": 20}, grid={"n": 0, "nn": 3})),
@@ -400,16 +397,35 @@ class TestExitCodes:
             pytest.param(lambda c: c["numerics"].update(order=6.7), "numerics.order", id="float-order"),
             pytest.param(lambda c: c["numerics"].update(buffer=1.5), "numerics.buffer", id="float-buffer"),
             pytest.param(lambda c: c.update(grid={"lo": -1.0, "hi": 1.0, "n": 3.5}), "grid.n", id="float-grid-n"),
-            pytest.param(lambda c: c.update(model={"preset": "two-state-affine"},
+            pytest.param(lambda c: (c.pop("numerics"), c.update(model={"preset": "two-state-affine"},
                                             function={"family": "values", "values": [1, 0]},
-                                            run={"mode": "both", "T": 1.0, "x0": True}), "run.x0", id="bool-chain-x0"),
+                                            run={"mode": "both", "T": 1.0, "x0": True})), "run.x0", id="bool-chain-x0"),
             # a non-finite horizon or start point
             pytest.param(lambda c: c["run"].update(T=math.inf), "run.T", id="inf-T"),
             pytest.param(lambda c: c["run"].update(T=math.nan), "run.T", id="nan-T"),
             pytest.param(lambda c: c["run"].update(x0=math.nan), "run.x0", id="nan-x0"),
+            pytest.param(lambda c: (c.pop("numerics"), c.update(model={"preset": "two-state-affine"},
+                                            function={"family": "values", "values": [1, 0]},
+                                            run={"mode": "both", "T": math.inf, "x0": 0})), "run.T", id="inf-chain-T"),
+            # a chain model has no numerics to tune
             pytest.param(lambda c: c.update(model={"preset": "two-state-affine"},
                                             function={"family": "values", "values": [1, 0]},
-                                            run={"mode": "both", "T": math.inf, "x0": 0}), "run.T", id="inf-chain-T"),
+                                            run={"mode": "both", "T": 1.0, "x0": 0},
+                                            numerics={"ode": {"rtol": 1e-3}}), "numerics", id="chain-numerics"),
+            # integrator settings that cannot steer a step
+            pytest.param(lambda c: c["numerics"].update(ode={"rtol": math.nan}), "numerics.ode.rtol", id="nan-rtol"),
+            pytest.param(lambda c: c["numerics"].update(ode={"atol": math.inf}), "numerics.ode.atol", id="inf-atol"),
+            pytest.param(lambda c: c["numerics"].update(ode={"first_step": math.nan}), "numerics.ode.first_step",
+                         id="nan-first-step"),
+            pytest.param(lambda c: c["numerics"].update(ode={"max_steps": 2.5}), "numerics.ode.max_steps",
+                         id="float-max-steps"),
+            pytest.param(lambda c: c["numerics"].update(ode={"max_steps": True}), "numerics.ode.max_steps",
+                         id="bool-max-steps"),
+            # a payoff that is not finite
+            pytest.param(lambda c: c.update(function={"family": "exp", "amplitude": math.inf}), "function.amplitude",
+                         id="inf-amplitude"),
+            pytest.param(lambda c: c.update(function={"family": "cos", "scale": math.nan}), "function.scale",
+                         id="nan-scale"),
         ],
     )
     def test_config_typos_rejected(self, tmp_path, capsys, monkeypatch, edit, key):
@@ -462,6 +478,12 @@ class TestExitCodes:
             ({"mc": {"paths": 2000, "dt": 0.01, "state_box": [1.0, -1.0]}}, "state_box"),
             ({"mc": {"paths": 2000, "dt": 0.01, "state_box": [-1.0, 1.0, 2.0]}}, "state_box"),
             ({"dual": {"k_max": 400.5}}, "oracles.dual.k_max"),
+            ({"mc": {"paths": 1.5, "dt": 0.01}}, "oracles.mc.paths"),
+            ({"mc": {"paths": True, "dt": 0.01}}, "oracles.mc.paths"),
+            ({"mc": {"paths": 100, "dt": 0.01, "seed": -1}}, "oracles.mc.seed"),
+            ({"mc": {"paths": 100, "dt": 0.01, "seed": 2.5}}, "oracles.mc.seed"),
+            ({"mc": {"paths": 100, "dt": math.nan}}, "oracles.mc.dt"),
+            ({"dual": {"k_max": 2}}, "oracles.dual.k_max"),
         ],
     )
     def test_oracle_settings_checked_before_flows(self, tmp_path, capsys, monkeypatch, oracles, key):

@@ -34,6 +34,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(dt=0.0)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"paths": 1.5}, {"paths": True}, {"seed": -1}, {"seed": 2.5}, {"seed": False}, {"dt": math.nan}, {"dt": math.inf}],
+    )
+    def test_rejects_values_no_simulation_can_use(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            McConfig(**setting)
+
+    def test_accepts_numpy_integers(self):
+        cfg = McConfig(paths=np.int64(10), seed=np.uint32(3))
+        assert (cfg.paths, cfg.seed) == (10, 3)
+
     def test_within_helper(self):
         est = McEstimate(mean=1.0, stderr=0.1, paths=10)
         assert est.within(1.25) and not est.within(1.35)
@@ -260,9 +272,9 @@ class TestCompiledHotPath:
         affine = build_preset("affine-linear-jumps")
 
         def refuse(*args, **kwargs):
-            raise AssertionError("series.evaluate_many called on a state-space evaluation")
+            raise AssertionError("series.evaluate called on a state-space evaluation")
 
-        monkeypatch.setattr(ser, "evaluate_many", refuse)
+        monkeypatch.setattr(ser, "evaluate", refuse)
         for chars, f, x0, extra in runs:
             cfg = McConfig(paths=500, dt=1e-2, seed=7, **extra)
             assert np.isfinite(simulate_expectation(chars, f, x0, 0.1, cfg).mean)

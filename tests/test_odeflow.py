@@ -79,6 +79,14 @@ class TestIntegrators:
         with pytest.raises(ValueError):
             OdeConfig(first_step=-0.1)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"rtol": math.nan}, {"atol": math.inf}, {"first_step": math.nan}, {"max_steps": 2.5}, {"max_steps": True}],
+    )
+    def test_config_rejects_values_no_step_can_use(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            OdeConfig(**setting)
+
 
 class TestLinearFlow:
     def test_bm_square_closed_form(self):

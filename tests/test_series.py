@@ -10,6 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from holoseq import series as ser
+from holoseq.generator import _mul_matrix
 
 import reference_kernels as refk
 
@@ -125,15 +126,6 @@ def test_evaluate_exponential_reference():
     n = 30
     u = ser.CoeffSeries(1, n, np.ones(n + 1))
     assert abs(ser.evaluate(u, 1.0) - math.e) < EVAL_TOL
-
-
-def test_evaluate_many_matches_scalar():
-    rng = np.random.default_rng(11)
-    u = random_series(rng, 2, 5)
-    pts = rng.standard_normal((7, 2))
-    vals = ser.evaluate_many(u, pts)
-    for p, v in zip(pts, vals):
-        assert abs(v - ser.evaluate(u, p)) < 1e-14
 
 
 def test_abs_norm_known_value():
@@ -320,6 +312,33 @@ def test_leibniz_rule(u, v):
 
 
 @seed(20260814)
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.integers(min_value=0, max_value=9),
+    st.lists(st.integers(min_value=0, max_value=3), min_size=3, max_size=3),
+    st.booleans(),
+    st.floats(min_value=0.0, max_value=0.95),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mul_rows_are_shifted_product(dim, order, beta, no_shift, sparsity, draw_seed):
+    # one row sum of the rows of u -> mul(shift(u, beta), b) is that product,
+    # term for term: the rows only drop terms that are exactly zero
+    rng = np.random.default_rng(draw_seed)
+    n = len(ser.index_table(dim, order)[0])
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c[rng.random(n) < sparsity] = 0.0
+    b = ser.CoeffSeries(dim, order, c)
+    u = random_series(rng, dim, order)
+    beta = None if no_shift else tuple(beta[:dim])
+    out, left, right, w = ser._mul_rows(b, beta)
+    assert np.all(b.coeffs[right] != 0) and np.all(np.diff(out) >= 0)
+    want = ser.mul(ser.shift(u, beta or (0,) * dim), b).coeffs
+    assert np.array_equal(ser._row_sum(out, w * u.coeffs[left] * b.coeffs[right], n), want)
+    np.testing.assert_allclose(_mul_matrix(b, beta) @ u.coeffs, want, rtol=0, atol=1e-12 * (1 + np.abs(want).max()))
+
+
+@seed(20260814)
 @settings(max_examples=40, deadline=None)
 @given(series_strategy(1, 7), series_strategy(1, 7))
 def test_exp_star_homomorphism(u, v):
@@ -347,7 +366,7 @@ def test_abs_norm_submultiplicative(u):
     st.sampled_from(["random", "sparse", "zero", "constant"]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_real_evaluator_matches_evaluate_many(dim, order, kind, draw_seed):
+def test_real_evaluator_matches_evaluate(dim, order, kind, draw_seed):
     # at real points Re h_u = sum Re(u_alpha) x^alpha / alpha!, so the compiled
     # evaluator agrees with the complex kernel up to rounding
     rng = np.random.default_rng(draw_seed)
@@ -361,7 +380,7 @@ def test_real_evaluator_matches_evaluate_many(dim, order, kind, draw_seed):
             c[rng.random(n) < 0.9] = 0.0
     u = ser.CoeffSeries(dim, order, c)
     pts = rng.uniform(-3.0, 3.0, size=(16, dim))
-    want = ser.evaluate_many(u, pts).real
+    want = np.array([ser.evaluate(u, p) for p in pts]).real
     got = ser.RealEvaluator(u)(pts)
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
