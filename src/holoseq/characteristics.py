@@ -14,8 +14,9 @@ coordinate, which is exact whenever the jump sizes vanish at the origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "JumpAtom",
     "JumpKernel",
     "Characteristics",
+    "Degrees",
     "GridFinding",
     "GridReport",
     "validate_on_grid",
@@ -85,6 +87,18 @@ class JumpKernel:
         return float(sum(a.weight for a in self.atoms))
 
 
+class Degrees(NamedTuple):
+    """The highest nonzero degree of each characteristic, -1 for a zero one:
+    over the drift components, over the diffusion entries, of the intensity,
+    and over the jump sizes of each atom that moves the state (positive
+    weight and a nonzero size)."""
+
+    drift: int
+    diffusion: int
+    intensity: int
+    atoms: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class Characteristics:
     """Differential characteristics (b, a, K) with series-valued state dependence."""
@@ -101,6 +115,9 @@ class Characteristics:
     # ``holoseq.generator`` on first use
     _l_matrix: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
     _r_rows: tuple[np.ndarray, ...] | None = field(init=False, repr=False, compare=False, default=None)
+    degrees: Degrees = field(init=False, repr=False, compare=False)
+    # lower-order copies made by ``truncated``, by order
+    _truncations: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "drift", tuple(self.drift))
@@ -127,6 +144,18 @@ class Characteristics:
             for j in range(i + 1, self.dim):
                 if not np.array_equal(self.diffusion[i][j].coeffs, self.diffusion[j][i].coeffs):
                     raise ValueError(f"diffusion series a[{i}][{j}] != a[{j}][{i}]")
+        k = self.kernel
+        sizes = [max(map(ser.degree, a.size)) for a in (k.atoms if k is not None else ()) if a.weight > 0]
+        object.__setattr__(
+            self,
+            "degrees",
+            Degrees(
+                max(map(ser.degree, self.drift)),
+                max(ser.degree(a) for row in self.diffusion for a in row),
+                -1 if k is None else ser.degree(k.intensity),
+                tuple(s for s in sizes if s >= 0),
+            ),
+        )
         object.__setattr__(self, "_drift_eval", tuple(RealEvaluator(b) for b in self.drift))
         # the upper triangle only: a[j][i] == a[i][j] was checked above
         object.__setattr__(
@@ -140,6 +169,25 @@ class Characteristics:
     @property
     def order(self) -> int:
         return self.drift[0].order
+
+    def truncated(self, order: int) -> "Characteristics":
+        """The same characteristics at a lower order: each coefficient array
+        cut to its prefix. Built once per order and kept on this object, so
+        the operators compiled on the copy are kept too."""
+        if order == self.order:
+            return self
+        if not 0 <= order < self.order:
+            raise ValueError(f"truncation order must be in [0, {self.order}], got {order}")
+        if order not in self._truncations:
+            cut = lambda u: ser.with_order(u, order)  # noqa: E731
+            k = self.kernel
+            kernel = None
+            if k is not None:
+                atoms = tuple(JumpAtom(a.weight, tuple(map(cut, a.size))) for a in k.atoms)
+                kernel = JumpKernel(cut(k.intensity), atoms, k.pole_order)
+            diffusion = tuple(tuple(map(cut, row)) for row in self.diffusion)
+            self._truncations[order] = Characteristics(self.dim, tuple(map(cut, self.drift)), diffusion, kernel)
+        return self._truncations[order]
 
     def drift_values(self, xs) -> np.ndarray:
         """(npoints, dim) drift at real state points (see ``series.real_points``)."""
@@ -258,6 +306,8 @@ def series_from_config(spec, dim: int, order: int) -> CoeffSeries:
             alpha = [alpha]
         re = float(item[1])
         im = float(item[2]) if len(item) == 3 else 0.0
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(f"series entry {item!r} is not finite")
         entries.append((tuple(int(a) for a in alpha), re + 1j * im))
     return ser.from_entries(dim, order, entries)
 

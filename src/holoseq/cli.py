@@ -149,6 +149,8 @@ def _payoff(fn_cfg: dict, dim: int, order: int):
         if not coeffs:
             raise ConfigError("function.coefficients required for family 'polynomial'")
         cs = [float(c) for c in coeffs]
+        if not all(map(math.isfinite, cs)):
+            raise ConfigError(f"function.coefficients must be finite, got {coeffs!r}")
         if len(cs) - 1 > order:
             raise ConfigError(f"polynomial degree {len(cs) - 1} exceeds order {order}")
         u0 = ser.from_entries(1, order, [((k,), c * math.factorial(k)) for k, c in enumerate(cs)])
@@ -233,6 +235,10 @@ def _sweep_list(arg: str | None) -> list[int] | None:
 
 def _grid_check(chars: Characteristics, grid_cfg: dict) -> list[str]:
     lo, hi = float(grid_cfg.get("lo", -1.0)), float(grid_cfg.get("hi", 1.0))
+    # a NaN point passes every check of validate_on_grid
+    for key, v in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(v):
+            raise ConfigError(f"grid.{key} must be finite, got {v}")
     n = _int_setting(grid_cfg.get("n", 9), "grid.n")
     if n < 1:
         raise ConfigError(f"grid.n must be >= 1, got {n}")
@@ -334,14 +340,11 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], b
 
     rows: list[Row] = []
     for n in orders:
-        u0 = _truncate(u_full, n + buffer)
+        u0 = ser.with_order(u_full, n + buffer)
         model_n = model if u0.order == model.order else build(u0.order)
         tag = f" N={n}" if sweep else ""
         for label, row_mode, call in routes:
-            res = _timed(
-                rows, f"{label}-flow{tag}", row_mode, "engine", lambda: call(model_n, u0),
-                lambda res: (res.value, f"tail {res.tail:.2e}, nfev {res.flow.stats['nfev']}"),
-            )
+            res = _timed(rows, f"{label}-flow{tag}", row_mode, "engine", lambda: call(model_n, u0), _flow_detail)
             if out_dir is not None and not sweep:
                 flow_to_csv(res.flow, out_dir / f"flow_{label.replace('-', '_')}.csv")
 
@@ -359,12 +362,12 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], b
     return rows
 
 
-def _truncate(u: CoeffSeries, order: int) -> CoeffSeries:
-    # graded ordering: the low-degree block is a prefix of the coefficient array
-    if order >= u.order:
-        return u
-    idx, _ = ser.index_table(u.dim, order)
-    return CoeffSeries(u.dim, order, u.coeffs[: len(idx)].copy())
+def _flow_detail(res):
+    stats = res.flow.stats
+    detail = f"tail {res.tail:.2e}, nfev {stats['nfev']}"
+    if stats["order"] < res.flow.final.order:
+        detail += f", closed at degree {stats['order']}"
+    return res.value, detail
 
 
 def _chain_rows(chain: FiniteChain, cfg, args) -> list[Row]:

@@ -16,6 +16,11 @@ diffusion term plus, per atom, exp*(g) - 1 - g for g = u o j - u,
 multiplied and pole-divided alike. The quadratic term is compiled into rows
 (out, left, right, weight), so it costs one gather and one row sum; the
 atoms' tilt depends on u through exp*, so it runs per call.
+
+``linear_closes`` and ``riccati_closes`` decide from the characteristics'
+degrees whether L or R maps the exponents of degree <= d into themselves:
+then the flow of a payoff of degree <= d stays there, and runs exactly at
+order d.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from holoseq.series import CoeffSeries
 __all__ = [
     "apply_l_composition",
     "apply_r",
+    "linear_closes",
+    "riccati_closes",
 ]
 
 
@@ -147,22 +154,24 @@ def apply_r(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
 
     L and the rows of the quadratic term are compiled on first use and kept
     on ``chars``; a call is one matrix-vector product, one gather and row
-    sum, and per atom one ``compose_shift`` and one ``exp_star``, then one
-    ``mul`` by the intensity and the pole division. Raises
-    LeadingCoefficientError as ``apply_l_composition`` does.
+    sum, and per atom one ``compose_shift`` (a product with the atom's cached
+    composition map) and one ``exp_star`` on the raw array, then one ``mul``
+    by the intensity and the pole division. Raises LeadingCoefficientError
+    as ``apply_l_composition`` does.
     """
     dim, order = u.dim, u.order
+    c = u.coeffs
     out = _linear(u, chars)
     if chars._r_rows is None:
         object.__setattr__(chars, "_r_rows", _compile_quadratic(chars))
     q_out, q_left, q_right, q_weight = chars._r_rows
-    out += ser._row_sum(q_out, q_weight * u.coeffs[q_left] * u.coeffs[q_right], len(out))
+    out += ser._row_sum(q_out, q_weight * c[q_left] * c[q_right], len(out))
     k = chars.kernel
     if k is not None and k.atoms:
         acc = np.zeros_like(out)
         for atom in k.atoms:
-            g = ser.compose_shift(u, atom.size).coeffs - u.coeffs
-            e = ser.exp_star(CoeffSeries(dim, order, g)).coeffs
+            g = ser.compose_shift(u, atom.size).coeffs - c
+            e = ser._exp_star(g, dim, order)
             term = e - g
             term[0] = e[0] - 1.0 - g[0]  # (e - 1) - g, the 1 in degree zero
             acc += atom.weight * term
@@ -171,3 +180,43 @@ def apply_r(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
             tilt = ser._divide_coeffs(tilt, dim, order)
         out += tilt
     return CoeffSeries(dim, order, out)
+
+
+def linear_closes(chars: Characteristics) -> bool:
+    """Whether L maps degree <= d into degree <= d, for every d.
+
+    True for a polynomial model (Cuchiero, Keller-Ressel and Teichmann,
+    Finance Stoch. 2012): no pole, drift of degree <= 1, diffusion of
+    degree <= 2, and every atom of positive weight either of constant size
+    with an intensity of degree <= 2, or of size degree <= 1 with a constant
+    intensity. An atom of zero weight or zero size adds nothing.
+    """
+    deg = chars.degrees
+    if chars.kernel is not None and chars.kernel.pole_order:
+        return False
+    return (
+        deg.drift <= 1
+        and deg.diffusion <= 2
+        and all((s == 0 and deg.intensity <= 2) or (s <= 1 and deg.intensity <= 0) for s in deg.atoms)
+    )
+
+
+def riccati_closes(chars: Characteristics, d: int) -> bool:
+    """Whether R maps degree <= d into degree <= d.
+
+    R adds to L the quadratic term, of degree deg a + 2 (d - 1), and per
+    atom exp*(u o j - u), a full series unless u o j - u is constant. So:
+    no pole, drift of degree <= 1, diffusion of degree <= 2 - d (zero for
+    d >= 3), and an atom of positive weight and nonzero size only for d = 1,
+    with constant sizes and an intensity of degree <= 1. At d = 1 these are
+    the affine models (Duffie, Filipovic and Schachermayer, Ann. Appl.
+    Probab. 2003).
+    """
+    deg = chars.degrees
+    if chars.kernel is not None and chars.kernel.pole_order:
+        return False
+    return (
+        deg.drift <= 1
+        and deg.diffusion <= max(2 - d, -1)
+        and (not deg.atoms or (d == 1 and max(deg.atoms) == 0 and deg.intensity <= 1))
+    )

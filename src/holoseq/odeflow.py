@@ -26,7 +26,7 @@ import numpy as np
 
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics
-from holoseq.generator import apply_l_composition, apply_r
+from holoseq.generator import apply_l_composition, apply_r, linear_closes, riccati_closes
 from holoseq.series import CoeffSeries, LeadingCoefficientError
 
 __all__ = [
@@ -81,16 +81,15 @@ class OdeConfig:
 
 # Dormand-Prince 5(4) tableau, FSAL
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.append(_A[6], 0.0)
+# row s: the weights of stages 0..s-1 in the argument of stage s
+_A = np.zeros((7, 7))
+_A[1, :1] = [1 / 5]
+_A[2, :2] = [3 / 40, 9 / 40]
+_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+_B5 = _A[6]
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _ERR = _B5 - _B4
 
@@ -131,6 +130,9 @@ def dopri5(
     h = min(h, span)
     t = t0
     k1 = rhs(t, y)
+    # the stages of one step, one row each
+    k = np.empty((7, y.size), dtype=np.result_type(y, k1))
+    k[0] = k1
     nfev, accepted, rejected = 1, 0, 0
     while t < t1 - tiny:
         if accepted + rejected >= max_steps:
@@ -138,20 +140,18 @@ def dopri5(
         h_step = min(h, t1 - t)
         if h_step < tiny:
             raise StepSizeUnderflowError(f"step size {h_step:.3e} underflow at t={t:.6g}", t)
-        k = [k1]
-        y1 = y
         for s in range(1, 7):
-            y1 = y + h_step * sum(a * ki for a, ki in zip(_A[s], k))
-            k.append(rhs(t + _C[s] * h_step, y1))
+            y1 = y + h_step * (_A[s, :s] @ k[:s])
+            k[s] = rhs(t + _C[s] * h_step, y1)
         nfev += 6
         # the last stage argument is the 5th-order solution (FSAL pair)
-        err = h_step * sum(e * ki for e, ki in zip(_ERR, k) if e != 0.0)
+        err = h_step * (_ERR @ k)
         en = _norm(err, y, y1, rtol, atol, w)
         if en <= 1.0:
             accepted += 1
             t = t + h_step
             y = y1
-            k1 = k[6]  # FSAL: last stage was evaluated at (t, y1)
+            k[0] = k[6]  # FSAL: last stage was evaluated at (t, y1)
             factor = 5.0 if en == 0.0 else min(5.0, max(0.2, 0.9 * en ** -0.2))
             h = h_step * factor
         else:
@@ -205,32 +205,46 @@ def _flow(rhs, u0: CoeffSeries, y0: np.ndarray, T: float, config, snapshot) -> F
     """The integration path of all three solvers: dopri5 from y0 over
     [0, T], with the leading series block of the state weighted like u0 and
     any trailing scalar by 1; ``snapshot`` turns the start and end states
-    into series."""
+    into series. The stats add u0's order as the working ``order``."""
     w = np.ones(y0.size)
     w[: u0.coeffs.size] = ser.taylor_weights(u0.dim, u0.order)
     times, states, stats = dopri5(rhs, 0.0, T, y0, weights=w, **asdict(config or OdeConfig()))
-    return FlowResult(times, tuple(snapshot(y) for y in states), stats)
+    return FlowResult(times, tuple(snapshot(y) for y in states), dict(stats, order=u0.order))
 
 
-def _series_flow(apply, model, u0: CoeffSeries, T: float, config) -> FlowResult:
+def _series_flow(apply, closes, model, u0: CoeffSeries, T: float, config) -> FlowResult:
+    """The flow u' = apply(u, model) from u0. On Characteristics whose
+    system ``closes`` at d = max(deg u0, 1) < u0.order, the flow runs on the
+    characteristics truncated to order d, which is exact there, and its
+    snapshots are zero-filled back to u0's order. A callable runs at u0's
+    order."""
+    u = u0
+    if isinstance(model, Characteristics):
+        ser._check_same_shape(u0, model.drift[0])
+        d = max(ser.degree(u0), 1)
+        if d < u0.order and closes(model, d):
+            model, u = model.truncated(d), ser.with_order(u0, d)
     op = _operator(model, apply)
-    dim, order = u0.dim, u0.order
+    dim, order = u.dim, u.order
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return op(CoeffSeries(dim, order, y)).coeffs
 
-    return _flow(rhs, u0, u0.coeffs, T, config, lambda y: CoeffSeries(dim, order, y))
+    return _flow(rhs, u, u.coeffs, T, config, lambda y: ser.with_order(CoeffSeries(dim, order, y), u0.order))
 
 
 def solve_linear(model, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
     """c(t) with c' = L(c), c(0) = u0; model is Characteristics or a callable
-    series operator."""
-    return _series_flow(apply_l_composition, model, u0, T, config)
+    series operator. On a polynomial model (``generator.linear_closes``) the
+    flow runs at order max(deg u0, 1)."""
+    return _series_flow(apply_l_composition, lambda chars, d: linear_closes(chars), model, u0, T, config)
 
 
 def solve_riccati(model, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
-    """psi(t) with psi' = R(psi), psi(0) = u0."""
-    return _series_flow(apply_r, model, u0, T, config)
+    """psi(t) with psi' = R(psi), psi(0) = u0. Where R keeps degree
+    max(deg u0, 1) (``generator.riccati_closes``), the flow runs at that
+    order."""
+    return _series_flow(apply_r, riccati_closes, model, u0, T, config)
 
 
 def riccati_from_linear(model, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:

@@ -28,6 +28,8 @@ __all__ = [
     "from_entries",
     "unit",
     "zero",
+    "degree",
+    "with_order",
     "lin_comb",
     "mul",
     "shift",
@@ -227,6 +229,23 @@ def unit(dim: int, order: int) -> CoeffSeries:
     return CoeffSeries(dim, order, c)
 
 
+def degree(u: CoeffSeries) -> int:
+    """The highest total degree with a nonzero coefficient; -1 for the zero series."""
+    return int(_degrees(u.dim, u.order)[np.flatnonzero(u.coeffs)].max(initial=-1))
+
+
+def with_order(u: CoeffSeries, order: int) -> CoeffSeries:
+    """u at another order: degrees above ``order`` dropped, or the new degrees
+    zero-filled. The graded layout makes either a prefix of the longer array."""
+    if order == u.order:
+        return u
+    n = len(index_table(u.dim, order)[0])
+    c = np.zeros(n, dtype=np.complex128)
+    m = min(n, len(u.coeffs))
+    c[:m] = u.coeffs[:m]
+    return CoeffSeries(u.dim, order, c)
+
+
 def lin_comb(*terms: tuple[complex, CoeffSeries]) -> CoeffSeries:
     """sum_k c_k u_k over series of one shape."""
     if not terms:
@@ -323,14 +342,19 @@ def exp_star(u: CoeffSeries) -> CoeffSeries:
     recurrence runs in its own order. Avoids the cancellation-prone direct
     sum of powers of (u - u_0).
     """
-    deg_start, by_left, _, _, right, w = _euler_rows(u.dim, u.order)
-    m = _euler_matrix(len(u.coeffs), by_left, w * u.coeffs[right])
-    e = np.zeros(len(u.coeffs), dtype=np.complex128)
-    e[0] = np.exp(u.coeffs[0])
-    for d in range(1, u.order + 1):
+    return CoeffSeries(u.dim, u.order, _exp_star(u.coeffs, u.dim, u.order))
+
+
+def _exp_star(c: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """``exp_star`` on a coefficient vector."""
+    deg_start, by_left, _, _, right, w = _euler_rows(dim, order)
+    m = _euler_matrix(len(c), by_left, w * c[right])
+    e = np.zeros(len(c), dtype=np.complex128)
+    e[0] = np.exp(c[0])
+    for d in range(1, order + 1):
         lo, hi = deg_start[d], deg_start[d + 1]
         e[lo:hi] = m[lo:hi, :lo] @ e[:lo]
-    return CoeffSeries(u.dim, u.order, e)
+    return e
 
 
 def log_star(c: CoeffSeries, phi0: complex | None = None) -> CoeffSeries:

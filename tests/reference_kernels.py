@@ -12,6 +12,10 @@ by the characteristic series, and each jump atom contributes the shifted
 composition g = u o j - u, compensated in degree one, weighted, multiplied
 by the intensity and pole-divided, with R replacing g by exp*(g) - 1.
 ``holoseq.generator`` compiles L once into a matrix instead.
+``apply_r_composed`` is R on the compiled L and quadratic rows with the jump
+part through the series kernels, one ``compose_shift``, ``exp_star`` and
+``mul`` per call; ``holoseq.generator.apply_r`` runs exp* on the raw array
+instead, to the same bits.
 
 The property tests check each replacement against these.
 """
@@ -20,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from holoseq import generator
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics
 from holoseq.series import CoeffSeries
@@ -163,3 +168,28 @@ def apply_r_series(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
         one = ser.unit(dim, u.order)
         out = out + _jump_series(u, chars, lambda g: ser.exp_star(g) - one)
     return out
+
+
+def apply_r_composed(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
+    """R(u): L u and the compiled quadratic rows, then per atom
+    exp*(g) - 1 - g for g = u o j - u through ``compose_shift`` and
+    ``exp_star``, weighted, one ``mul`` by the intensity and the pole
+    division."""
+    dim, order = u.dim, u.order
+    out = generator._linear(u, chars)
+    q_out, q_left, q_right, q_weight = generator._compile_quadratic(chars)
+    out += ser._row_sum(q_out, q_weight * u.coeffs[q_left] * u.coeffs[q_right], len(out))
+    k = chars.kernel
+    if k is not None and k.atoms:
+        acc = np.zeros_like(out)
+        for atom in k.atoms:
+            g = ser.compose_shift(u, atom.size).coeffs - u.coeffs
+            e = ser.exp_star(CoeffSeries(dim, order, g)).coeffs
+            term = e - g
+            term[0] = e[0] - 1.0 - g[0]
+            acc += atom.weight * term
+        tilt = ser.mul(k.intensity, CoeffSeries(dim, order, acc)).coeffs
+        for _ in range(k.pole_order):
+            tilt = ser._divide_coeffs(tilt, dim, order)
+        out += tilt
+    return CoeffSeries(dim, order, out)

@@ -159,6 +159,23 @@ class TestRun:
         assert flow[0]["t"] == "0" and "re[2]" in flow[0]
         assert float(flow[-1]["re[0]"]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_closed_flow_detail_and_columns(self, tmp_path, capsys):
+        # h = x^2 on bm: L keeps degree two, so the order-10 row runs at 2;
+        # its flow CSV keeps the columns of every degree up to 10
+        out_dir = tmp_path / "art"
+        code, out, _ = run_cli(capsys, "run", write_cfg(tmp_path, BASE), "--out", str(out_dir))
+        assert code == 0
+        row = next(line for line in out.splitlines() if line.startswith("linear-flow"))
+        assert row.endswith("closed at degree 2")
+        with open(out_dir / "flow_linear.csv") as fh:
+            flow = list(csv.DictReader(fh))
+        assert list(flow[0])[-2:] == ["re[10]", "im[10]"]
+        assert float(flow[-1]["re[2]"]) == 2.0 and float(flow[-1]["re[3]"]) == 0.0
+        # a full series never closes
+        cfg = dict(BASE, function={"family": "exp", "scale": 0.5})
+        code, out, _ = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 0 and "closed at" not in out
+
     def test_zero_reference_has_no_relative_diff(self, tmp_path, capsys):
         # E[X_T] = 0 for Brownian motion from the origin: the engine value is
         # exactly 0, so the Monte Carlo row gets an absolute difference only
@@ -293,6 +310,33 @@ class TestExitCodes:
         cfg = dict(BASE, model={"preset": "compound-poisson"}, grid={"lo": -1.0, "hi": 1.0, "n": 3, "box": [-1.0, 1.0]})
         code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 2 and "jump-leaves-box at (1.0,)" in err
+
+    @pytest.mark.parametrize(
+        "bounds,key",
+        [({"lo": math.nan, "hi": math.nan}, "grid.lo"), ({"hi": math.inf}, "grid.hi"), ({"lo": -math.inf}, "grid.lo")],
+    )
+    def test_non_finite_grid_bound_names_key(self, tmp_path, capsys, monkeypatch, bounds, key):
+        # NaN points would pass every grid check: with finite bounds this
+        # config fails on jumps leaving the box
+        monkeypatch.setattr(cli, "holomorphic_expectation", _no_flow)
+        grid = dict({"lo": -1.0, "hi": 1.0, "n": 3, "box": [-0.1, 0.1]}, **bounds)
+        cfg = dict(BASE, model={"preset": "compound-poisson"}, grid=grid)
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 2 and key in err
+
+    @pytest.mark.parametrize(
+        "function,key",
+        [
+            ({"family": "polynomial", "coefficients": [0.0, math.nan, 1.0]}, "function.coefficients"),
+            ({"family": "polynomial", "coefficients": [0.0, math.inf]}, "function.coefficients"),
+            ({"family": "series", "entries": [[2, math.inf]]}, "function.entries"),
+            ({"family": "series", "entries": [[2, 1.0, math.nan]]}, "function.entries"),
+        ],
+    )
+    def test_non_finite_payoff_names_key(self, tmp_path, capsys, monkeypatch, function, key):
+        monkeypatch.setattr(cli, "holomorphic_expectation", _no_flow)
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, dict(BASE, function=function)))
+        assert code == 2 and key in err
 
     @pytest.mark.parametrize("box", [[0.0], [-1.0, 0.0, 1.0], [[-1.0, -1.0], [1.0, 1.0]], [-1.0, "top"], {"lo": -1.0}])
     def test_malformed_grid_box(self, tmp_path, capsys, monkeypatch, box):

@@ -18,7 +18,7 @@ from holoseq.montecarlo import generator_values
 
 from moment_form import apply_l_moment
 from oracles import pointwise_generator
-from reference_kernels import apply_l_series, apply_r_series
+from reference_kernels import apply_l_series, apply_r_composed, apply_r_series
 from test_characteristics import bm_chars, compound_poisson_chars, const, unit_interval_chars
 
 EXACT = 1e-12
@@ -84,12 +84,13 @@ unit_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
 @st.composite
-def affine_models(draw, dim, order):
+def affine_models(draw, dim, order, floats=unit_floats):
     """Affine drift, symmetric diffusion and intensity; two atoms whose jump
-    size per coordinate is constant or affine."""
+    size per coordinate is constant or affine. Coefficients are drawn from
+    ``floats``."""
 
     def affine(constant_only=False):
-        c = draw(st.lists(unit_floats, min_size=dim + 1, max_size=dim + 1))
+        c = draw(st.lists(floats, min_size=dim + 1, max_size=dim + 1))
         slopes = [] if constant_only else [(tuple(np.eye(dim, dtype=int)[k]), c[k + 1]) for k in range(dim)]
         return ser.from_entries(dim, order, [((0,) * dim, c[0])] + slopes)
 
@@ -107,14 +108,15 @@ def affine_models(draw, dim, order):
 
 
 @st.composite
-def polynomial_models(draw, dim, order, pole=False):
+def polynomial_models(draw, dim, order, pole=False, floats=unit_floats):
     """Drift, symmetric diffusion, intensity and 1-2 atoms, each a random
-    polynomial of degree <= 2. With ``pole`` (dim 1): intensity s(x)/x and one
-    atom of jump size -x, which vanishes at the origin as the pole needs."""
+    polynomial of degree <= 2 with coefficients from ``floats``. With
+    ``pole`` (dim 1): intensity s(x)/x and one atom of jump size -x, which
+    vanishes at the origin as the pole needs."""
     quadratic = [a for a in ser.index_table(dim, order)[0] if sum(a) <= 2]
 
     def poly():
-        c = draw(st.lists(unit_floats, min_size=len(quadratic), max_size=len(quadratic)))
+        c = draw(st.lists(floats, min_size=len(quadratic), max_size=len(quadratic)))
         return ser.from_entries(dim, order, zip(quadratic, c))
 
     drift = tuple(poly() for _ in range(dim))
@@ -256,6 +258,19 @@ class TestCompiledGenerator:
         self.assert_close(apply_l_composition(u, chars), apply_l_series(u, chars))
         self.assert_close(apply_r(u, chars), apply_r_series(u, chars))
 
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(1, 10, False), (1, 10, True), (2, 6, False), (3, 4, False)]).flatmap(
+            lambda shape: st.tuples(polynomial_models(*shape), dense_series(*shape[:2]))
+        )
+    )
+    def test_r_jump_part_matches_series_kernels_bitwise(self, case):
+        # exp* on the raw array does the series kernel's arithmetic in its
+        # order, so the bits agree
+        chars, u = case
+        np.testing.assert_array_equal(apply_r(u, chars).coeffs, apply_r_composed(u, chars).coeffs)
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -274,6 +289,7 @@ class TestCompiledGenerator:
         for scale in (0.1, 0.5):
             u = ser.CoeffSeries(chars.dim, chars.order, scale * rng.uniform(-1.0, 1.0, n))
             self.assert_close(apply_r(u, chars), apply_r_series(u, chars))
+            np.testing.assert_array_equal(apply_r(u, chars).coeffs, apply_r_composed(u, chars).coeffs)
 
     def test_pole_with_jump_not_vanishing_at_origin_raises(self):
         # s(x) = 1 over a simple pole, constant jump 0.1: (lambda * jump part)

@@ -10,7 +10,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from holoseq import series as ser
-from holoseq.characteristics import Characteristics
+from holoseq.characteristics import Characteristics, JumpAtom, JumpKernel
+from holoseq.generator import apply_l_composition, apply_r, linear_closes, riccati_closes
 from holoseq.models import build_preset
 from holoseq.odeflow import (
     ExpectationResult,
@@ -28,7 +29,8 @@ from holoseq.odeflow import (
     tail_mass,
 )
 
-from test_characteristics import bm_chars, compound_poisson_chars, const
+from test_characteristics import bm_chars, compound_poisson_chars, const, unit_interval_chars
+from test_generator import affine_models, nd_affine_chars, polynomial_models
 
 ODE_RTOL = 1e-9
 
@@ -147,6 +149,167 @@ class TestSharedFlow:
             res = affine_expectation(chars, u0, 0.5, 0.5, ode, route=route)
         assert res.value == pytest.approx(value, rel=1e-13, abs=0)
         assert res.flow.stats["nfev"] == nfev
+        # the payoff is linear and the model affine: linear and riccati close
+        # at degree one, and log-linear flows the full series exp*(u0)
+        assert res.flow.stats["order"] == (16 if route == "log-linear" else 1)
+
+
+ROUTES = [
+    (solve_linear, apply_l_composition, lambda chars, d: linear_closes(chars)),
+    (solve_riccati, apply_r, riccati_closes),
+]
+
+
+# coefficients and atom weights of at least 0.1, so that a term the rule
+# wrongly lets through is large enough to show in the full-order flow
+sizable = st.one_of(st.floats(-1.0, -0.1), st.floats(0.1, 1.0))
+
+
+@st.composite
+def closure_cases(draw, dim, order):
+    """A model from ``affine_models`` or ``polynomial_models`` with its drift
+    cut to degree one half the time, its diffusion and intensity cut to
+    degree 0, 1 or 2, and its atoms kept, cut to constant sizes or dropped;
+    and a payoff of degree one or two. The cuts reach both sides of each
+    closure rule."""
+    models = st.one_of(affine_models(dim, order, floats=sizable), polynomial_models(dim, order, floats=sizable))
+    chars = draw(models)
+    cut = lambda s, deg: ser.with_order(ser.with_order(s, deg), order)  # noqa: E731
+    drift_deg, diffusion_deg = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    drift = tuple(cut(s, drift_deg) for s in chars.drift)
+    diffusion = tuple(tuple(cut(s, diffusion_deg) for s in row) for row in chars.diffusion)
+    k, jumps = chars.kernel, draw(st.sampled_from(["kept", "constant", "none"]))
+    size_deg = 0 if jumps == "constant" else order
+    atoms = tuple(JumpAtom(draw(st.floats(0.1, 1.0)), tuple(cut(s, size_deg) for s in a.size)) for a in k.atoms)
+    k = JumpKernel(cut(k.intensity, draw(st.integers(0, 2))), atoms, k.pole_order)
+    chars = Characteristics(dim, drift, diffusion, None if jumps == "none" else k)
+    low = [a for a in ser.index_table(dim, order)[0] if sum(a) <= draw(st.integers(1, 2))]
+    c = draw(st.lists(sizable, min_size=len(low), max_size=len(low)))
+    return chars, ser.from_entries(dim, order, zip(low, c))
+
+
+def check_closed_routes(chars, u0):
+    """Run each route whose rule declares closure both at the closed order
+    and through the callable full-order path, and compare; return which
+    routes closed."""
+    ode = OdeConfig(rtol=1e-10, atol=1e-12)
+    d = max(ser.degree(u0), 1)
+    above = ser._degrees(chars.dim, chars.order) > d
+    closed = tuple(closes(chars, d) for _, _, closes in ROUTES)
+    for (solve, apply, _), yes in zip(ROUTES, closed):
+        if not yes:
+            continue
+        flow = solve(chars, u0, 0.25, ode)
+        full = solve(lambda u, apply=apply: apply(u, chars), u0, 0.25, ode)
+        assert flow.stats["order"] == d and full.stats["order"] == chars.order
+        assert flow.final.order == chars.order and not flow.final.coeffs[above].any()
+        # the full-order flow keeps what the rule declared
+        assert np.abs(full.final.coeffs[above]).max() <= 1e-8
+        scale = max(1.0, np.abs(full.final.coeffs).max())
+        assert np.abs(flow.final.coeffs - full.final.coeffs).max() <= 1e-8 * scale
+    return closed
+
+
+def poly_chars(order, drift, diffusion, intensity, sizes):
+    """A dimension-one model from coefficient lists: unit-weight atoms of the
+    given sizes under ``intensity``, or no kernel when it is None."""
+    poly = lambda c: ser.CoeffSeries(1, order, np.pad(c, (0, order + 1 - len(c))))  # noqa: E731
+    kernel = None if intensity is None else JumpKernel(poly(intensity), tuple(JumpAtom(1.0, (poly(s),)) for s in sizes), 0)
+    return Characteristics(1, (poly(drift),), ((poly(diffusion),),), kernel)
+
+
+class TestClosure:
+    """A flow runs at the degree its system closes at, and equals the
+    full-order flow of the callable path there."""
+
+    @seed(20261019)
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([(1, 8), (2, 5), (3, 4)]).flatmap(lambda shape: closure_cases(*shape)))
+    def test_closed_flow_matches_full_order(self, case):
+        check_closed_routes(*case)
+
+    @pytest.mark.parametrize(
+        "drift,diffusion,intensity,sizes,u0,closed",
+        [
+            # degree-2 diffusion: L closes, R does not
+            ([0.2, -0.5], [0.3, 0.2, 0.4], None, (), [0.1, 0.3, 0.2], (True, False)),
+            # constant jumps under a degree-2 intensity: L closes; R needs intensity <= 1
+            ([0.0, -0.5], [0.4], [1.0, 0.3, 0.2], ([0.2],), [0.0, 0.7], (True, False)),
+            ([0.0, -0.5], [0.4], [1.0, 0.3, 0.2], ([0.2],), [0.0, 0.3, 0.2], (True, False)),
+            # an affine jump size under a constant intensity: L closes, R does not
+            ([0.0, -0.5], [0.4], [1.0], ([0.2, 0.1],), [0.0, 0.7], (True, False)),
+            # an affine jump size under an affine intensity: neither closes
+            ([0.0, -0.5], [0.4], [1.0, 0.3], ([0.2, 0.1],), [0.0, 0.7], (False, False)),
+            # constant diffusion, no jumps: R closes at degree two
+            ([0.1, -0.5], [0.4], None, (), [0.1, 0.3, 0.2], (True, True)),
+            # constant jumps under an affine intensity, affine diffusion: R closes
+            # at degree one, and at degree two neither the jumps nor the diffusion allow it
+            ([0.1, -0.5], [0.3, 0.2], [1.0, 0.3], ([0.2], [-0.1]), [0.0, 0.7], (True, True)),
+            ([0.1, -0.5], [0.4], [1.0, 0.3], ([0.2], [-0.1]), [0.0, 0.3, 0.2], (True, False)),
+        ],
+        ids=[
+            "quadratic-diffusion",
+            "constant-jumps-quadratic-intensity-d1",
+            "constant-jumps-quadratic-intensity-d2",
+            "affine-size-constant-intensity",
+            "affine-size-affine-intensity",
+            "constant-diffusion-d2",
+            "affine-jumps-d1",
+            "affine-jumps-d2",
+        ],
+    )
+    def test_rule_edges_match_full_order(self, drift, diffusion, intensity, sizes, u0, closed):
+        chars = poly_chars(8, drift, diffusion, intensity, sizes)
+        assert check_closed_routes(chars, ser.CoeffSeries(1, 8, np.pad(u0, (0, 9 - len(u0))))) == closed
+
+    def test_flow_nd_riccati_runs_at_degree_one(self):
+        chars = nd_affine_chars(2, 12)
+        u0 = ser.from_entries(2, 12, [((1, 0), 0.5), ((0, 1), -0.4)])
+        flow = solve_riccati(chars, u0, 0.5)
+        assert flow.stats["order"] == 1 and flow.final.order == 12
+        np.testing.assert_array_equal(flow.series[0].coeffs, u0.coeffs)
+        assert not flow.final.coeffs[3:].any()
+        # the truncated model is built and compiled once, on the parent
+        again = solve_riccati(chars, u0, 0.5)
+        assert chars.truncated(1) is chars._truncations[1] and chars._l_matrix is None
+        np.testing.assert_array_equal(again.final.coeffs, flow.final.coeffs)
+
+    @pytest.mark.parametrize(
+        "make,solve,u0",
+        [
+            (lambda: unit_interval_chars(order=8), solve_linear, [((1,), 1.0)]),
+            (lambda: unit_interval_chars(order=8), solve_riccati, [((1,), 1.0)]),
+            # jump size 0.2 + 0.1 x under a constant intensity: L closes, R does not
+            (lambda: state_dependent_jump_chars(8), solve_riccati, [((1,), 0.3)]),
+            (lambda: compound_poisson_chars(order=8), solve_riccati, [((2,), 0.2)]),
+            # diffusion 0.3 + 0.2 x: L closes, R does not at degree two
+            (lambda: affine_diffusion_chars(8), solve_riccati, [((1,), 0.1), ((2,), 0.2)]),
+        ],
+        ids=["unit-interval-linear", "unit-interval-riccati", "state-jump-riccati", "quadratic-jumps-riccati", "quadratic-affine-diffusion-riccati"],
+    )
+    def test_never_closes(self, make, solve, u0):
+        chars = make()
+        flow = solve(chars, ser.from_entries(1, 8, u0), 0.1)
+        assert flow.stats["order"] == 8
+
+    def test_linear_closes_where_riccati_does_not(self):
+        for chars in (state_dependent_jump_chars(8), affine_diffusion_chars(8), compound_poisson_chars(order=8)):
+            assert linear_closes(chars) and not riccati_closes(chars, 2)
+        assert not linear_closes(unit_interval_chars(order=8))
+
+
+def state_dependent_jump_chars(order):
+    """b = -0.5 x, a = 0.4, one unit-rate atom of size 0.2 + 0.1 x."""
+    size = ser.from_entries(1, order, [((0,), 0.2), ((1,), 0.1)])
+    kernel = JumpKernel(const(1, order, 1.0), (JumpAtom(1.0, (size,)),), 0)
+    return Characteristics(1, (ser.from_entries(1, order, [((1,), -0.5)]),), ((const(1, order, 0.4),),), kernel)
+
+
+def affine_diffusion_chars(order):
+    """b = 0.1 - 0.3 x, a = 0.3 + 0.2 x, no jumps."""
+    b = ser.from_entries(1, order, [((0,), 0.1), ((1,), -0.3)])
+    a = ser.from_entries(1, order, [((0,), 0.3), ((1,), 0.2)])
+    return Characteristics(1, (b,), ((a,),), None)
 
 
 class TestQuadraticFlow:

@@ -260,6 +260,17 @@ def test_divide_by_coordinate():
         ser._divide_coeffs(m, dim, order, 0)
 
 
+def test_degree_and_with_order():
+    u = ser.from_entries(2, 5, [((0, 0), 1.0), ((2, 1), 3.0), ((1, 0), -2.0)])
+    assert ser.degree(u) == 3
+    assert ser.degree(ser.zero(2, 5)) == -1 and ser.degree(ser.unit(2, 5)) == 0
+    low = ser.with_order(u, 3)
+    assert low.order == 3 and ser.with_order(u, 5) is u
+    # cutting to the degree and zero-filling back recovers u exactly
+    np.testing.assert_array_equal(ser.with_order(low, 5).coeffs, u.coeffs)
+    np.testing.assert_array_equal(ser.with_order(u, 1).coeffs, [1.0, 0.0, -2.0])  # (0, 1) before (1, 0)
+
+
 def test_shape_mismatch_rejected():
     u = ser.unit(1, 4)
     v = ser.unit(1, 5)
