@@ -15,6 +15,7 @@ coordinate, which is exact whenever the jump sizes vanish at the origin.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -36,17 +37,25 @@ __all__ = [
 ]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class JumpAtom:
-    """One atom of the jump measure: weight >= 0 and a jump-size series per coordinate."""
+    """One atom of the jump measure: a finite weight >= 0 and a jump-size series per coordinate."""
 
     weight: float
     size: SeriesVector
     _size_eval: tuple[RealEvaluator, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError(f"atom weight must be >= 0, got {self.weight}")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError(f"atom weight must be finite and >= 0, got {self.weight}")
         object.__setattr__(self, "size", tuple(self.size))
         object.__setattr__(self, "_size_eval", tuple(RealEvaluator(s) for s in self.size))
 
@@ -67,8 +76,8 @@ class JumpKernel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        if self.pole_order < 0:
-            raise ValueError("pole_order must be >= 0")
+        if not (_is_int(self.pole_order) and self.pole_order >= 0):
+            raise ValueError(f"pole_order must be an integer >= 0, got {self.pole_order!r}")
         if self.pole_order > 0 and self.intensity.dim != 1:
             raise ValueError("pole_order > 0 is supported for dim=1 kernels only")
         object.__setattr__(self, "_intensity_eval", RealEvaluator(self.intensity))
@@ -116,8 +125,10 @@ class Characteristics:
     _l_matrix: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
     _r_rows: tuple[np.ndarray, ...] | None = field(init=False, repr=False, compare=False, default=None)
     degrees: Degrees = field(init=False, repr=False, compare=False)
-    # lower-order copies made by ``truncated``, by order
+    # lower-order copies made by ``truncated``, by order, kept on the model
+    # they were cut from; a copy names that model as its root
     _truncations: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _root: Characteristics | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "drift", tuple(self.drift))
@@ -172,22 +183,26 @@ class Characteristics:
 
     def truncated(self, order: int) -> "Characteristics":
         """The same characteristics at a lower order: each coefficient array
-        cut to its prefix. Built once per order and kept on this object, so
-        the operators compiled on the copy are kept too."""
+        cut to its prefix. Built once per order and kept on the root, the
+        model the first cut was made from, so a copy of a copy is the root's
+        copy, and the operators compiled on it are kept too."""
         if order == self.order:
             return self
         if not 0 <= order < self.order:
             raise ValueError(f"truncation order must be in [0, {self.order}], got {order}")
-        if order not in self._truncations:
+        root = self if self._root is None else self._root
+        if order not in root._truncations:
             cut = lambda u: ser.with_order(u, order)  # noqa: E731
-            k = self.kernel
+            k = root.kernel
             kernel = None
             if k is not None:
                 atoms = tuple(JumpAtom(a.weight, tuple(map(cut, a.size))) for a in k.atoms)
                 kernel = JumpKernel(cut(k.intensity), atoms, k.pole_order)
-            diffusion = tuple(tuple(map(cut, row)) for row in self.diffusion)
-            self._truncations[order] = Characteristics(self.dim, tuple(map(cut, self.drift)), diffusion, kernel)
-        return self._truncations[order]
+            diffusion = tuple(tuple(map(cut, row)) for row in root.diffusion)
+            copy = Characteristics(root.dim, tuple(map(cut, root.drift)), diffusion, kernel)
+            object.__setattr__(copy, "_root", root)
+            root._truncations[order] = copy
+        return root._truncations[order]
 
     def drift_values(self, xs) -> np.ndarray:
         """(npoints, dim) drift at real state points (see ``series.real_points``)."""
@@ -295,20 +310,21 @@ def validate_on_grid(
 
 
 def series_from_config(spec, dim: int, order: int) -> CoeffSeries:
+    """A series from its entries: exponents are integers >= 0 and values
+    finite numbers; a bool or a string is an error, not coerced."""
     if spec is None:
         return ser.zero(dim, order)
     entries = []
     for item in spec:
-        if len(item) not in (2, 3):
+        if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
             raise ValueError(f"series entry must be [alpha, re(, im)], got {item!r}")
-        alpha = item[0]
-        if isinstance(alpha, int):
-            alpha = [alpha]
-        re = float(item[1])
-        im = float(item[2]) if len(item) == 3 else 0.0
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValueError(f"series entry {item!r} is not finite")
-        entries.append((tuple(int(a) for a in alpha), re + 1j * im))
+        alpha = item[0] if isinstance(item[0], (list, tuple)) else [item[0]]
+        if not all(_is_int(a) and a >= 0 for a in alpha):
+            raise ValueError(f"series entry {item!r}: exponents must be integers >= 0")
+        if not all(_is_real(v) and math.isfinite(v) for v in item[1:]):
+            raise ValueError(f"series entry {item!r}: values must be finite numbers")
+        im = item[2] if len(item) == 3 else 0.0
+        entries.append((tuple(alpha), float(item[1]) + 1j * float(im)))
     return ser.from_entries(dim, order, entries)
 
 
@@ -323,9 +339,36 @@ def _vector_from_config(spec, dim: int, order: int) -> SeriesVector:
     return tuple(series_from_config(c, dim, order) for c in spec)
 
 
+def _check_keys(cfg, name: str, known) -> None:
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{name} must be a mapping, got {cfg!r}")
+    extra = set(cfg) - set(known)
+    if extra:
+        raise ValueError(f"unknown {name} settings: {sorted(map(str, extra))}")
+
+
+def _atom_from_config(m: int, cfg, dim: int, order: int) -> JumpAtom:
+    name = f"kernel atom {m}"
+    _check_keys(cfg, name, ("weight", "size"))
+    for key in ("weight", "size"):
+        if key not in cfg:
+            raise ValueError(f"{name} needs a {key!r}")
+    w = cfg["weight"]
+    if not _is_real(w):
+        raise ValueError(f"{name} weight must be a number, got {w!r}")
+    return JumpAtom(float(w), _vector_from_config(cfg["size"], dim, order))
+
+
 def characteristics_from_config(cfg: dict, order: int) -> Characteristics:
-    """Build Characteristics from a nested dict (parsed YAML)."""
-    dim = int(cfg.get("dim", 1))
+    """Build Characteristics from a nested dict (parsed YAML): keys ``dim``,
+    ``drift``, ``diffusion`` and ``kernel`` (``intensity``, ``atoms``,
+    ``pole_order``; each atom ``weight`` and ``size``). An unknown key, a
+    misshapen kernel or atom, or a value of the wrong type raises
+    ValueError naming it."""
+    _check_keys(cfg, "model", ("dim", "drift", "diffusion", "kernel"))
+    dim = cfg.get("dim", 1)
+    if not _is_int(dim) or dim < 1:
+        raise ValueError(f"model.dim must be an integer >= 1, got {dim!r}")
     drift = _vector_from_config(cfg.get("drift"), dim, order)
     diff_cfg = cfg.get("diffusion")
     if dim == 1:
@@ -335,12 +378,13 @@ def characteristics_from_config(cfg: dict, order: int) -> Characteristics:
     else:
         diffusion = tuple(tuple(series_from_config(c, dim, order) for c in row) for row in diff_cfg)
     kernel = None
-    if cfg.get("kernel") is not None:
-        kc = cfg["kernel"]
+    kc = cfg.get("kernel")
+    if kc is not None:
+        _check_keys(kc, "model.kernel", ("intensity", "atoms", "pole_order"))
         intensity = series_from_config(kc.get("intensity", [[[0] * dim, 1.0]]), dim, order)
-        atoms = [
-            JumpAtom(float(ac["weight"]), _vector_from_config(ac["size"], dim, order))
-            for ac in kc.get("atoms", [])
-        ]
-        kernel = JumpKernel(intensity, tuple(atoms), int(kc.get("pole_order", 0)))
+        atoms = kc.get("atoms", [])
+        if not isinstance(atoms, list):
+            raise ValueError(f"model.kernel.atoms must be a list of atoms, got {atoms!r}")
+        atoms = tuple(_atom_from_config(m, ac, dim, order) for m, ac in enumerate(atoms))
+        kernel = JumpKernel(intensity, atoms, kc.get("pole_order", 0))
     return Characteristics(dim, drift, diffusion, kernel)

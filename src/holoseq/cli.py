@@ -30,6 +30,8 @@ from . import __version__
 from . import series as ser
 from .characteristics import (
     Characteristics,
+    _check_keys,
+    _is_real,
     characteristics_from_config,
     series_from_config,
     validate_on_grid,
@@ -82,17 +84,19 @@ class Row:
     rel_diff: float | None = None
 
 
-def _check_keys(sec: dict, name: str, known) -> None:
-    extra = set(sec) - set(known)
-    if extra:
-        raise ConfigError(f"unknown {name} settings: {sorted(map(str, extra))}")
-
-
 def _int_setting(value, name: str) -> int:
     """An integer config value; a float or bool is an error, not truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _real_setting(value, name: str) -> float:
+    """A finite number from the config; a bool, a string or an infinite or
+    NaN value is an error, not coerced."""
+    if not (_is_real(value) and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _section(cfg: dict, name: str, required: bool = True, keys=None) -> dict:
@@ -148,19 +152,14 @@ def _payoff(fn_cfg: dict, dim: int, order: int):
         coeffs = fn_cfg.get("coefficients")
         if not coeffs:
             raise ConfigError("function.coefficients required for family 'polynomial'")
-        cs = [float(c) for c in coeffs]
-        if not all(map(math.isfinite, cs)):
-            raise ConfigError(f"function.coefficients must be finite, got {coeffs!r}")
+        cs = [_real_setting(c, "function.coefficients") for c in coeffs]
         if len(cs) - 1 > order:
             raise ConfigError(f"polynomial degree {len(cs) - 1} exceeds order {order}")
         u0 = ser.from_entries(1, order, [((k,), c * math.factorial(k)) for k, c in enumerate(cs)])
         poly = np.polynomial.Polynomial(cs)
         return u0, (lambda xs: poly(np.asarray(xs, dtype=float)))
     if family in _TAYLOR:
-        s, amp = (float(fn_cfg.get(key, 1.0)) for key in ("scale", "amplitude"))
-        for key, v in (("scale", s), ("amplitude", amp)):
-            if not math.isfinite(v):
-                raise ConfigError(f"function.{key} must be finite, got {v}")
+        s, amp = (_real_setting(fn_cfg.get(key, 1.0), f"function.{key}") for key in ("scale", "amplitude"))
         cyc, f = _TAYLOR[family]
         entries = [((k,), amp * cyc[k % 4] * s**k) for k in range(order + 1)]
         return ser.from_entries(1, order, entries), lambda xs: amp * f(s * np.asarray(xs, dtype=float))
@@ -197,9 +196,9 @@ def _mc_config(cfg: dict, args) -> McConfig:
 
 
 def _horizon(run_cfg: dict) -> float:
-    T = float(run_cfg.get("T", 1.0))
-    if not (math.isfinite(T) and T > 0):
-        raise ConfigError(f"run.T must be positive and finite, got {T}")
+    T = _real_setting(run_cfg.get("T", 1.0), "run.T")
+    if T <= 0:
+        raise ConfigError(f"run.T must be positive, got {T}")
     return T
 
 
@@ -208,14 +207,10 @@ def _parse_x0(run_cfg: dict, dim: int):
     if isinstance(x0, (list, tuple)):
         if len(x0) != dim:
             raise ConfigError(f"run.x0 has {len(x0)} components, model dimension is {dim}")
-        x0 = np.array([float(v) for v in x0])
-    elif dim > 1:
+        return np.array([_real_setting(v, "run.x0") for v in x0])
+    if dim > 1:
         raise ConfigError(f"run.x0 is a scalar, model dimension is {dim}; give a list of {dim} values")
-    else:
-        x0 = float(x0)
-    if not np.all(np.isfinite(x0)):
-        raise ConfigError(f"run.x0 must be finite, got {run_cfg['x0']!r}")
-    return x0
+    return _real_setting(x0, "run.x0")
 
 
 def _sweep_list(arg: str | None) -> list[int] | None:
@@ -234,11 +229,8 @@ def _sweep_list(arg: str | None) -> list[int] | None:
 
 
 def _grid_check(chars: Characteristics, grid_cfg: dict) -> list[str]:
-    lo, hi = float(grid_cfg.get("lo", -1.0)), float(grid_cfg.get("hi", 1.0))
     # a NaN point passes every check of validate_on_grid
-    for key, v in (("lo", lo), ("hi", hi)):
-        if not math.isfinite(v):
-            raise ConfigError(f"grid.{key} must be finite, got {v}")
+    lo, hi = (_real_setting(grid_cfg.get(k, v), f"grid.{k}") for k, v in (("lo", -1.0), ("hi", 1.0)))
     n = _int_setting(grid_cfg.get("n", 9), "grid.n")
     if n < 1:
         raise ConfigError(f"grid.n must be >= 1, got {n}")
@@ -293,23 +285,21 @@ def _mc_detail(est):
     return est.mean, detail
 
 
-def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], buffer: int) -> list[Row]:
+def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: int, ode: OdeConfig) -> list[Row]:
     run_cfg = _section(cfg, "run", keys=("mode", "T", "x0", "affine_route"))
-    num_cfg = _section(cfg, "numerics", required=False)
     modes = _run_modes(run_cfg)
     T = _horizon(run_cfg)
     x0 = _parse_x0(run_cfg, model.dim)
     route = run_cfg.get("affine_route", "riccati")
     if route not in ("riccati", "log-linear", "both"):
         raise ConfigError(f"run.affine_route must be riccati, log-linear or both, got {route!r}")
-    ode = _ode_config(num_cfg.get("ode") or {})
     sweep = args.sweep_order is not None
 
     oracles = _section(cfg, "oracles", required=False, keys=("mc", "dual"))
     fn_cfg = _section(cfg, "function")
-    # payoff at the largest working order; per-N truncations restrict it, and
-    # the model is rebuilt per N so operator and state share one truncation
-    u_full, f_exact = _payoff(fn_cfg, model.dim, max(orders) + buffer)
+    # the payoff at the model's order, the largest working order; each row
+    # restricts it to its own, and the flow cuts the model to match
+    u_full, f_exact = _payoff(fn_cfg, model.dim, model.order)
 
     # oracle settings are checked here, so a config error costs no flow
     mc_cfg = oracles.get("mc")
@@ -332,19 +322,18 @@ def _diffusive_rows(model, build, name, cfg, args, out_dir, orders: list[int], b
     # the module globals are looked up at call time, so tests can replace them
     routes = []
     if "holomorphic" in modes:
-        routes.append(("linear", "holomorphic", lambda m, u: holomorphic_expectation(m, u, T, x0, ode)))
+        routes.append(("linear", "holomorphic", lambda u: holomorphic_expectation(model, u, T, x0, ode)))
     if "affine" in modes:
         for r in ("riccati", "log-linear"):
             if route in (r, "both"):
-                routes.append((r, "affine", lambda m, u, r=r: affine_expectation(m, u, T, x0, ode, route=r)))
+                routes.append((r, "affine", lambda u, r=r: affine_expectation(model, u, T, x0, ode, route=r)))
 
     rows: list[Row] = []
     for n in orders:
         u0 = ser.with_order(u_full, n + buffer)
-        model_n = model if u0.order == model.order else build(u0.order)
         tag = f" N={n}" if sweep else ""
         for label, row_mode, call in routes:
-            res = _timed(rows, f"{label}-flow{tag}", row_mode, "engine", lambda: call(model_n, u0), _flow_detail)
+            res = _timed(rows, f"{label}-flow{tag}", row_mode, "engine", lambda: call(u0), _flow_detail)
             if out_dir is not None and not sweep:
                 flow_to_csv(res.flow, out_dir / f"flow_{label.replace('-', '_')}.csv")
 
@@ -382,7 +371,7 @@ def _chain_rows(chain: FiniteChain, cfg, args) -> list[Row]:
     values = fn_cfg.get("values")
     if values is None or len(values) != chain.n_states:
         raise ConfigError(f"function.values must list {chain.n_states} per-state payoffs")
-    h = np.array([float(v) for v in values])
+    h = np.array([_real_setting(v, "function.values") for v in values])
     T = _horizon(run_cfg)
     i = run_cfg.get("x0", 0)
     if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < chain.n_states:
@@ -501,33 +490,17 @@ def run_config(cfg: dict, args) -> list[Row]:
         raise ConfigError(f"numerics.order must be >= 2, got {order}")
     if buffer < 0:
         raise ConfigError(f"numerics.buffer must be >= 0, got {buffer}")
-    if "preset" in model_cfg:
+    ode = _ode_config(num_cfg.get("ode") or {})
+    orders = _sweep_list(args.sweep_order) or [order]
+    preset = "preset" in model_cfg
+    if preset:
         _check_keys(model_cfg, "model", ("preset",))
-        name = str(model_cfg["preset"])
-
-        def build(o: int):
-            return build_preset(name, order=o)
-
-    else:
-        _check_keys(model_cfg, "model", ("dim", "drift", "diffusion", "kernel"))
-        kernel_cfg = _section(model_cfg, "kernel", required=False, keys=("intensity", "atoms", "pole_order"))
-        atoms = kernel_cfg.get("atoms", [])
-        if not isinstance(atoms, list):
-            raise ConfigError(f"model.kernel.atoms must be a list of atoms, got {atoms!r}")
-        for m, atom in enumerate(atoms):
-            if not isinstance(atom, dict):
-                raise ConfigError(f"kernel atom {m} must be a mapping, got {atom!r}")
-            _check_keys(atom, f"kernel atom {m}", ("weight", "size"))
-            for key in ("weight", "size"):
-                if key not in atom:
-                    raise ConfigError(f"kernel atom {m} needs a {key!r}")
-        name = "inline"
-
-        def build(o: int):
-            return characteristics_from_config(model_cfg, o)
-
+    name = str(model_cfg["preset"]) if preset else "inline"
+    # the one model of the run, at the largest working order; each flow cuts
+    # it to the order of its payoff
+    top = max(orders) + buffer
     try:
-        model = build(order + buffer)
+        model = build_preset(name, order=top) if preset else characteristics_from_config(model_cfg, top)
     except KeyError as e:
         raise ConfigError(e.args[0]) from None
     except (ValueError, TypeError) as e:
@@ -541,7 +514,6 @@ def run_config(cfg: dict, args) -> list[Row]:
         _echo_header(cfg, args, name)
         rows = _chain_rows(model, cfg, args)
     else:
-        orders = _sweep_list(args.sweep_order) or [order]
         # engine rows are labelled by N and computed at order N + buffer
         numerics = {
             "order": order,
@@ -553,7 +525,7 @@ def run_config(cfg: dict, args) -> list[Row]:
             problems = _grid_check(model, _section(cfg, "grid", keys=("lo", "hi", "n", "box")))
             if problems:
                 raise ConfigError("model failed grid validation: " + "; ".join(problems))
-        rows = _diffusive_rows(model, build, name, cfg, args, out_dir, orders, buffer)
+        rows = _diffusive_rows(model, name, cfg, args, out_dir, orders, buffer, ode)
 
     _attach_diffs(rows, args.sweep_order is not None)
     _print_table(rows)

@@ -56,6 +56,11 @@ class McConfig:
                 raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
         if not (isinstance(self.dt, numbers.Real) and math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        d = self.absorb_delta
+        # a NaN threshold would absorb no path: x < nan is always false
+        real = isinstance(d, numbers.Real) and not isinstance(d, bool)
+        if d is not None and not (real and math.isfinite(d) and d >= 0):
+            raise ValueError(f"absorb_delta must be None or a finite number >= 0, got {d!r}")
         if self.state_box is not None:
             try:
                 lo, hi = (float(v) for v in self.state_box)

@@ -194,6 +194,19 @@ def tail_mass(u: CoeffSeries, radius: float, top: int = 2) -> float:
     return ser.abs_norm(CoeffSeries(u.dim, u.order, top_part), radius)
 
 
+def _at_order(model, u0: CoeffSeries):
+    """Characteristics of u0's dimension and any order >= u0's, truncated to
+    u0's order; a callable passes through."""
+    if not isinstance(model, Characteristics):
+        return model
+    if model.dim != u0.dim or model.order < u0.order:
+        raise ValueError(
+            f"a model of dim={model.dim} order={model.order} cannot flow "
+            f"a series of dim={u0.dim} order={u0.order}"
+        )
+    return model.truncated(u0.order)
+
+
 def _operator(model, apply) -> Callable[[CoeffSeries], CoeffSeries]:
     """Bind Characteristics to a generator assembly; a callable passes through."""
     if isinstance(model, Characteristics):
@@ -213,14 +226,14 @@ def _flow(rhs, u0: CoeffSeries, y0: np.ndarray, T: float, config, snapshot) -> F
 
 
 def _series_flow(apply, closes, model, u0: CoeffSeries, T: float, config) -> FlowResult:
-    """The flow u' = apply(u, model) from u0. On Characteristics whose
-    system ``closes`` at d = max(deg u0, 1) < u0.order, the flow runs on the
-    characteristics truncated to order d, which is exact there, and its
-    snapshots are zero-filled back to u0's order. A callable runs at u0's
-    order."""
+    """The flow u' = apply(u, model) from u0. Characteristics are cut to
+    u0's order first; where their system then ``closes`` at
+    d = max(deg u0, 1) < u0.order, the flow runs on the characteristics
+    truncated to order d, which is exact there, and its snapshots are
+    zero-filled back to u0's order. A callable runs at u0's order."""
     u = u0
+    model = _at_order(model, u0)
     if isinstance(model, Characteristics):
-        ser._check_same_shape(u0, model.drift[0])
         d = max(ser.degree(u0), 1)
         if d < u0.order and closes(model, d):
             model, u = model.truncated(d), ser.with_order(u0, d)
@@ -234,9 +247,10 @@ def _series_flow(apply, closes, model, u0: CoeffSeries, T: float, config) -> Flo
 
 
 def solve_linear(model, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
-    """c(t) with c' = L(c), c(0) = u0; model is Characteristics or a callable
-    series operator. On a polynomial model (``generator.linear_closes``) the
-    flow runs at order max(deg u0, 1)."""
+    """c(t) with c' = L(c), c(0) = u0; model is Characteristics of u0's
+    dimension and any order >= u0's (it runs truncated to u0's order), or a
+    callable series operator. On a polynomial model
+    (``generator.linear_closes``) the flow runs at order max(deg u0, 1)."""
     return _series_flow(apply_l_composition, lambda chars, d: linear_closes(chars), model, u0, T, config)
 
 
@@ -254,7 +268,7 @@ def riccati_from_linear(model, u0: CoeffSeries, T: float, config: OdeConfig | No
     wanders; an auxiliary scalar phi0' = (Lc)_0 / c_0 with phi0(0) = u0_0
     integrates the branch alongside and is handed to the *-logarithm.
     """
-    op = _operator(model, apply_l_composition)
+    op = _operator(_at_order(model, u0), apply_l_composition)
     dim, order = u0.dim, u0.order
     c0 = ser.exp_star(u0)
     n = c0.coeffs.size

@@ -1,5 +1,7 @@
 """Model-data layer: kernels, moment series, grid validation, config parsing."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -282,3 +284,40 @@ class TestConfig:
         }
         chars = characteristics_from_config(cfg, order=4)
         assert chars.kernel.intensity.coefficient((0,)) == 1.0
+
+    @pytest.mark.parametrize(
+        "edit,key",
+        [
+            (lambda c: c.update(drfit=[[0, 0.1]]), "drfit"),
+            (lambda c: c.update(dim=1.5), "model.dim"),
+            (lambda c: c.update(dim=True), "model.dim"),
+            (lambda c: c.update(dim=0), "model.dim"),
+            (lambda c: c["kernel"].update(pole_ordr=1), "pole_ordr"),
+            (lambda c: c["kernel"].update(pole_order=1.5), "pole_order"),
+            (lambda c: c["kernel"].update(pole_order=True), "pole_order"),
+            (lambda c: c.update(kernel=[1.0]), "model.kernel must be a mapping"),
+            (lambda c: c["kernel"].update(atoms={"weight": 1.0, "size": [[0, 0.1]]}), "model.kernel.atoms"),
+            (lambda c: c["kernel"]["atoms"].append([0.5]), "kernel atom 1 must be a mapping"),
+            (lambda c: c["kernel"]["atoms"][0].update(wieght=2.0), "wieght"),
+            (lambda c: c["kernel"]["atoms"][0].pop("weight"), "kernel atom 0 needs a 'weight'"),
+            (lambda c: c["kernel"]["atoms"][0].pop("size"), "kernel atom 0 needs a 'size'"),
+            (lambda c: c["kernel"]["atoms"][0].update(weight=float("nan")), "weight"),
+            (lambda c: c["kernel"]["atoms"][0].update(weight=float("inf")), "weight"),
+            (lambda c: c["kernel"]["atoms"][0].update(weight="1.0"), "kernel atom 0 weight"),
+            (lambda c: c["kernel"]["atoms"][0].update(weight=True), "kernel atom 0 weight"),
+            (lambda c: c.update(drift=[[[1.5], 0.1]]), "exponents"),
+            (lambda c: c.update(drift=[[True, 0.1]]), "exponents"),
+            (lambda c: c.update(drift=[[-1, 0.1]]), "exponents"),
+            (lambda c: c.update(drift=[[1, "0.1"]]), "values"),
+            (lambda c: c.update(drift=[0.5]), "series entry must be"),
+        ],
+    )
+    def test_bad_keys_and_values_named(self, edit, key):
+        cfg = {
+            "drift": [[1, -0.5]],
+            "diffusion": [[0, 0.3]],
+            "kernel": {"intensity": [[0, 1.0]], "atoms": [{"weight": 1.0, "size": [[0, 0.4]]}]},
+        }
+        edit(cfg)
+        with pytest.raises(ValueError, match=re.escape(key)):
+            characteristics_from_config(cfg, order=4)

@@ -4,6 +4,7 @@ Everything drives ``cli.main`` in-process with temp config files, asserting on
 captured stdout/stderr rather than subprocess plumbing.
 """
 
+import argparse
 import csv
 import math
 from pathlib import Path
@@ -210,6 +211,51 @@ class TestRun:
         errs = [float(r.split()[4]) for r in rows[:2]]
         assert errs[0] > errs[1]
         assert float(rows[-1].split()[3]) == pytest.approx(math.exp(0.5), rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "model,function",
+        [
+            ({"preset": "compound-poisson"}, {"family": "polynomial", "coefficients": [0.0, 0.5, 0.1]}),
+            # a cubic drift and an affine jump size under an affine intensity: no route closes
+            ({"drift": [[0, 0.1], [1, -0.3], [3, -0.2]], "diffusion": [[0, 0.2], [2, 0.05]],
+              "kernel": {"intensity": [[0, 1.0], [1, 0.2]], "atoms": [{"weight": 0.5, "size": [[0, 0.1], [1, 0.05]]}]}},
+             {"family": "exp", "scale": 0.5}),
+        ],
+        ids=["preset", "inline"],
+    )
+    def test_sweep_rows_equal_single_orders(self, model, function):
+        # the sweep flows one model cut to each order; a single run builds it there
+        cfg = {
+            "model": model,
+            "function": function,
+            "run": {"mode": "both", "T": 0.5, "x0": 0.2, "affine_route": "both"},
+            "numerics": {"order": 4},
+        }
+        orders = [6, 3, 9]
+        args = lambda sweep: argparse.Namespace(sweep_order=sweep, mc_paths=None, seed=None, out=None)  # noqa: E731
+        swept = cli.run_config(cfg, args(",".join(map(str, orders))))
+        single = [r for n in orders for r in cli.run_config(dict(cfg, numerics={"order": n}), args(None))]
+        assert len(swept) == len(single) == 9
+        for a, b in zip(swept, single):
+            assert a.quantity.split()[0] == b.quantity and (a.value, a.detail) == (b.value, b.detail)
+
+    def test_sweep_drops_entries_above_a_row_order(self, tmp_path, capsys):
+        # a degree-5 drift term is beyond the N=2 row's working order 4, so
+        # that row flows the model without it, as payoff entries are dropped
+        drift = [[1, -0.5], [5, 0.01]]
+        cfg = dict(BASE, model={"drift": drift, "diffusion": [[0, 1.0]]})
+        art = ("--out", str(tmp_path / "art"))
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg), "--sweep-order", "8,2", *art)
+        assert code == 0, err
+        cut = dict(cfg, model={"drift": drift[:1], "diffusion": [[0, 1.0]]}, numerics={"order": 2})
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cut, "cut.yaml"), "--out", str(tmp_path / "cut"))
+        assert code == 0, err
+        with open(tmp_path / "art" / "results.csv") as fh:
+            rows = {r["quantity"]: r for r in csv.DictReader(fh)}
+        with open(tmp_path / "cut" / "results.csv") as fh:
+            want = next(csv.DictReader(fh))
+        keys = ("value_re", "value_im", "detail")
+        assert [rows["linear-flow N=2"][k] for k in keys] == [want[k] for k in keys]
 
     def test_readme_example_runs(self, tmp_path, capsys):
         # every key of the documented config is accepted, and it runs
@@ -470,6 +516,25 @@ class TestExitCodes:
                          id="inf-amplitude"),
             pytest.param(lambda c: c.update(function={"family": "cos", "scale": math.nan}), "function.scale",
                          id="nan-scale"),
+            # a bool or a string is not a number, and a series exponent is an integer
+            pytest.param(lambda c: c["run"].update(T=True), "run.T", id="bool-T"),
+            pytest.param(lambda c: c["run"].update(T="abc"), "run.T", id="string-T"),
+            pytest.param(lambda c: c["run"].update(x0=True), "run.x0", id="bool-x0"),
+            pytest.param(lambda c: c.update(grid={"lo": "-1", "hi": 1.0, "n": 3}), "grid.lo", id="string-grid-lo"),
+            pytest.param(lambda c: c.update(function={"family": "exp", "scale": True}), "function.scale",
+                         id="bool-scale"),
+            pytest.param(lambda c: c.update(function={"family": "polynomial", "coefficients": [0.0, "1"]}),
+                         "function.coefficients", id="string-coefficient"),
+            pytest.param(lambda c: c.update(function={"family": "series", "entries": [[[1.5], 2.0]]}),
+                         "function.entries", id="float-exponent"),
+            pytest.param(lambda c: c.update(function={"family": "series", "entries": [[True, 2.0]]}),
+                         "function.entries", id="bool-exponent"),
+            pytest.param(lambda c: (c.pop("numerics"), c.update(model={"preset": "two-state-affine"},
+                                            function={"family": "values", "values": [math.nan, 1.0]},
+                                            run={"mode": "both", "T": 1.0, "x0": 0})), "function.values",
+                         id="nan-chain-values"),
+            # an inline model's dimension is a positive integer
+            pytest.param(lambda c: c.update(model={"dim": 1.5, "diffusion": [[0, 1.0]]}), "model.dim", id="float-dim"),
         ],
     )
     def test_config_typos_rejected(self, tmp_path, capsys, monkeypatch, edit, key):
@@ -492,6 +557,14 @@ class TestExitCodes:
             ({"intensity": [[0, 1.0]], "atoms": [{"weight": 1.0, "size": [[0, 0.1]]}, [0.5]]},
              "kernel atom 1 must be a mapping"),
             ({"intensity": [[0, 1.0]], "atoms": {"edge": {"weight": 1.0, "size": [[0, 0.1]]}}}, "model.kernel.atoms"),
+            # a pole order is an integer, and an atom weight a finite number >= 0
+            ({"intensity": [[0, 1.0]], "atoms": [{"weight": 1.0, "size": [[1, -1.0]]}], "pole_order": 1.5},
+             "pole_order"),
+            ({"intensity": [[0, 1.0]], "atoms": [{"weight": 1.0, "size": [[1, -1.0]]}], "pole_order": True},
+             "pole_order"),
+            ({"intensity": [[0, 1.0]], "atoms": [{"weight": math.nan, "size": [[0, 0.1]]}]}, "weight"),
+            ({"intensity": [[0, 1.0]], "atoms": [{"weight": math.inf, "size": [[0, 0.1]]}]}, "weight"),
+            ({"intensity": [[0, 1.0]], "atoms": [{"weight": "1", "size": [[0, 0.1]]}]}, "kernel atom 0 weight"),
         ],
     )
     def test_kernel_typos_rejected(self, tmp_path, capsys, monkeypatch, kernel, key):
@@ -528,6 +601,8 @@ class TestExitCodes:
             ({"mc": {"paths": 100, "dt": 0.01, "seed": 2.5}}, "oracles.mc.seed"),
             ({"mc": {"paths": 100, "dt": math.nan}}, "oracles.mc.dt"),
             ({"dual": {"k_max": 2}}, "oracles.dual.k_max"),
+            ({"mc": {"paths": 100, "dt": 0.01, "absorb_delta": math.nan}}, "oracles.mc.absorb_delta"),
+            ({"mc": {"paths": 100, "dt": 0.01, "absorb_delta": "small"}}, "oracles.mc.absorb_delta"),
         ],
     )
     def test_oracle_settings_checked_before_flows(self, tmp_path, capsys, monkeypatch, oracles, key):

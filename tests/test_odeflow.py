@@ -312,6 +312,60 @@ def affine_diffusion_chars(order):
     return Characteristics(1, (b,), ((a,),), None)
 
 
+class TestModelOrder:
+    """A flow cuts Characteristics of a higher order to its payoff's order:
+    the result is the flow on the model built at that order."""
+
+    @pytest.mark.parametrize("solve", [solve_linear, solve_riccati, riccati_from_linear])
+    @pytest.mark.parametrize(
+        "make,u0",
+        [
+            (compound_poisson_chars, [((1,), 0.4), ((2,), 0.3)]),
+            (unit_interval_chars, [((1,), 0.5)]),
+            (state_dependent_jump_chars, [((1,), 0.3)]),
+            (lambda order: nd_affine_chars(2, order), [((1, 0), 0.5), ((0, 1), -0.4)]),
+            (lambda order: nd_affine_chars(2, order), [((2, 0), 0.2), ((0, 1), -0.4)]),
+        ],
+        ids=["compound-poisson", "unit-interval-pole", "state-jump", "nd-affine-d1", "nd-affine-d2"],
+    )
+    def test_higher_order_model_equals_rebuilt(self, make, u0, solve):
+        dim = len(u0[0][0])
+        u = ser.from_entries(dim, 6, u0)
+        ode = OdeConfig(rtol=1e-10)
+        cut = solve(make(11), u, 0.3, ode)
+        rebuilt = solve(make(6), u, 0.3, ode)
+        np.testing.assert_array_equal(cut.final.coeffs, rebuilt.final.coeffs)
+        assert cut.stats == rebuilt.stats
+
+    @pytest.mark.parametrize("solve", [solve_linear, solve_riccati, riccati_from_linear])
+    @pytest.mark.parametrize(
+        "chars,shape",
+        [(compound_poisson_chars(order=5), "dim=1 order=5"), (nd_affine_chars(2, 8), "dim=2 order=8")],
+        ids=["lower-order", "other-dim"],
+    )
+    def test_lower_order_or_other_dim_raises(self, chars, shape, solve):
+        u0 = ser.from_entries(1, 6, [((1,), 0.4)])
+        with pytest.raises(ValueError, match=f"{shape}.*dim=1 order=6"):
+            solve(chars, u0, 0.3)
+
+    def test_each_order_built_and_compiled_once(self):
+        chars = nd_affine_chars(2, 10)
+        assert chars.truncated(7).truncated(1) is chars.truncated(1)
+        assert chars.truncated(7).truncated(7) is chars.truncated(7)
+        u0 = ser.from_entries(2, 7, [((1, 0), 0.5), ((0, 1), -0.4)])
+        # the order-7 cut closes at degree one, which the root keeps
+        flow = solve_riccati(chars, u0, 0.3)
+        assert flow.stats["order"] == 1 and set(chars._truncations) == {1, 7}
+        assert not chars._truncations[7]._truncations
+        compiled = chars.truncated(1)._l_matrix
+        assert compiled is not None
+        solve_riccati(chars.truncated(7), u0, 0.3)
+        assert chars.truncated(1)._l_matrix is compiled
+        # the log-linear route never closes, so it runs on the order-7 cut itself
+        riccati_from_linear(chars, u0, 0.3)
+        assert chars.truncated(7)._l_matrix is not None and chars._l_matrix is None
+
+
 class TestQuadraticFlow:
     def test_bm_linear_exponent_closed_form(self):
         # psi stays (tau^2 t / 2, tau, 0, ...); value is the lognormal mean
