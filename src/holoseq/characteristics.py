@@ -14,14 +14,13 @@ coordinate, which is exact whenever the jump sizes vanish at the origin.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from holoseq import series as ser
+from holoseq.checks import check_keys, is_finite_real, is_integer
 from holoseq.series import CoeffSeries, RealEvaluator, SeriesMatrix, SeriesVector
 
 __all__ = [
@@ -37,14 +36,6 @@ __all__ = [
 ]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class JumpAtom:
     """One atom of the jump measure: a finite weight >= 0 and a jump-size series per coordinate."""
@@ -54,7 +45,7 @@ class JumpAtom:
     _size_eval: tuple[RealEvaluator, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.weight) and self.weight >= 0):
+        if not (is_finite_real(self.weight) and self.weight >= 0):
             raise ValueError(f"atom weight must be finite and >= 0, got {self.weight}")
         object.__setattr__(self, "size", tuple(self.size))
         object.__setattr__(self, "_size_eval", tuple(RealEvaluator(s) for s in self.size))
@@ -76,7 +67,7 @@ class JumpKernel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        if not (_is_int(self.pole_order) and self.pole_order >= 0):
+        if not (is_integer(self.pole_order) and self.pole_order >= 0):
             raise ValueError(f"pole_order must be an integer >= 0, got {self.pole_order!r}")
         if self.pole_order > 0 and self.intensity.dim != 1:
             raise ValueError("pole_order > 0 is supported for dim=1 kernels only")
@@ -319,9 +310,9 @@ def series_from_config(spec, dim: int, order: int) -> CoeffSeries:
         if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
             raise ValueError(f"series entry must be [alpha, re(, im)], got {item!r}")
         alpha = item[0] if isinstance(item[0], (list, tuple)) else [item[0]]
-        if not all(_is_int(a) and a >= 0 for a in alpha):
+        if not all(is_integer(a) and a >= 0 for a in alpha):
             raise ValueError(f"series entry {item!r}: exponents must be integers >= 0")
-        if not all(_is_real(v) and math.isfinite(v) for v in item[1:]):
+        if not all(is_finite_real(v) for v in item[1:]):
             raise ValueError(f"series entry {item!r}: values must be finite numbers")
         im = item[2] if len(item) == 3 else 0.0
         entries.append((tuple(alpha), float(item[1]) + 1j * float(im)))
@@ -339,23 +330,15 @@ def _vector_from_config(spec, dim: int, order: int) -> SeriesVector:
     return tuple(series_from_config(c, dim, order) for c in spec)
 
 
-def _check_keys(cfg, name: str, known) -> None:
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{name} must be a mapping, got {cfg!r}")
-    extra = set(cfg) - set(known)
-    if extra:
-        raise ValueError(f"unknown {name} settings: {sorted(map(str, extra))}")
-
-
 def _atom_from_config(m: int, cfg, dim: int, order: int) -> JumpAtom:
     name = f"kernel atom {m}"
-    _check_keys(cfg, name, ("weight", "size"))
+    check_keys(cfg, name, ("weight", "size"))
     for key in ("weight", "size"):
         if key not in cfg:
             raise ValueError(f"{name} needs a {key!r}")
     w = cfg["weight"]
-    if not _is_real(w):
-        raise ValueError(f"{name} weight must be a number, got {w!r}")
+    if not is_finite_real(w):
+        raise ValueError(f"{name} weight must be a finite number, got {w!r}")
     return JumpAtom(float(w), _vector_from_config(cfg["size"], dim, order))
 
 
@@ -365,9 +348,9 @@ def characteristics_from_config(cfg: dict, order: int) -> Characteristics:
     ``pole_order``; each atom ``weight`` and ``size``). An unknown key, a
     misshapen kernel or atom, or a value of the wrong type raises
     ValueError naming it."""
-    _check_keys(cfg, "model", ("dim", "drift", "diffusion", "kernel"))
+    check_keys(cfg, "model", ("dim", "drift", "diffusion", "kernel"))
     dim = cfg.get("dim", 1)
-    if not _is_int(dim) or dim < 1:
+    if not is_integer(dim) or dim < 1:
         raise ValueError(f"model.dim must be an integer >= 1, got {dim!r}")
     drift = _vector_from_config(cfg.get("drift"), dim, order)
     diff_cfg = cfg.get("diffusion")
@@ -380,7 +363,7 @@ def characteristics_from_config(cfg: dict, order: int) -> Characteristics:
     kernel = None
     kc = cfg.get("kernel")
     if kc is not None:
-        _check_keys(kc, "model.kernel", ("intensity", "atoms", "pole_order"))
+        check_keys(kc, "model.kernel", ("intensity", "atoms", "pole_order"))
         intensity = series_from_config(kc.get("intensity", [[[0] * dim, 1.0]]), dim, order)
         atoms = kc.get("atoms", [])
         if not isinstance(atoms, list):

@@ -30,12 +30,11 @@ from . import __version__
 from . import series as ser
 from .characteristics import (
     Characteristics,
-    _check_keys,
-    _is_real,
     characteristics_from_config,
     series_from_config,
     validate_on_grid,
 )
+from .checks import check_keys, is_finite_real, is_integer
 from .models import (
     PRESET_INFO,
     PRESETS,
@@ -86,7 +85,7 @@ class Row:
 
 def _int_setting(value, name: str) -> int:
     """An integer config value; a float or bool is an error, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_integer(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
 
@@ -94,7 +93,7 @@ def _int_setting(value, name: str) -> int:
 def _real_setting(value, name: str) -> float:
     """A finite number from the config; a bool, a string or an infinite or
     NaN value is an error, not coerced."""
-    if not (_is_real(value) and math.isfinite(value)):
+    if not is_finite_real(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
@@ -110,7 +109,7 @@ def _section(cfg: dict, name: str, required: bool = True, keys=None) -> dict:
     if not isinstance(sec, dict):
         raise ConfigError(f"section {name!r} must be a mapping")
     if keys is not None:
-        _check_keys(sec, name, keys)
+        check_keys(sec, name, keys)
     return sec
 
 
@@ -136,7 +135,7 @@ def _payoff(fn_cfg: dict, dim: int, order: int):
     """
     family = fn_cfg.get("family", "series")
     if family in _FAMILY_KEYS:
-        _check_keys(fn_cfg, f"function ({family})", ("family",) + _FAMILY_KEYS[family])
+        check_keys(fn_cfg, f"function ({family})", ("family",) + _FAMILY_KEYS[family])
     if family == "series":
         entries = fn_cfg.get("entries")
         if not entries:
@@ -175,7 +174,7 @@ def _is_identity_payoff(u0: CoeffSeries) -> bool:
 
 
 def _ode_config(cfg: dict) -> OdeConfig:
-    _check_keys(cfg, "numerics.ode", [f.name for f in fields(OdeConfig)])
+    check_keys(cfg, "numerics.ode", [f.name for f in fields(OdeConfig)])
     try:
         return OdeConfig(**cfg)
     except ValueError as e:
@@ -183,7 +182,7 @@ def _ode_config(cfg: dict) -> OdeConfig:
 
 
 def _mc_config(cfg: dict, args) -> McConfig:
-    _check_keys(cfg, "oracles.mc", [f.name for f in fields(McConfig)])
+    check_keys(cfg, "oracles.mc", [f.name for f in fields(McConfig)])
     cfg = dict(cfg)
     if args.mc_paths is not None:
         cfg["paths"] = args.mc_paths
@@ -306,7 +305,7 @@ def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: 
     mc = _mc_config(mc_cfg, args) if mc_cfg is not None else None
     dual_cfg = oracles.get("dual")
     if dual_cfg is not None:
-        _check_keys(dual_cfg, "dual", ("k_max",))
+        check_keys(dual_cfg, "dual", ("k_max",))
         if name != "unit-interval":
             raise ConfigError("the dual-chain oracle only applies to the unit-interval preset")
         if "affine" not in modes:
@@ -362,19 +361,19 @@ def _flow_detail(res):
 def _chain_rows(chain: FiniteChain, cfg, args) -> list[Row]:
     if args.sweep_order is not None:
         raise ConfigError("--sweep-order applies to series models, not finite chains")
-    _check_keys(cfg, "finite-chain", ("model", "function", "run"))
+    check_keys(cfg, "finite-chain", ("model", "function", "run"))
     run_cfg = _section(cfg, "run", keys=("mode", "T", "x0"))
     fn_cfg = _section(cfg, "function")
     if fn_cfg.get("family", "values") != "values":
         raise ConfigError("chain models take function family 'values'")
-    _check_keys(fn_cfg, "function (values)", ("family", "values"))
+    check_keys(fn_cfg, "function (values)", ("family", "values"))
     values = fn_cfg.get("values")
     if values is None or len(values) != chain.n_states:
         raise ConfigError(f"function.values must list {chain.n_states} per-state payoffs")
     h = np.array([_real_setting(v, "function.values") for v in values])
     T = _horizon(run_cfg)
     i = run_cfg.get("x0", 0)
-    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < chain.n_states:
+    if not (is_integer(i) and 0 <= i < chain.n_states):
         raise ConfigError(f"run.x0 must be a start-state index in [0, {chain.n_states})")
     modes = _run_modes(run_cfg)
 
@@ -481,7 +480,7 @@ def _echo_header(cfg: dict, args, name: str, numerics: dict | None = None) -> No
 def run_config(cfg: dict, args) -> list[Row]:
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be a mapping")
-    _check_keys(cfg, "top-level", ("model", "function", "run", "numerics", "grid", "oracles"))
+    check_keys(cfg, "top-level", ("model", "function", "run", "numerics", "grid", "oracles"))
     model_cfg = _section(cfg, "model")
     num_cfg = _section(cfg, "numerics", required=False, keys=("order", "buffer", "ode"))
     order = _int_setting(num_cfg.get("order", 12), "numerics.order")
@@ -490,11 +489,10 @@ def run_config(cfg: dict, args) -> list[Row]:
         raise ConfigError(f"numerics.order must be >= 2, got {order}")
     if buffer < 0:
         raise ConfigError(f"numerics.buffer must be >= 0, got {buffer}")
-    ode = _ode_config(num_cfg.get("ode") or {})
     orders = _sweep_list(args.sweep_order) or [order]
     preset = "preset" in model_cfg
     if preset:
-        _check_keys(model_cfg, "model", ("preset",))
+        check_keys(model_cfg, "model", ("preset",))
     name = str(model_cfg["preset"]) if preset else "inline"
     # the one model of the run, at the largest working order; each flow cuts
     # it to the order of its payoff
@@ -514,6 +512,7 @@ def run_config(cfg: dict, args) -> list[Row]:
         _echo_header(cfg, args, name)
         rows = _chain_rows(model, cfg, args)
     else:
+        ode = _ode_config(num_cfg.get("ode") or {})
         # engine rows are labelled by N and computed at order N + buffer
         numerics = {
             "order": order,

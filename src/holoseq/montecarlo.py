@@ -12,13 +12,12 @@ bit-identical for a fixed config regardless of how batches would be scheduled.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from holoseq.characteristics import Characteristics
+from holoseq.checks import is_finite_real, is_integer
 from holoseq.series import real_points
 
 __all__ = [
@@ -52,25 +51,24 @@ class McConfig:
     def __post_init__(self) -> None:
         for name, least in (("paths", 1), ("seed", 0)):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
+            if not (is_integer(v) and v >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
-        if not (isinstance(self.dt, numbers.Real) and math.isfinite(self.dt) and self.dt > 0):
+        if not (is_finite_real(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         d = self.absorb_delta
         # a NaN threshold would absorb no path: x < nan is always false
-        real = isinstance(d, numbers.Real) and not isinstance(d, bool)
-        if d is not None and not (real and math.isfinite(d) and d >= 0):
+        if d is not None and not (is_finite_real(d) and d >= 0):
             raise ValueError(f"absorb_delta must be None or a finite number >= 0, got {d!r}")
         if self.state_box is not None:
             try:
-                lo, hi = (float(v) for v in self.state_box)
+                lo, hi = self.state_box
             except (TypeError, ValueError):
-                lo = hi = math.nan
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                lo = hi = None
+            if not (is_finite_real(lo) and is_finite_real(hi) and lo < hi):
                 raise ValueError(
                     f"state_box must be two finite values lo < hi, got {self.state_box!r}"
                 )
-            object.__setattr__(self, "state_box", (lo, hi))
+            object.__setattr__(self, "state_box", (float(lo), float(hi)))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ measured.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -26,6 +24,7 @@ import numpy as np
 
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics
+from holoseq.checks import is_finite_real, is_integer
 from holoseq.generator import apply_l_composition, apply_r, linear_closes, riccati_closes
 from holoseq.series import CoeffSeries, LeadingCoefficientError
 
@@ -71,11 +70,11 @@ class OdeConfig:
     def __post_init__(self) -> None:
         for name in ("rtol", "atol", "first_step"):
             v = getattr(self, name)
-            ok = isinstance(v, numbers.Real) and math.isfinite(v) and v > 0
+            ok = is_finite_real(v) and v > 0
             if not (ok or (v is None and name == "first_step")):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
         m = self.max_steps
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        if not (is_integer(m) and m >= 1):
             raise ValueError(f"max_steps must be a positive integer, got {m!r}")
 
 

@@ -535,6 +535,8 @@ class TestExitCodes:
                          id="nan-chain-values"),
             # an inline model's dimension is a positive integer
             pytest.param(lambda c: c.update(model={"dim": 1.5, "diffusion": [[0, 1.0]]}), "model.dim", id="float-dim"),
+            # a bool is not an integrator tolerance
+            pytest.param(lambda c: c["numerics"].update(ode={"rtol": True}), "numerics.ode.rtol", id="bool-rtol"),
         ],
     )
     def test_config_typos_rejected(self, tmp_path, capsys, monkeypatch, edit, key):
@@ -603,6 +605,8 @@ class TestExitCodes:
             ({"dual": {"k_max": 2}}, "oracles.dual.k_max"),
             ({"mc": {"paths": 100, "dt": 0.01, "absorb_delta": math.nan}}, "oracles.mc.absorb_delta"),
             ({"mc": {"paths": 100, "dt": 0.01, "absorb_delta": "small"}}, "oracles.mc.absorb_delta"),
+            ({"mc": {"paths": 100, "dt": True}}, "oracles.mc.dt"),
+            ({"mc": {"paths": 100, "dt": 0.01, "state_box": [True, 2.0]}}, "oracles.mc.state_box"),
         ],
     )
     def test_oracle_settings_checked_before_flows(self, tmp_path, capsys, monkeypatch, oracles, key):

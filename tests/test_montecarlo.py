@@ -39,7 +39,7 @@ class TestConfig:
         [{"paths": 1.5}, {"paths": True}, {"seed": -1}, {"seed": 2.5}, {"seed": False}, {"dt": math.nan}, {"dt": math.inf},
          # a NaN threshold absorbs no path, since x < nan is always false
          {"absorb_delta": math.nan}, {"absorb_delta": math.inf}, {"absorb_delta": -1e-6}, {"absorb_delta": "1e-6"},
-         {"absorb_delta": True}],
+         {"absorb_delta": True}, {"dt": True}, {"state_box": (True, 2.0)}],
     )
     def test_rejects_values_no_simulation_can_use(self, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):

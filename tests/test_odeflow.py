@@ -83,7 +83,8 @@ class TestIntegrators:
 
     @pytest.mark.parametrize(
         "setting",
-        [{"rtol": math.nan}, {"atol": math.inf}, {"first_step": math.nan}, {"max_steps": 2.5}, {"max_steps": True}],
+        [{"rtol": math.nan}, {"atol": math.inf}, {"first_step": math.nan}, {"max_steps": 2.5}, {"max_steps": True},
+         {"rtol": True}, {"first_step": True}],
     )
     def test_config_rejects_values_no_step_can_use(self, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):
