@@ -319,15 +319,23 @@ def series_from_config(spec, dim: int, order: int) -> CoeffSeries:
     return ser.from_entries(dim, order, entries)
 
 
-def _vector_from_config(spec, dim: int, order: int) -> SeriesVector:
+def _named_series(spec, name: str, dim: int, order: int) -> CoeffSeries:
+    """``series_from_config`` with its errors prefixed by the series' name."""
+    try:
+        return series_from_config(spec, dim, order)
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from None
+
+
+def _vector_from_config(spec, name: str, dim: int, order: int) -> SeriesVector:
     # dim 1: a single series config; dim > 1: one config per coordinate
     if dim == 1:
-        return (series_from_config(spec, dim, order),)
+        return (_named_series(spec, f"{name}[0]", dim, order),)
     if spec is None:
         return tuple(ser.zero(dim, order) for _ in range(dim))
     if len(spec) != dim:
-        raise ValueError(f"expected {dim} component configs, got {len(spec)}")
-    return tuple(series_from_config(c, dim, order) for c in spec)
+        raise ValueError(f"{name}: expected {dim} component configs, got {len(spec)}")
+    return tuple(_named_series(c, f"{name}[{i}]", dim, order) for i, c in enumerate(spec))
 
 
 def _atom_from_config(m: int, cfg, dim: int, order: int) -> JumpAtom:
@@ -339,7 +347,7 @@ def _atom_from_config(m: int, cfg, dim: int, order: int) -> JumpAtom:
     w = cfg["weight"]
     if not is_finite_real(w):
         raise ValueError(f"{name} weight must be a finite number, got {w!r}")
-    return JumpAtom(float(w), _vector_from_config(cfg["size"], dim, order))
+    return JumpAtom(float(w), _vector_from_config(cfg["size"], f"{name} size", dim, order))
 
 
 def characteristics_from_config(cfg: dict, order: int) -> Characteristics:
@@ -352,19 +360,22 @@ def characteristics_from_config(cfg: dict, order: int) -> Characteristics:
     dim = cfg.get("dim", 1)
     if not is_integer(dim) or dim < 1:
         raise ValueError(f"model.dim must be an integer >= 1, got {dim!r}")
-    drift = _vector_from_config(cfg.get("drift"), dim, order)
+    drift = _vector_from_config(cfg.get("drift"), "drift", dim, order)
     diff_cfg = cfg.get("diffusion")
     if dim == 1:
-        diffusion = ((series_from_config(diff_cfg, dim, order),),)
+        diffusion = ((_named_series(diff_cfg, "diffusion[0][0]", dim, order),),)
     elif diff_cfg is None:
         diffusion = tuple(tuple(ser.zero(dim, order) for _ in range(dim)) for _ in range(dim))
     else:
-        diffusion = tuple(tuple(series_from_config(c, dim, order) for c in row) for row in diff_cfg)
+        diffusion = tuple(
+            tuple(_named_series(c, f"diffusion[{i}][{j}]", dim, order) for j, c in enumerate(row))
+            for i, row in enumerate(diff_cfg)
+        )
     kernel = None
     kc = cfg.get("kernel")
     if kc is not None:
         check_keys(kc, "model.kernel", ("intensity", "atoms", "pole_order"))
-        intensity = series_from_config(kc.get("intensity", [[[0] * dim, 1.0]]), dim, order)
+        intensity = _named_series(kc.get("intensity", [[[0] * dim, 1.0]]), "kernel.intensity", dim, order)
         atoms = kc.get("atoms", [])
         if not isinstance(atoms, list):
             raise ValueError(f"model.kernel.atoms must be a list of atoms, got {atoms!r}")

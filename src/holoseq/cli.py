@@ -9,9 +9,9 @@ absolute/relative differences against the engine), and, with ``--out``,
 CSV artifacts at full precision.
 
 Exit codes: 0 on success, 2 on config or model-validation problems, 3 on
-numerical failure (step-size underflow, flow budget, vanishing leading
-coefficient, escaped dual mass, negative or NaN jump intensity on a simulated
-path).
+numerical failure (step-size underflow, flow budget, an exponential action
+that is not finite, vanishing leading coefficient, escaped dual mass,
+negative or NaN jump intensity on a simulated path).
 """
 
 from __future__ import annotations
@@ -352,7 +352,12 @@ def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: 
 
 def _flow_detail(res):
     stats = res.flow.stats
-    detail = f"tail {res.tail:.2e}, nfev {stats['nfev']}"
+    if "nfev" in stats:
+        how = f"nfev {stats['nfev']}"
+    else:  # an exponential action: its Taylor steps or its Pade squarings
+        steps = "s" if stats["method"] == "taylor" else "squarings"
+        how = f"{stats['method']}, matvecs {stats['matvecs']}, {steps} {stats[steps]}"
+    detail = f"tail {res.tail:.2e}, {how}"
     if stats["order"] < res.flow.final.order:
         detail += f", closed at degree {stats['order']}"
     return res.value, detail

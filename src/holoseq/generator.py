@@ -7,9 +7,10 @@ form driving the exponential-moment flow).
 
 What depends only on the characteristics and the order is compiled once per
 ``Characteristics``, on first use, and kept read-only on it. L is linear, so
-it is a dense n x n matrix and each linear right-hand side is one
-matrix-vector product. Drift and diffusion are the matrices of the product
-rows of ``series._mul_rows``. Each jump atom is its composition map
+it is a dense n x n matrix: ``apply_l_composition`` is one matrix-vector
+product, and the linear flow takes the matrix's exponential action
+(``l_matrix``). Drift and diffusion are the matrices of the product rows of
+``series._mul_rows``. Each jump atom is its composition map
 u -> u o (id + j) minus the identity, compensated in degree one, weighted,
 multiplied by the intensity and pole-divided. R is L plus the quadratic
 diffusion term plus, per atom, exp*(g) - 1 - g for g = u o j - u,
@@ -34,6 +35,7 @@ from holoseq.series import CoeffSeries
 __all__ = [
     "apply_l_composition",
     "apply_r",
+    "l_matrix",
     "linear_closes",
     "riccati_closes",
 ]
@@ -121,12 +123,18 @@ def _compile_quadratic(chars: Characteristics) -> tuple[np.ndarray, ...]:
     return table
 
 
-def _linear(u: CoeffSeries, chars: Characteristics) -> np.ndarray:
-    """L u against the matrix compiled on first use and kept on ``chars``."""
-    ser._check_same_shape(u, chars.drift[0])
+def l_matrix(chars: Characteristics) -> np.ndarray:
+    """The read-only matrix of L at ``chars``' order, compiled on first use
+    and kept on ``chars``."""
     if chars._l_matrix is None:
         object.__setattr__(chars, "_l_matrix", _compile_l(chars))
-    return chars._l_matrix @ u.coeffs
+    return chars._l_matrix
+
+
+def _linear(u: CoeffSeries, chars: Characteristics) -> np.ndarray:
+    """L u against the compiled matrix."""
+    ser._check_same_shape(u, chars.drift[0])
+    return l_matrix(chars) @ u.coeffs
 
 
 def apply_l_composition(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:

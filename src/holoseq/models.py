@@ -12,9 +12,10 @@ Three kinds of reference models live here:
   (x/2)^k to a birth-death chain on the exponent, so E[e^{X_T}] is computable
   by uniformization of an explicit (explosive) dual chain.
 
-The matrix exponential is a [6/6] diagonal Pade approximant under scaling and
-squaring; plenty for the small well-conditioned generators used here, and it
-keeps the runtime dependency surface at numpy.
+The matrix exponential ``expm`` is a [6/6] diagonal Pade approximant under
+scaling and squaring; plenty for the small well-conditioned generators used
+here, and it keeps the runtime dependency surface at numpy. It lives in
+``holoseq.odeflow``, whose linear flow uses it too, and is re-exported here.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics, JumpAtom, JumpKernel
-from holoseq.odeflow import dopri5
+from holoseq.odeflow import dopri5, expm
 
 __all__ = [
     "expm",
@@ -47,32 +48,6 @@ __all__ = [
 
 class EscapeMassError(RuntimeError):
     """Dual-chain mass escaped past the truncation boundary beyond the requested tolerance."""
-
-
-# [6/6] diagonal Pade coefficients for exp
-_PADE6 = (1.0, 1 / 2, 5 / 44, 1 / 66, 1 / 792, 1 / 15840, 1 / 665280)
-_PADE6_THETA = 0.5
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring of a [6/6] Pade approximant."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expm needs a square matrix, got {a.shape}")
-    norm = float(np.linalg.norm(a, 1))
-    s = 0 if norm <= _PADE6_THETA else max(0, int(math.ceil(math.log2(norm / _PADE6_THETA))))
-    b = a / (2.0**s)
-    n = a.shape[0]
-    eye = np.eye(n, dtype=b.dtype)
-    b2 = b @ b
-    b4 = b2 @ b2
-    c = _PADE6
-    odd = b @ (c[1] * eye + c[3] * b2 + c[5] * b4)
-    even = c[0] * eye + c[2] * b2 + c[4] * b4 + c[6] * (b2 @ b4)
-    f = np.linalg.solve(even - odd, even + odd)
-    for _ in range(s):
-        f = f @ f
-    return f
 
 
 @dataclass(frozen=True)

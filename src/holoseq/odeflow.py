@@ -1,22 +1,33 @@
 """Flows of coefficient sequences.
 
-Integrates the two sequence-valued initial value problems behind expectation
+Solves the two sequence-valued initial value problems behind expectation
 functionals: the linear flow c' = L(c) (whose evaluation at the start state
 gives E[h(X_T)]) and the quadratic flow psi' = R(psi) (whose evaluated
 exponential gives E[exp h(X_T)]). A third route recovers psi from the linear
 flow by a *-logarithm, tracking the degree-zero branch with an auxiliary
 scalar ODE so the two quadratic routes stay comparable.
 
-The three solvers share one integration path around one integrator, which is
-dimension-agnostic over flat complex state vectors and keeps the start and
-end states only: a flow holds snapshots at t = 0 and t = T. The adaptive
-error norm weights coefficient alpha by 1 / alpha! so tolerance is enforced
-in the majorant metric at unit radius, matching how truncation tails are
-measured.
+On ``Characteristics`` L is one constant matrix, so the linear flow is the
+exponential action c(T) = exp(T L) u0, computed by ``expm_action``: a
+truncated Taylor series in s steps (Al-Mohy and Higham, SIAM J. Sci. Comput.
+33(2), 2011) or the dense matrix exponential ``expm`` times u0, whichever
+costs fewer matrix-vector products. ``expm``, a [6/6] Pade approximant under
+scaling and squaring, lives here; ``holoseq.models`` re-exports it for the
+chain oracles.
+
+The riccati and log-linear routes, and a linear flow of a callable operator,
+run through one integration path around the adaptive Dormand-Prince 5(4)
+integrator ``dopri5``, which is dimension-agnostic over flat complex state
+vectors and keeps the start and end states only: a flow holds snapshots at
+t = 0 and t = T. The adaptive error norm weights coefficient alpha by
+1 / alpha! so tolerance is enforced in the majorant metric at unit radius,
+matching how truncation tails are measured. ``OdeConfig`` governs these
+flows only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -25,7 +36,7 @@ import numpy as np
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics
 from holoseq.checks import is_finite_real, is_integer
-from holoseq.generator import apply_l_composition, apply_r, linear_closes, riccati_closes
+from holoseq.generator import apply_l_composition, apply_r, l_matrix, linear_closes, riccati_closes
 from holoseq.series import CoeffSeries, LeadingCoefficientError
 
 __all__ = [
@@ -35,6 +46,8 @@ __all__ = [
     "StepSizeUnderflowError",
     "FlowBudgetError",
     "dopri5",
+    "expm",
+    "expm_action",
     "solve_linear",
     "solve_riccati",
     "riccati_from_linear",
@@ -54,7 +67,8 @@ class StepSizeUnderflowError(RuntimeError):
 
 
 class FlowBudgetError(RuntimeError):
-    """Step budget exhausted before reaching the horizon."""
+    """A flow that cannot reach the horizon: the step budget ran out, or the
+    exponential action left the floating-point range."""
 
 
 @dataclass(frozen=True)
@@ -159,6 +173,123 @@ def dopri5(
     return times, [start, y], {"nfev": nfev, "accepted": accepted, "rejected": rejected}
 
 
+# [6/6] diagonal Pade coefficients for exp
+_PADE6 = (1.0, 1 / 2, 5 / 44, 1 / 66, 1 / 792, 1 / 15840, 1 / 665280)
+_PADE6_THETA = 0.5
+
+
+def _squarings(norm: float) -> int:
+    """The squarings that bring a matrix of 1-norm ``norm`` to _PADE6_THETA."""
+    return 0 if norm <= _PADE6_THETA else max(0, int(math.ceil(math.log2(norm / _PADE6_THETA))))
+
+
+def _pade(a: np.ndarray, squarings: int) -> np.ndarray:
+    """exp(a): the [6/6] Pade approximant of a / 2^squarings, squared back."""
+    b = a / (2.0**squarings)
+    n = a.shape[0]
+    eye = np.eye(n, dtype=b.dtype)
+    b2 = b @ b
+    b4 = b2 @ b2
+    c = _PADE6
+    odd = b @ (c[1] * eye + c[3] * b2 + c[5] * b4)
+    even = c[0] * eye + c[2] * b2 + c[4] * b4 + c[6] * (b2 @ b4)
+    f = np.linalg.solve(even - odd, even + odd)
+    for _ in range(squarings):
+        f = f @ f
+    return f
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring of a [6/6] Pade approximant."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expm needs a square matrix, got {a.shape}")
+    return _pade(a, _squarings(float(np.linalg.norm(a, 1))))
+
+
+# theta_m for double precision (Al-Mohy and Higham 2011, Table 3.1; Higham,
+# Functions of Matrices, Table A.3): where ||A||_1 <= theta_m, the Taylor
+# polynomial of degree m is exp(A + E) with ||E|| <= 2^-53 ||A||
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0,
+    45: 7.2, 50: 8.5, 55: 9.9,
+}
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _taylor_plan(norm: float) -> tuple[int, int]:
+    """(m, s): the Taylor degree and step count minimising m * s with
+    s = ceil(norm / theta_m), the smallest such m on a tie."""
+    if norm == 0:
+        return 0, 1
+    return min(((m, math.ceil(norm / th)) for m, th in _THETA.items()), key=lambda p: p[0] * p[1])
+
+
+def _taylor_action(a: np.ndarray, t: float, v: np.ndarray, m: int, s: int) -> tuple[np.ndarray, dict]:
+    """exp(t a) v as s steps of exp(t a / s), each its Taylor polynomial of
+    degree <= m, stopped once two successive terms fall below unit roundoff
+    of the partial sum in the infinity norm (Al-Mohy and Higham's Algorithm
+    3.2 without the trace shift)."""
+    f = v.astype(np.result_type(a, v, 1.0))
+    b, matvecs = v, 0
+    for _ in range(s):
+        # ``bound`` >= ||f||, so the stopping test needs ||f|| only once it
+        # could pass
+        c1 = bound = np.abs(b).max(initial=0.0)
+        for j in range(1, m + 1):
+            b = (a @ b) * (t / (s * j))
+            matvecs += 1
+            c2 = np.abs(b).max(initial=0.0)
+            f += b
+            bound += c2
+            if c1 + c2 <= _UNIT_ROUNDOFF * bound:
+                bound = np.abs(f).max(initial=0.0)
+                if c1 + c2 <= _UNIT_ROUNDOFF * bound:
+                    break
+            c1 = c2
+        b = f
+    return f, {"method": "taylor", "matvecs": matvecs, "s": s}
+
+
+def expm_action(a: np.ndarray, t: float, v: np.ndarray) -> tuple[np.ndarray, dict]:
+    """exp(t a) v for a square matrix ``a``, with how it was computed.
+
+    With nu = t ||a||_1 and n = len(v), the method estimated to cost fewer
+    matrix-vector products runs:
+
+    * ``taylor`` (``_taylor_action``), with (m, s) minimising
+      m * ceil(nu / theta_m) over m <= 55: at most m * s products;
+    * ``pade``: ``expm(t a)`` then one product, about (4 + q) n
+      product-equivalents for q squarings.
+
+    The stats hold the ``method``, the ``matvecs`` and the Taylor steps
+    ``s`` or the Pade ``squarings``. A result that is not finite raises
+    FlowBudgetError naming nu.
+    """
+    if not (is_finite_real(t) and t >= 0):
+        raise ValueError(f"the horizon must be finite and >= 0, got {t}")
+    norm = t * float(np.linalg.norm(a, 1))
+    if not math.isfinite(norm):
+        raise FlowBudgetError(f"||T L||_1 = {norm} is not finite; the flow cannot be computed")
+    m, s = _taylor_plan(norm)
+    squarings = _squarings(norm)
+    # an overflow is reported below, as an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m * s <= (4 + squarings) * len(v):
+            f, stats = _taylor_action(a, t, v, m, s)
+        else:
+            f, stats = _pade(t * a, squarings) @ v, {"method": "pade", "matvecs": 1, "squarings": squarings}
+    if not np.all(np.isfinite(f)):
+        raise FlowBudgetError(
+            f"exp(T L) u0 is not finite ({stats['method']}): ||T L||_1 = {norm:.3e}; the flow blows up"
+        )
+    return f, stats
+
+
 @dataclass(frozen=True)
 class FlowResult:
     """Start and end snapshots of a sequence flow, at t = 0 and t = T."""
@@ -214,7 +345,7 @@ def _operator(model, apply) -> Callable[[CoeffSeries], CoeffSeries]:
 
 
 def _flow(rhs, u0: CoeffSeries, y0: np.ndarray, T: float, config, snapshot) -> FlowResult:
-    """The integration path of all three solvers: dopri5 from y0 over
+    """The integration path of the dopri5 flows: dopri5 from y0 over
     [0, T], with the leading series block of the state weighted like u0 and
     any trailing scalar by 1; ``snapshot`` turns the start and end states
     into series. The stats add u0's order as the working ``order``."""
@@ -224,40 +355,58 @@ def _flow(rhs, u0: CoeffSeries, y0: np.ndarray, T: float, config, snapshot) -> F
     return FlowResult(times, tuple(snapshot(y) for y in states), dict(stats, order=u0.order))
 
 
-def _series_flow(apply, closes, model, u0: CoeffSeries, T: float, config) -> FlowResult:
-    """The flow u' = apply(u, model) from u0. Characteristics are cut to
-    u0's order first; where their system then ``closes`` at
-    d = max(deg u0, 1) < u0.order, the flow runs on the characteristics
-    truncated to order d, which is exact there, and its snapshots are
-    zero-filled back to u0's order. A callable runs at u0's order."""
-    u = u0
+def _working(model, u0: CoeffSeries, closes):
+    """The model and payoff a flow from u0 runs on. Characteristics are cut
+    to u0's order first; where their system then ``closes`` at
+    d = max(deg u0, 1) < u0.order, both are cut to order d, which is exact
+    there. A callable passes through with u0."""
     model = _at_order(model, u0)
     if isinstance(model, Characteristics):
         d = max(ser.degree(u0), 1)
         if d < u0.order and closes(model, d):
-            model, u = model.truncated(d), ser.with_order(u0, d)
-    op = _operator(model, apply)
+            return model.truncated(d), ser.with_order(u0, d)
+    return model, u0
+
+
+def _padded(u: CoeffSeries, order: int):
+    """Coefficient arrays at u's shape -> series zero-filled to ``order``."""
+    return lambda y: ser.with_order(CoeffSeries(u.dim, u.order, y), order)
+
+
+def _series_flow(op, u: CoeffSeries, out_order: int, T: float, config) -> FlowResult:
+    """dopri5 of u' = op(u) from u, with snapshots zero-filled to ``out_order``."""
     dim, order = u.dim, u.order
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return op(CoeffSeries(dim, order, y)).coeffs
 
-    return _flow(rhs, u, u.coeffs, T, config, lambda y: ser.with_order(CoeffSeries(dim, order, y), u0.order))
+    return _flow(rhs, u, u.coeffs, T, config, _padded(u, out_order))
 
 
 def solve_linear(model, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
-    """c(t) with c' = L(c), c(0) = u0; model is Characteristics of u0's
-    dimension and any order >= u0's (it runs truncated to u0's order), or a
-    callable series operator. On a polynomial model
-    (``generator.linear_closes``) the flow runs at order max(deg u0, 1)."""
-    return _series_flow(apply_l_composition, lambda chars, d: linear_closes(chars), model, u0, T, config)
+    """c(T) with c' = L(c), c(0) = u0.
+
+    ``model`` is Characteristics of u0's dimension and any order >= u0's
+    (it runs cut to u0's order, and on a polynomial model, see
+    ``generator.linear_closes``, at order max(deg u0, 1)), or a callable
+    series operator. On Characteristics c(T) = exp(T L) u0 by
+    ``expm_action`` on the compiled L; ``config`` is not read, and the stats
+    are the action's. A callable flows by dopri5 under ``config``."""
+    model, u = _working(model, u0, lambda chars, d: linear_closes(chars))
+    if not isinstance(model, Characteristics):
+        return _series_flow(model, u, u0.order, T, config)
+    c, stats = expm_action(l_matrix(model), T, u.coeffs)
+    snapshot = _padded(u, u0.order)
+    times = np.array([0.0, T], dtype=float)
+    return FlowResult(times, (snapshot(u.coeffs), snapshot(c)), dict(stats, order=u.order))
 
 
 def solve_riccati(model, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
-    """psi(t) with psi' = R(psi), psi(0) = u0. Where R keeps degree
-    max(deg u0, 1) (``generator.riccati_closes``), the flow runs at that
-    order."""
-    return _series_flow(apply_r, riccati_closes, model, u0, T, config)
+    """psi(t) with psi' = R(psi), psi(0) = u0, by dopri5. Where R keeps
+    degree max(deg u0, 1) (``generator.riccati_closes``), the flow runs at
+    that order."""
+    model, u = _working(model, u0, riccati_closes)
+    return _series_flow(_operator(model, apply_r), u, u0.order, T, config)
 
 
 def riccati_from_linear(model, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
@@ -300,7 +449,8 @@ def _radius_for(x0) -> float:
 def holomorphic_expectation(
     model, u0: CoeffSeries, T: float, x0, config: OdeConfig | None = None
 ) -> ExpectationResult:
-    """E[h(X_T) | X_0 = x0] for the payoff with coefficients u0."""
+    """E[h(X_T) | X_0 = x0] for the payoff with coefficients u0: the flow of
+    ``solve_linear`` evaluated at x0."""
     flow = solve_linear(model, u0, T, config)
     return ExpectationResult(ser.evaluate(flow.final, x0), tail_mass(flow.final, _radius_for(x0)), flow)
 

@@ -53,3 +53,23 @@ def pointwise_generator(chars: Characteristics, f, x) -> complex:
     """Generator value at one state; the independent oracle for the series route."""
     pt = np.atleast_1d(np.asarray(x, dtype=float))
     return complex(generator_values(chars, f, pt[None, :])[0])
+
+
+def affine_mgf(spec: AffineSpec, tau: float, T: float, x: float) -> float:
+    """E[exp(tau X_T) | X_0 = x] in closed form for a real spec with
+    a1 = l1 = 0: psi(t) = tau e^(b1 t), and phi(T) integrates F0(psi)
+    exactly, each atom's e^(psi xi) through the exponential integral Ei
+    when b1 != 0."""
+    if spec.a1 or spec.l1:
+        raise ValueError("the closed form needs a1 = l1 = 0")
+    b = spec.b1
+    if b == 0:
+        return math.exp(tau * x + T * _affine_f(spec, tau, False).real)
+    from scipy.special import expi
+
+    grow = math.expm1(b * T)  # e^(b T) - 1
+    phi = spec.b0 * tau * grow / b + spec.a0 * tau * tau * math.expm1(2 * b * T) / (4 * b)
+    for w, xi in spec.atoms:
+        z = tau * xi
+        phi += spec.l0 * w * ((expi(z * math.exp(b * T)) - expi(z)) / b - T - z * grow / b)
+    return math.exp(phi + tau * math.exp(b * T) * x)

@@ -7,6 +7,7 @@ captured stdout/stderr rather than subprocess plumbing.
 import argparse
 import csv
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,26 @@ class TestRun:
         cfg = dict(BASE, function={"family": "exp", "scale": 0.5})
         code, out, _ = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 0 and "closed at" not in out
+
+    @pytest.mark.parametrize(
+        "cfg,how",
+        [
+            # bm's L shifts by two degrees: the Taylor series ends after a few products
+            (dict(BASE, function={"family": "exp", "scale": 0.5}), r"taylor, matvecs \d+, s 1$"),
+            # unit-interval's L is stiff: the dense exponential, squared 11 times at order 18
+            (dict(BASE, model={"preset": "unit-interval"}, function={"family": "exp"}, run={"T": 0.5, "x0": 0.5},
+                  numerics={"order": 16}), r"pade, matvecs 1, squarings 11$"),
+            # the other routes integrate, and report the right-hand sides
+            (dict(BASE, run={"mode": "affine", "T": 0.5, "affine_route": "both"},
+                  function={"family": "polynomial", "coefficients": [0.0, 0.5]}), r"nfev \d+"),
+        ],
+        ids=["linear-taylor", "linear-pade", "affine-routes"],
+    )
+    def test_flow_detail_names_the_method(self, tmp_path, capsys, cfg, how):
+        code, out, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 0, err
+        rows = [line for line in out.splitlines() if "-flow" in line]
+        assert rows and all(re.search(how, row) for row in rows)
 
     def test_zero_reference_has_no_relative_diff(self, tmp_path, capsys):
         # E[X_T] = 0 for Brownian motion from the origin: the engine value is
@@ -410,6 +431,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 3 and "numerical failure" in err
 
+    def test_non_finite_linear_flow_exits_3(self, tmp_path, capsys):
+        # drift x: the coefficient of x grows like e^T, past the float range at T = 1000
+        cfg = dict(
+            BASE,
+            model={"drift": [[1, 1.0]]},
+            function={"family": "polynomial", "coefficients": [0.0, 1.0]},
+            run={"mode": "holomorphic", "T": 1000.0, "x0": 0.5},
+        )
+        code, out, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 3 and "linear-flow" not in out
+        assert "FlowBudgetError" in err and "||T L||_1 = 1.000e+03" in err
+        assert "nan" not in err.lower() and "RuntimeWarning" not in err
+
     @pytest.mark.parametrize("entries", [[[2]], [[2, 2.0, 0.0, 99.0]]])
     def test_malformed_payoff_entries(self, tmp_path, capsys, entries):
         cfg = dict(BASE, function={"family": "series", "entries": entries})
@@ -574,6 +608,28 @@ class TestExitCodes:
         cfg = dict(BASE, model={"diffusion": [[0, 1.0]], "kernel": kernel})
         code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 2 and key in err
+
+    @pytest.mark.parametrize(
+        "model,name",
+        [
+            ({"drift": [[[1.5], 0.1]]}, "drift[0]"),
+            ({"diffusion": [[[1.5], 0.1]]}, "diffusion[0][0]"),
+            ({"kernel": {"intensity": [[[1.5], 0.1]], "atoms": [{"weight": 1.0, "size": [[0, 0.1]]}]}},
+             "kernel.intensity"),
+            ({"kernel": {"intensity": [[0, 1.0]], "atoms": [{"weight": 1.0, "size": [[[1.5], 0.1]]}]}},
+             "kernel atom 0 size[0]"),
+            ({"dim": 2, "drift": [None, [[[0, 1], "0.1"]]]}, "drift[1]"),
+            ({"dim": 2, "diffusion": [[None, None], [[[[0, -1], 1.0]], None]]}, "diffusion[1][0]"),
+        ],
+        ids=["drift", "diffusion", "intensity", "atom-size", "dim-two-drift", "dim-two-diffusion"],
+    )
+    def test_bad_series_entry_names_its_characteristic(self, tmp_path, capsys, monkeypatch, model, name):
+        monkeypatch.setattr(cli, "holomorphic_expectation", _no_flow)
+        cfg = dict(BASE, model=model)
+        if model.get("dim") == 2:
+            cfg["function"] = {"family": "series", "entries": [[[2, 0], 2.0]]}
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert code == 2 and f"model: {name}: series entry" in err
 
     def test_scalar_x0_in_dim_two_names_field(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "holomorphic_expectation", _no_flow)

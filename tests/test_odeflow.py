@@ -8,19 +8,25 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import expm_multiply
 
+from holoseq import models, odeflow
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics, JumpAtom, JumpKernel
-from holoseq.generator import apply_l_composition, apply_r, linear_closes, riccati_closes
-from holoseq.models import build_preset
+from holoseq.generator import apply_l_composition, apply_r, l_matrix, linear_closes, riccati_closes
+from holoseq.models import AFFINE_LINEAR_JUMPS, AffineSpec, UnitIntervalModel, build_preset
 from holoseq.odeflow import (
     ExpectationResult,
     FlowBudgetError,
     LeadingCoefficientError,
     OdeConfig,
     StepSizeUnderflowError,
+    _taylor_action,
+    _taylor_plan,
     affine_expectation,
     dopri5,
+    expm,
+    expm_action,
     flow_to_csv,
     holomorphic_expectation,
     riccati_from_linear,
@@ -29,8 +35,9 @@ from holoseq.odeflow import (
     tail_mass,
 )
 
+from oracles import affine_mgf
 from test_characteristics import bm_chars, compound_poisson_chars, const, unit_interval_chars
-from test_generator import affine_models, nd_affine_chars, polynomial_models
+from test_generator import affine_models, dense_series, nd_affine_chars, polynomial_models
 
 ODE_RTOL = 1e-9
 
@@ -114,6 +121,149 @@ class TestLinearFlow:
         assert at_x.tail < 1e-12
 
 
+def exp_payoff(dim, order, tau):
+    """exp(tau . x) truncated at ``order``: coefficient tau^alpha at alpha."""
+    tau = np.asarray(tau, dtype=float)
+    return ser.CoeffSeries(dim, order, np.array([np.prod(tau ** np.array(a)) for a in ser.index_table(dim, order)[0]]))
+
+
+def callable_l(chars):
+    """The same L as a callable operator, which the linear flow integrates by dopri5."""
+    return lambda u: apply_l_composition(u, chars)
+
+
+TIGHT = OdeConfig(rtol=1e-13, atol=1e-16)
+REF = OdeConfig(rtol=1e-11, atol=1e-13)
+
+
+class TestExponentialAction:
+    """On Characteristics the linear flow is exp(T L) u0, by a Taylor action
+    or the dense Pade exponential, whichever the cost rule picks."""
+
+    SPECS = {
+        "bm": AffineSpec(a0=1.0),
+        "compound-poisson": AffineSpec(a0=1.0, l0=1.0, atoms=((1.0, 0.5), (1.0, -0.5))),
+        "affine-linear-jumps": AFFINE_LINEAR_JUMPS,
+    }
+
+    @pytest.mark.parametrize("order", [24, 32])
+    @pytest.mark.parametrize("preset", list(SPECS))
+    def test_affine_closed_forms(self, preset, order):
+        chars = build_preset(preset, order=order)
+        u0 = exp_payoff(1, order, [0.6])
+        for x0 in (-0.4, 0.3):
+            res = holomorphic_expectation(chars, u0, 1.0, x0)
+            want = affine_mgf(self.SPECS[preset], 0.6, 1.0, x0)
+            assert abs(res.value - want) <= 1e-13 * want
+        assert res.flow.stats["method"] == "taylor" and res.flow.stats["order"] == order
+
+    @pytest.mark.parametrize(
+        "dim,order,tau,matvecs",
+        [(2, 10, (0.5, -0.4), 23), (2, 12, (-0.45, 0.35), 24), (3, 7, (0.7, -0.5, 0.4), 23)],
+    )
+    def test_flow_nd_against_tight_ode_and_scipy(self, dim, order, tau, matvecs):
+        # the three models of the flow-nd benchmark, with its payoff and
+        # horizon; one Taylor step, stopped early a few terms before its
+        # degree m = 27, 29 and 25
+        chars = nd_affine_chars(dim, order)
+        u0 = exp_payoff(dim, order, tau)
+        flow = solve_linear(chars, u0, 0.5)
+        assert flow.stats == {"method": "taylor", "matvecs": matvecs, "s": 1, "order": order}
+        ode = solve_linear(callable_l(chars), u0, 0.5, TIGHT).final.coeffs
+        exact = expm_multiply(0.5 * l_matrix(chars), u0.coeffs)
+        for want in (ode, exact):
+            assert np.abs(flow.final.coeffs - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_unit_interval_against_dual_chain(self):
+        # E[e^(X_T)] with the truncated e^x: truncation sets the error, from
+        # about 6e-5 at N = 8 down to the dual chain's own rounding (about
+        # 5e-13 at k_max = 60) by N = 32; the action keeps the ODE's digits
+        T, x0 = 0.5, 0.5
+        want = UnitIntervalModel(k_max=60).dual_expectation(T).evaluate(x0)
+        errs = []
+        for order in range(8, 49, 8):
+            chars = unit_interval_chars(order)
+            u0 = exp_payoff(1, order, [1.0])
+            res = holomorphic_expectation(chars, u0, T, x0)
+            ode = holomorphic_expectation(callable_l(chars), u0, T, x0, REF)
+            err, ode_err = (abs(r.value - want) / want for r in (res, ode))
+            assert res.flow.stats["method"] == "pade"
+            assert err <= ode_err + 5e-13, order
+            errs.append(err)
+        assert errs[0] > 1e-5 and max(errs[3:]) < 1e-12
+
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_callable_ode_path(self, data):
+        dim, order, kind = data.draw(
+            st.sampled_from([(1, 8, "affine"), (1, 8, "polynomial"), (1, 8, "pole"), (2, 5, "affine"),
+                             (2, 5, "polynomial"), (3, 4, "affine"), (3, 4, "polynomial")])
+        )
+        if kind == "affine":
+            chars = data.draw(affine_models(dim, order))
+        else:
+            chars = data.draw(polynomial_models(dim, order, pole=kind == "pole"))
+        u0 = data.draw(dense_series(dim, order))
+        flow = solve_linear(chars, u0, 0.25)
+        ode = solve_linear(callable_l(chars), u0, 0.25, REF).final.coeffs
+        # compared as the flows' error norm weighs them: coefficient alpha by 1/alpha!
+        w = ser.taylor_weights(dim, order)
+        scale = max(1.0, float(np.abs(ode * w).max()))
+        assert np.abs((flow.final.coeffs - ode) * w).max() <= 1e-8 * scale
+
+    @pytest.mark.parametrize(
+        "make,method",
+        [(lambda: nd_affine_chars(3, 7), "taylor"), (lambda: unit_interval_chars(16), "pade")],
+        ids=["flow-nd-d3", "unit-interval-16"],
+    )
+    def test_taylor_and_pade_kernels_agree_across_the_cost_rule(self, make, method):
+        a, t = l_matrix(make()), 0.5
+        v = np.random.default_rng(7).standard_normal(a.shape[0]) + 0j
+        got, stats = expm_action(a, t, v)
+        assert stats["method"] == method
+        taylor, taylor_stats = _taylor_action(a, t, v, *_taylor_plan(t * np.linalg.norm(a, 1)))
+        dense = expm(t * a) @ v
+        want = expm_multiply(t * a, v)
+        for c in (got, taylor, dense):
+            assert np.abs(c - want).max() <= 1e-12 * np.abs(want).max()
+        # the rule's side: the Taylor products against the dense estimate (4 + q) n
+        squarings = odeflow._squarings(t * np.linalg.norm(a, 1))
+        assert (taylor_stats["matvecs"] < (4 + squarings) * len(v)) == (method == "taylor")
+
+    def test_zero_horizon_is_the_identity(self):
+        chars = nd_affine_chars(2, 6)
+        u0 = exp_payoff(2, 6, (0.5, -0.4))
+        flow = solve_linear(chars, u0, 0.0)
+        np.testing.assert_array_equal(flow.final.coeffs, u0.coeffs)
+        assert flow.stats == {"method": "taylor", "matvecs": 0, "s": 1, "order": 6}
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+    def test_horizon_must_be_finite_and_forward(self, t):
+        with pytest.raises(ValueError, match="horizon"):
+            expm_action(np.eye(2), t, np.ones(2))
+
+    @pytest.mark.parametrize(
+        "a,t,method",
+        [
+            (np.diag([0.0, 1.0]), 1000.0, "pade"),
+            # n = 400 makes the Taylor action the cheaper estimate
+            (2.4 * np.eye(400), 400.0, "taylor"),
+        ],
+        ids=["pade", "taylor"],
+    )
+    def test_non_finite_result_fails_loudly(self, a, t, method):
+        with pytest.raises(FlowBudgetError, match=rf"\({method}\): \|\|T L\|\|_1 = "):
+            expm_action(a, t, np.ones(len(a)))
+
+    def test_non_finite_norm_fails_loudly(self):
+        with pytest.raises(FlowBudgetError, match=r"\|\|T L\|\|_1 = inf"):
+            expm_action(np.array([[10.0]]), 1e308, np.ones(1))
+
+    def test_one_expm_for_engine_and_oracles(self):
+        assert models.expm is odeflow.expm
+
+
 class TestSharedFlow:
     """The integration path the three solvers share: what it keeps, and
     where its step control lands on a fixed case."""
@@ -134,7 +284,6 @@ class TestSharedFlow:
     @pytest.mark.parametrize(
         "route,value,nfev",
         [
-            ("linear", 0.35, 25),
             ("riccati", 1.7063862310814977, 25),
             ("log-linear", 1.7063862310169975, 37),
         ],
@@ -143,16 +292,21 @@ class TestSharedFlow:
         # any change that moves the step control moves nfev
         chars = build_preset("compound-poisson", order=16)
         u0 = ser.from_entries(1, 16, [((1,), 0.7)])
-        ode = OdeConfig(rtol=1e-10)
-        if route == "linear":
-            res = holomorphic_expectation(chars, u0, 0.5, 0.5, ode)
-        else:
-            res = affine_expectation(chars, u0, 0.5, 0.5, ode, route=route)
+        res = affine_expectation(chars, u0, 0.5, 0.5, OdeConfig(rtol=1e-10), route=route)
         assert res.value == pytest.approx(value, rel=1e-13, abs=0)
         assert res.flow.stats["nfev"] == nfev
-        # the payoff is linear and the model affine: linear and riccati close
-        # at degree one, and log-linear flows the full series exp*(u0)
+        # the payoff is linear and the model affine: riccati closes at degree
+        # one, and log-linear flows the full series exp*(u0)
         assert res.flow.stats["order"] == (16 if route == "log-linear" else 1)
+
+    def test_compound_poisson_linear_action_pinned(self):
+        # the linear route closes at degree one, where the compensated
+        # martingale's L is zero: the action is u0 itself, with no product
+        chars = build_preset("compound-poisson", order=16)
+        u0 = ser.from_entries(1, 16, [((1,), 0.7)])
+        res = holomorphic_expectation(chars, u0, 0.5, 0.5, OdeConfig(rtol=1e-10))
+        assert res.value == pytest.approx(0.35, rel=1e-13, abs=0)
+        assert res.flow.stats == {"method": "taylor", "matvecs": 0, "s": 1, "order": 1}
 
 
 ROUTES = [
