@@ -4,9 +4,10 @@
 characteristics), a payoff (named family or explicit series entries), and
 runs the requested sequence flows plus whatever oracles the config enables.
 Output is a provenance header echoing every resolved setting, one table row
-per computed quantity (engine rows carry tail diagnostics, oracle rows carry
+per computed quantity (engine rows say how their flow ran, oracle rows carry
 absolute/relative differences against the engine), and, with ``--out``,
-CSV artifacts at full precision.
+CSV artifacts at full precision. No row carries a truncation estimate;
+``--sweep-order`` diffs each order against the oracle instead.
 
 Exit codes: 0 on success, 2 on config or model-validation problems, 3 on
 numerical failure (step-size underflow, flow budget, an exponential action
@@ -20,7 +21,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -321,7 +322,7 @@ def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: 
     # the module globals are looked up at call time, so tests can replace them
     routes = []
     if "holomorphic" in modes:
-        routes.append(("linear", "holomorphic", lambda u: holomorphic_expectation(model, u, T, x0, ode)))
+        routes.append(("linear", "holomorphic", lambda u: holomorphic_expectation(model, u, T, x0)))
     if "affine" in modes:
         for r in ("riccati", "log-linear"):
             if route in (r, "both"):
@@ -353,11 +354,10 @@ def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: 
 def _flow_detail(res):
     stats = res.flow.stats
     if "nfev" in stats:
-        how = f"nfev {stats['nfev']}"
+        detail = f"nfev {stats['nfev']}"
     else:  # an exponential action: its Taylor steps or its Pade squarings
         steps = "s" if stats["method"] == "taylor" else "squarings"
-        how = f"{stats['method']}, matvecs {stats['matvecs']}, {steps} {stats[steps]}"
-    detail = f"tail {res.tail:.2e}, {how}"
+        detail = f"{stats['method']}, matvecs {stats['matvecs']}, {steps} {stats[steps]}"
     if stats["order"] < res.flow.final.order:
         detail += f", closed at degree {stats['order']}"
     return res.value, detail
@@ -518,11 +518,14 @@ def run_config(cfg: dict, args) -> list[Row]:
         rows = _chain_rows(model, cfg, args)
     else:
         ode = _ode_config(num_cfg.get("ode") or {})
-        # engine rows are labelled by N and computed at order N + buffer
+        modes = _run_modes(_section(cfg, "run", keys=("mode", "T", "x0", "affine_route")))
+        # engine rows are labelled by N and computed at order N + buffer; only
+        # the affine routes integrate, so only they read ``ode``
         numerics = {
             "order": order,
             "buffer": buffer,
             "working_order": {n: n + buffer for n in orders},
+            "ode": asdict(ode) if "affine" in modes else "not read",
         }
         _echo_header(cfg, args, name, numerics)
         if cfg.get("grid") is not None:

@@ -20,9 +20,11 @@ run through one integration path around the adaptive Dormand-Prince 5(4)
 integrator ``dopri5``, which is dimension-agnostic over flat complex state
 vectors and keeps the start and end states only: a flow holds snapshots at
 t = 0 and t = T. The adaptive error norm weights coefficient alpha by
-1 / alpha! so tolerance is enforced in the majorant metric at unit radius,
-matching how truncation tails are measured. ``OdeConfig`` governs these
-flows only.
+1 / alpha! so tolerance is enforced in the majorant metric at unit radius.
+``OdeConfig`` governs these flows only.
+
+An expectation is its flow's end state evaluated once at the start point,
+by ``series.evaluate``, which is exactly rounded.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "riccati_from_linear",
     "holomorphic_expectation",
     "affine_expectation",
-    "tail_mass",
     "flow_to_csv",
 ]
 
@@ -306,22 +307,10 @@ class FlowResult:
 @dataclass(frozen=True)
 class ExpectationResult:
     value: complex
-    tail: float
     flow: FlowResult
 
     def __float__(self) -> float:
         return float(self.value.real)
-
-
-def tail_mass(u: CoeffSeries, radius: float, top: int = 2) -> float:
-    """Majorant mass sitting in the top ``top`` degrees at ``radius``: the
-    ``abs_norm`` of those degrees alone.
-
-    A heuristic truncation diagnostic, not a bound: it sees only the top
-    degrees at one radius, and a small tail can sit beside a much larger
-    truncation error."""
-    top_part = np.where(ser._degrees(u.dim, u.order) > u.order - top, u.coeffs, 0.0)
-    return ser.abs_norm(CoeffSeries(u.dim, u.order, top_part), radius)
 
 
 def _at_order(model, u0: CoeffSeries):
@@ -441,18 +430,13 @@ def riccati_from_linear(model, u0: CoeffSeries, T: float, config: OdeConfig | No
     return _flow(rhs, u0, y0, T, config, snapshot)
 
 
-def _radius_for(x0) -> float:
-    r = float(np.max(np.abs(np.atleast_1d(np.asarray(x0, dtype=float)))))
-    return r if r > 0 else 1.0
-
-
 def holomorphic_expectation(
     model, u0: CoeffSeries, T: float, x0, config: OdeConfig | None = None
 ) -> ExpectationResult:
     """E[h(X_T) | X_0 = x0] for the payoff with coefficients u0: the flow of
     ``solve_linear`` evaluated at x0."""
     flow = solve_linear(model, u0, T, config)
-    return ExpectationResult(ser.evaluate(flow.final, x0), tail_mass(flow.final, _radius_for(x0)), flow)
+    return ExpectationResult(ser.evaluate(flow.final, x0), flow)
 
 
 def affine_expectation(
@@ -471,8 +455,7 @@ def affine_expectation(
         flow = riccati_from_linear(model, u0, T, config)
     else:
         raise ValueError(f"unknown route {route!r}")
-    psi = flow.final
-    return ExpectationResult(np.exp(ser.evaluate(psi, x0)), tail_mass(psi, _radius_for(x0)), flow)
+    return ExpectationResult(np.exp(ser.evaluate(flow.final, x0)), flow)
 
 
 def flow_to_csv(flow: FlowResult, path) -> None:

@@ -519,20 +519,14 @@ def _table_product(table: np.ndarray) -> np.ndarray:
 
 
 def evaluate(u: CoeffSeries, z: Sequence[complex] | complex) -> complex:
-    """h_u(z) = sum_alpha u_alpha z^alpha / alpha!, compensated summation.
+    """h_u(z) = sum_alpha u_alpha z^alpha / alpha!, exactly rounded.
 
-    Terms are accumulated in graded-lex order with Kahan compensation so the
-    result is deterministic and resilient to cancellation between degrees.
+    The real and imaginary parts of the terms u_alpha z^alpha / alpha! are
+    each summed by ``math.fsum``: the result is the exact sum of the rounded
+    terms, rounded once, whatever their order or cancellation.
     """
     terms = u.coeffs * taylor_weights(u.dim, u.order, z)
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for t in terms:
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return complex(total)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 def real_points(xs, dim: int) -> np.ndarray:
@@ -558,8 +552,8 @@ class RealEvaluator:
     sum_alpha Re(u_alpha) x^alpha / alpha!, so only the support of Re(u) is
     kept, with 1/alpha! folded into the weights, and each value is the sum of
     the support monomials built from per-coordinate power tables. The result
-    equals ``evaluate(u, x).real`` at each point up to rounding: the summation
-    order differs and there is no compensation.
+    equals ``evaluate(u, x).real`` at each point up to rounding: the terms
+    are formed differently and summed plainly, not exactly rounded.
     """
 
     def __init__(self, u: CoeffSeries):

@@ -96,7 +96,30 @@ class TestRun:
         # the first header line names the version; the rest is YAML
         header = [line[2:] for line in out.splitlines() if line.startswith("#")]
         numerics = yaml.safe_load("\n".join(header[1:]))["numerics"]
-        assert numerics == {"order": 8, "buffer": 2, "working_order": {8: 10}}
+        assert numerics == {"order": 8, "buffer": 2, "working_order": {8: 10}, "ode": "not read"}
+
+    @pytest.mark.parametrize(
+        "run,ode",
+        [
+            # a linear row is an exponential action: the setting is checked, not read
+            ({"mode": "holomorphic", "T": 1.0}, "not read"),
+            # an affine row integrates: the header holds every setting, defaults included
+            ({"mode": "affine", "T": 1.0, "affine_route": "log-linear"},
+             {"rtol": 1e-3, "atol": 1e-12, "first_step": None, "max_steps": 1_000_000}),
+        ],
+        ids=["holomorphic", "affine"],
+    )
+    def test_header_echoes_ode_where_read(self, tmp_path, capsys, run, ode):
+        base = dict(BASE, run=run, function={"family": "polynomial", "coefficients": [0.0, 0.5]})
+        loose = dict(base, numerics={"order": 8, "ode": {"rtol": 1e-3}})
+        code, out, err = run_cli(capsys, "run", write_cfg(tmp_path, loose))
+        assert code == 0, err
+        header = [line[2:] for line in out.splitlines() if line.startswith("#")]
+        assert yaml.safe_load("\n".join(header[1:]))["numerics"]["ode"] == ode
+        # the loose tolerance moves the value exactly where the header says it is read
+        args = argparse.Namespace(sweep_order=None, mc_paths=None, seed=None, out=None)
+        values = [cli.run_config(cfg, args)[0].value for cfg in (loose, base)]
+        assert (values[0] == values[1]) == (ode == "not read")
 
     def test_affine_routes_and_mc(self, tmp_path, capsys):
         cfg = {

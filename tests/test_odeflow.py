@@ -32,7 +32,6 @@ from holoseq.odeflow import (
     riccati_from_linear,
     solve_linear,
     solve_riccati,
-    tail_mass,
 )
 
 from oracles import affine_mgf
@@ -117,8 +116,6 @@ class TestLinearFlow:
         at_x = holomorphic_expectation(bm_chars(), u0, 0.7, 0.5)
         want = 0.5**4 + 6 * 0.25 * 0.7 + 3 * 0.49
         assert abs(at_x.value.real - want) < 1e-9
-        # polynomial payoff: flow stays polynomial, no mass in the top degrees
-        assert at_x.tail < 1e-12
 
 
 def exp_payoff(dim, order, tau):
@@ -609,35 +606,8 @@ class TestQuadraticFlow:
 
 
 class TestDiagnostics:
-    def test_tail_mass_counts_top_degrees(self):
-        u = ser.from_entries(1, 6, [((5,), 120.0), ((6,), 720.0), ((2,), 2.0)])
-        # top two degrees at radius 1: 120/5! + 720/6! = 2
-        assert abs(tail_mass(u, 1.0) - 2.0) < 1e-14
-        assert abs(tail_mass(u, 0.5, top=1) - 720 * 0.5**6 / 720) < 1e-14
-
-    @seed(20260814)
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from([1, 2, 3]),
-        st.integers(min_value=1, max_value=10),
-        st.integers(min_value=1, max_value=3),
-        st.floats(min_value=0.1, max_value=3.0),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_tail_mass_is_its_defining_sum(self, dim, order, top, radius, draw_seed):
-        rng = np.random.default_rng(draw_seed)
-        idx, _ = ser.index_table(dim, order)
-        c = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
-        want = sum(
-            abs(ck) * radius ** sum(a) / math.prod(math.factorial(k) for k in a)
-            for a, ck in zip(idx, c)
-            if sum(a) > order - top
-        )
-        got = tail_mass(ser.CoeffSeries(dim, order, c), radius, top)
-        assert got == pytest.approx(want, rel=1e-12)
-
     def test_orders_beyond_float_factorials(self):
-        # 171! overflows a float; the error weights and the tail never form it
+        # 171! overflows a float; the error weights and the evaluation never form it
         u0 = ser.from_entries(1, 171, [((2,), 2.0)])  # h(x) = x^2
         res = holomorphic_expectation(build_preset("compound-poisson", order=171), u0, 1.0, 0.0)
         assert abs(res.value - 1.5) < 1e-12

@@ -128,6 +128,31 @@ def test_evaluate_exponential_reference():
     assert abs(ser.evaluate(u, 1.0) - math.e) < EVAL_TOL
 
 
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.integers(min_value=1, max_value=12),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_evaluate_is_exactly_rounded(dim, order, cancel, draw_seed):
+    # terms spread over sixteen decades with random signs; with ``cancel`` the
+    # constant term also takes back their float sum, so the value is a small
+    # remainder of much larger terms. Each part must be the exact sum of the
+    # rounded terms, rounded once.
+    rng = np.random.default_rng(draw_seed)
+    n = len(ser.index_table(dim, order)[0])
+    c = np.array([complex(*v) for v in rng.choice([-1.0, 1.0], (n, 2)) * 10.0 ** rng.uniform(-8, 8, (n, 2))])
+    x = rng.uniform(-3.0, 3.0, dim)
+    w = ser.taylor_weights(dim, order, x)
+    if cancel:
+        c[0] = -np.sum(c[1:] * w[1:])
+    terms = c * w
+    want = complex(float(sum(map(Fraction, terms.real))), float(sum(map(Fraction, terms.imag))))
+    assert ser.evaluate(ser.CoeffSeries(dim, order, c), x) == want
+
+
 def test_abs_norm_known_value():
     # |u|_r = sum |u_k| r^k/k! ; for u=(1,1,1,...) at r=1 this is a partial e
     n = 12
