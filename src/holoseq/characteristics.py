@@ -83,9 +83,6 @@ class JumpKernel:
                 vals = vals / base**self.pole_order
         return vals
 
-    def total_weight(self) -> float:
-        return float(sum(a.weight for a in self.atoms))
-
 
 class Degrees(NamedTuple):
     """The highest nonzero degree of each characteristic, -1 for a zero one:

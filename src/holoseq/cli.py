@@ -207,7 +207,9 @@ def _parse_x0(run_cfg: dict, dim: int):
     if isinstance(x0, (list, tuple)):
         if len(x0) != dim:
             raise ConfigError(f"run.x0 has {len(x0)} components, model dimension is {dim}")
-        return np.array([_real_setting(v, "run.x0") for v in x0])
+        vals = [_real_setting(v, "run.x0") for v in x0]
+        # a dim-1 list is the same start point as its one value
+        return vals[0] if dim == 1 else np.array(vals)
     if dim > 1:
         raise ConfigError(f"run.x0 is a scalar, model dimension is {dim}; give a list of {dim} values")
     return _real_setting(x0, "run.x0")
@@ -478,7 +480,9 @@ def _echo_header(cfg: dict, args, name: str, numerics: dict | None = None) -> No
     if numerics is not None:
         resolved["numerics"] = numerics
     print(f"# holoseq {__version__}")
-    for line in yaml.safe_dump(resolved, default_flow_style=None, sort_keys=True).splitlines():
+    # libyaml's C emitter where present: the same text, several times faster
+    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+    for line in yaml.dump(resolved, Dumper=dumper, default_flow_style=None, sort_keys=True).splitlines():
         print(f"# {line}")
 
 

@@ -1,16 +1,16 @@
-"""Worked model families with closed-form or matrix oracles.
-
-Three kinds of reference models live here:
+"""Worked model families with closed-form or matrix oracles, and the presets.
 
 * finite-state chains, where both expectation flows reduce to matrix
   exponentials (the linear one exactly, the quadratic one after a log), giving
   oracles for the sequence-flow machinery at zero truncation error;
-* affine jump-diffusions, constant-coefficient (Levy) ones included, whose
-  exponents solve scalar ODEs with known closed forms (solved in the tests'
-  oracles);
 * a unit-interval kill model whose generator maps the monomial basis
   (x/2)^k to a birth-death chain on the exponent, so E[e^{X_T}] is computable
   by uniformization of an explicit (explosive) dual chain.
+
+Each diffusive preset in ``PRESETS`` is an inline model spec, read by
+``characteristics_from_config`` exactly as a config's ``model:`` section is;
+the chain presets are ``FiniteChain``s. The affine presets' closed forms live
+in the tests' oracles.
 
 The matrix exponential ``expm`` is a [6/6] diagonal Pade approximant under
 scaling and squaring; plenty for the small well-conditioned generators used
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from holoseq import series as ser
-from holoseq.characteristics import Characteristics, JumpAtom, JumpKernel
-from holoseq.odeflow import dopri5, expm
+from holoseq.characteristics import characteristics_from_config
+from holoseq.odeflow import OdeConfig, dopri5, expm
 
 __all__ = [
     "expm",
@@ -37,7 +36,6 @@ __all__ = [
     "chain_riccati_rhs",
     "chain_affine_flow",
     "two_state_closed_form",
-    "AffineSpec",
     "UnitIntervalModel",
     "DualResult",
     "PRESETS",
@@ -81,6 +79,10 @@ class FiniteChain:
         return q
 
 
+# the integrator settings of the chains' "ode" routes
+_CHAIN_ODE = OdeConfig(rtol=1e-11, atol=1e-13)
+
+
 def chain_expectation(chain: FiniteChain, h: np.ndarray, T: float, route: str = "expm"):
     """E_i[h(X_T)] for every start state: exp(T Q) h, directly or by ODE."""
     h = np.asarray(h)
@@ -88,7 +90,7 @@ def chain_expectation(chain: FiniteChain, h: np.ndarray, T: float, route: str = 
     if route == "expm":
         return expm(T * q) @ h
     if route == "ode":
-        _, ys, _ = dopri5(lambda t, y: q @ y, 0.0, T, h.astype(np.complex128), rtol=1e-11, atol=1e-13)
+        _, ys, _ = dopri5(lambda t, y: q @ y, 0.0, T, h.astype(np.complex128), _CHAIN_ODE)
         out = ys[-1]
         return out.real if np.isrealobj(h) else out
     raise ValueError(f"unknown route {route!r}")
@@ -110,7 +112,7 @@ def chain_affine_flow(chain: FiniteChain, u0: np.ndarray, T: float, route: str =
     u0 = np.asarray(u0)
     if route == "riccati":
         rhs = lambda t, y: chain_riccati_rhs(chain, y).astype(y.dtype)
-        _, ys, _ = dopri5(rhs, 0.0, T, u0.astype(np.complex128), rtol=1e-11, atol=1e-13)
+        _, ys, _ = dopri5(rhs, 0.0, T, u0.astype(np.complex128), _CHAIN_ODE)
         out = ys[-1]
         return out.real if np.isrealobj(u0) else out
     if route == "log-linear":
@@ -126,40 +128,6 @@ def two_state_closed_form(l12: float, l21: float, u1: float, u2: float, t: float
     stat = (l21 * math.exp(u1) + l12 * math.exp(u2)) / total
     gap = (math.exp(u1) - math.exp(u2)) / total * math.exp(-total * t)
     return np.array([stat + l12 * gap, stat - l21 * gap])
-
-
-@dataclass(frozen=True)
-class AffineSpec:
-    """State-affine dynamics in dimension one:
-    b(x) = b0 + b1 x, a(x) = a0 + a1 x, intensity l0 + l1 x, constant jump
-    sizes. Exponential moments then close over affine exponents:
-    psi' = F1(psi), phi' = F0(psi) with Fk(u) = bk u + ak u^2/2
-    + lk sum_m w_m (e^(u xi_m) - 1 - u xi_m).
-    With b1 = a1 = l1 = 0 this is a Levy process, whose exponent F0 is then
-    constant along the flow: E[exp(tau X_T)] = exp(tau x + T F0(tau)).
-    """
-
-    b0: float = 0.0
-    b1: float = 0.0
-    a0: float = 0.0
-    a1: float = 0.0
-    l0: float = 0.0
-    l1: float = 0.0
-    atoms: tuple[tuple[float, float], ...] = ()
-
-    def to_characteristics(self, order: int) -> Characteristics:
-        def lin(c0, c1):
-            # no slope entry when it is zero, so a constant spec runs at order 0
-            return ser.from_entries(1, order, [((0,), c0)] + ([((1,), c1)] if c1 else []))
-
-        kernel = None
-        if self.atoms and (self.l0 or self.l1):
-            kernel = JumpKernel(
-                lin(self.l0, self.l1),
-                tuple(JumpAtom(w, (lin(xi, 0.0),)) for w, xi in self.atoms),
-                0,
-            )
-        return Characteristics(1, (lin(self.b0, self.b1),), ((lin(self.a0, self.a1),),), kernel)
 
 
 @dataclass(frozen=True)
@@ -208,13 +176,6 @@ class UnitIntervalModel:
     def __post_init__(self) -> None:
         if self.k_max < 4:
             raise ValueError("k_max must be at least 4")
-
-    def characteristics(self, order: int) -> Characteristics:
-        a = ser.from_entries(1, order, [((1,), 1.0), ((2,), -3.0), ((3,), 3.0)])
-        s = ser.from_entries(1, order, [((0,), 1.0), ((1,), -1.5), ((2,), 1.0)])
-        atom = JumpAtom(1.0, (ser.from_entries(1, order, [((1,), -1.0)]),))
-        kernel = JumpKernel(s, (atom,), pole_order=1)
-        return Characteristics(1, (ser.zero(1, order),), ((a,),), kernel)
 
     def dual_rates(self) -> tuple[np.ndarray, np.ndarray]:
         """(down, up) rates on exponents 0..k_max; 0 and 1 are absorbing."""
@@ -265,10 +226,6 @@ class UnitIntervalModel:
 
 # --- preset registry -----------------------------------------------------------
 
-AFFINE_LINEAR_JUMPS = AffineSpec(
-    b0=0.1, b1=0.2, a0=0.3, a1=0.0, l0=1.0, l1=0.0, atoms=((1.0, 0.4), (1.0, -0.3))
-)
-
 _CHAIN_RATES = np.array(
     [
         [0.0, 0.7, 0.3, 0.0],
@@ -281,17 +238,31 @@ _CHAIN_RATES = np.array(
 TWO_STATE_RATES = (0.6, 0.9)
 
 
+# a diffusive preset is an inline spec in a config's ``model:`` schema; its
+# kernel takes the reader's default intensity 1 unless it names one
 PRESETS = {
-    "bm": lambda order=12: AffineSpec(a0=1.0).to_characteristics(order),
-    "compound-poisson": lambda order=12: AffineSpec(
-        a0=1.0, l0=1.0, atoms=((1.0, 0.5), (1.0, -0.5))
-    ).to_characteristics(order),
-    "affine-linear-jumps": lambda order=12: AFFINE_LINEAR_JUMPS.to_characteristics(order),
-    "unit-interval": lambda order=12: UnitIntervalModel().characteristics(order),
-    "finite-chain": lambda order=12: FiniteChain(_CHAIN_RATES),
-    "two-state-affine": lambda order=12: FiniteChain(
-        np.array([[0.0, TWO_STATE_RATES[0]], [TWO_STATE_RATES[1], 0.0]])
-    ),
+    "bm": {"diffusion": [[0, 1.0]]},
+    "compound-poisson": {
+        "diffusion": [[0, 1.0]],
+        "kernel": {"atoms": [{"weight": 1.0, "size": [[0, 0.5]]}, {"weight": 1.0, "size": [[0, -0.5]]}]},
+    },
+    "affine-linear-jumps": {
+        "drift": [[0, 0.1], [1, 0.2]],
+        "diffusion": [[0, 0.3]],
+        "kernel": {"atoms": [{"weight": 1.0, "size": [[0, 0.4]]}, {"weight": 1.0, "size": [[0, -0.3]]}]},
+    },
+    # a = x (1-x)(1-x/2), lambda = (1-x)(1-x/2) / x and j = -x (see
+    # UnitIntervalModel), as derivatives at the origin like any config series
+    "unit-interval": {
+        "diffusion": [[1, 1.0], [2, -3.0], [3, 3.0]],
+        "kernel": {
+            "intensity": [[0, 1.0], [1, -1.5], [2, 1.0]],
+            "pole_order": 1,
+            "atoms": [{"weight": 1.0, "size": [[1, -1.0]]}],
+        },
+    },
+    "finite-chain": FiniteChain(_CHAIN_RATES),
+    "two-state-affine": FiniteChain(np.array([[0.0, TWO_STATE_RATES[0]], [TWO_STATE_RATES[1], 0.0]])),
 }
 
 PRESET_INFO = {
@@ -305,11 +276,12 @@ PRESET_INFO = {
 
 
 def build_preset(name: str, order: int = 12):
-    """Characteristics (diffusive presets) or FiniteChain (chain presets)."""
+    """A chain preset's FiniteChain, or a diffusive preset's spec read by
+    ``characteristics_from_config`` at ``order``."""
     try:
-        factory = PRESETS[name]
+        spec = PRESETS[name]
     except KeyError:
         raise KeyError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
-    return factory(order=order)
+    return spec if isinstance(spec, FiniteChain) else characteristics_from_config(spec, order)

@@ -7,7 +7,7 @@ exponential gives E[exp h(X_T)]). A third route recovers psi from the linear
 flow by a *-logarithm, tracking the degree-zero branch with an auxiliary
 scalar ODE so the two quadratic routes stay comparable.
 
-On ``Characteristics`` L is one constant matrix, so the linear flow is the
+L is one constant matrix per model and order, so the linear flow is the
 exponential action c(T) = exp(T L) u0, computed by ``expm_action``: a
 truncated Taylor series in s steps (Al-Mohy and Higham, SIAM J. Sci. Comput.
 33(2), 2011) or the dense matrix exponential ``expm`` times u0, whichever
@@ -15,13 +15,16 @@ costs fewer matrix-vector products. ``expm``, a [6/6] Pade approximant under
 scaling and squaring, lives here; ``holoseq.models`` re-exports it for the
 chain oracles.
 
-The riccati and log-linear routes, and a linear flow of a callable operator,
-run through one integration path around the adaptive Dormand-Prince 5(4)
-integrator ``dopri5``, which is dimension-agnostic over flat complex state
-vectors and keeps the start and end states only: a flow holds snapshots at
-t = 0 and t = T. The adaptive error norm weights coefficient alpha by
-1 / alpha! so tolerance is enforced in the majorant metric at unit radius.
-``OdeConfig`` governs these flows only.
+The riccati and log-linear routes run through one integration path around
+the adaptive Dormand-Prince 5(4) integrator ``dopri5``, which is
+dimension-agnostic over flat complex state vectors and keeps the start and
+end states only: a flow holds snapshots at t = 0 and t = T. The adaptive
+error norm weights coefficient alpha by 1 / alpha! so tolerance is enforced
+in the majorant metric at unit radius. ``OdeConfig`` governs these flows
+only, and the chain oracles' ODE routes.
+
+Every flow takes its model as ``Characteristics`` of the payoff's dimension
+and any order at least the payoff's, and cuts it to the payoff's order.
 
 An expectation is its flow's end state evaluated once at the start point,
 by ``series.evaluate``, which is exactly rounded.
@@ -30,7 +33,7 @@ by ``series.evaluate``, which is exactly rounded.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -118,16 +121,15 @@ def dopri5(
     t0: float,
     t1: float,
     y0: np.ndarray,
-    *,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-    first_step: float | None = None,
-    max_steps: int = 1_000_000,
+    config: OdeConfig | None = None,
     weights: np.ndarray | None = None,
 ):
-    """Adaptive 5(4) pairs over a flat state from t0 to t1; returns the times
-    (t0, t1), the start and end states and the step counts. The last step is
-    clipped to land on t1 (no interpolation)."""
+    """Adaptive 5(4) pairs over a flat state from t0 to t1 under ``config``
+    (``OdeConfig()`` when None); returns the times (t0, t1), the start and
+    end states and the step counts. The last step is clipped to land on t1
+    (no interpolation)."""
+    cfg = config or OdeConfig()
+    rtol, atol, max_steps = cfg.rtol, cfg.atol, cfg.max_steps
     y = np.array(y0)
     w = np.ones(y.size) if weights is None else np.asarray(weights, dtype=float)
     times = np.array([t0, t1], dtype=float)
@@ -140,7 +142,7 @@ def dopri5(
     if span <= tiny:
         return times, [y, y], {"nfev": 0, "accepted": 0, "rejected": 0}
     start = y
-    h = first_step if first_step is not None else span / 100
+    h = cfg.first_step if cfg.first_step is not None else span / 100
     h = min(h, span)
     t = t0
     k1 = rhs(t, y)
@@ -309,29 +311,6 @@ class ExpectationResult:
     value: complex
     flow: FlowResult
 
-    def __float__(self) -> float:
-        return float(self.value.real)
-
-
-def _at_order(model, u0: CoeffSeries):
-    """Characteristics of u0's dimension and any order >= u0's, truncated to
-    u0's order; a callable passes through."""
-    if not isinstance(model, Characteristics):
-        return model
-    if model.dim != u0.dim or model.order < u0.order:
-        raise ValueError(
-            f"a model of dim={model.dim} order={model.order} cannot flow "
-            f"a series of dim={u0.dim} order={u0.order}"
-        )
-    return model.truncated(u0.order)
-
-
-def _operator(model, apply) -> Callable[[CoeffSeries], CoeffSeries]:
-    """Bind Characteristics to a generator assembly; a callable passes through."""
-    if isinstance(model, Characteristics):
-        return lambda u: apply(u, model)
-    return model
-
 
 def _flow(rhs, u0: CoeffSeries, y0: np.ndarray, T: float, config, snapshot) -> FlowResult:
     """The integration path of the dopri5 flows: dopri5 from y0 over
@@ -340,20 +319,24 @@ def _flow(rhs, u0: CoeffSeries, y0: np.ndarray, T: float, config, snapshot) -> F
     into series. The stats add u0's order as the working ``order``."""
     w = np.ones(y0.size)
     w[: u0.coeffs.size] = ser.taylor_weights(u0.dim, u0.order)
-    times, states, stats = dopri5(rhs, 0.0, T, y0, weights=w, **asdict(config or OdeConfig()))
+    times, states, stats = dopri5(rhs, 0.0, T, y0, config, w)
     return FlowResult(times, tuple(snapshot(y) for y in states), dict(stats, order=u0.order))
 
 
-def _working(model, u0: CoeffSeries, closes):
-    """The model and payoff a flow from u0 runs on. Characteristics are cut
-    to u0's order first; where their system then ``closes`` at
-    d = max(deg u0, 1) < u0.order, both are cut to order d, which is exact
-    there. A callable passes through with u0."""
-    model = _at_order(model, u0)
-    if isinstance(model, Characteristics):
-        d = max(ser.degree(u0), 1)
-        if d < u0.order and closes(model, d):
-            return model.truncated(d), ser.with_order(u0, d)
+def _working(model: Characteristics, u0: CoeffSeries, closes=None):
+    """The model and payoff a flow from u0 runs on. The model, of u0's
+    dimension and any order >= u0's, is cut to u0's order; where its system
+    then ``closes`` at d = max(deg u0, 1) < u0.order, both are cut to order
+    d, which is exact there."""
+    if model.dim != u0.dim or model.order < u0.order:
+        raise ValueError(
+            f"a model of dim={model.dim} order={model.order} cannot flow "
+            f"a series of dim={u0.dim} order={u0.order}"
+        )
+    model = model.truncated(u0.order)
+    d = max(ser.degree(u0), 1)
+    if closes is not None and d < u0.order and closes(model, d):
+        return model.truncated(d), ser.with_order(u0, d)
     return model, u0
 
 
@@ -362,50 +345,41 @@ def _padded(u: CoeffSeries, order: int):
     return lambda y: ser.with_order(CoeffSeries(u.dim, u.order, y), order)
 
 
-def _series_flow(op, u: CoeffSeries, out_order: int, T: float, config) -> FlowResult:
-    """dopri5 of u' = op(u) from u, with snapshots zero-filled to ``out_order``."""
-    dim, order = u.dim, u.order
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return op(CoeffSeries(dim, order, y)).coeffs
-
-    return _flow(rhs, u, u.coeffs, T, config, _padded(u, out_order))
-
-
-def solve_linear(model, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
-    """c(T) with c' = L(c), c(0) = u0.
-
-    ``model`` is Characteristics of u0's dimension and any order >= u0's
-    (it runs cut to u0's order, and on a polynomial model, see
-    ``generator.linear_closes``, at order max(deg u0, 1)), or a callable
-    series operator. On Characteristics c(T) = exp(T L) u0 by
-    ``expm_action`` on the compiled L; ``config`` is not read, and the stats
-    are the action's. A callable flows by dopri5 under ``config``."""
+def solve_linear(model: Characteristics, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
+    """c(T) with c' = L(c), c(0) = u0, as c(T) = exp(T L) u0 by
+    ``expm_action`` on the compiled L. ``model`` has u0's dimension and any
+    order >= u0's; it runs cut to u0's order, and on a polynomial model (see
+    ``generator.linear_closes``) at order max(deg u0, 1). ``config`` is not
+    read, and the stats are the action's."""
     model, u = _working(model, u0, lambda chars, d: linear_closes(chars))
-    if not isinstance(model, Characteristics):
-        return _series_flow(model, u, u0.order, T, config)
     c, stats = expm_action(l_matrix(model), T, u.coeffs)
     snapshot = _padded(u, u0.order)
     times = np.array([0.0, T], dtype=float)
     return FlowResult(times, (snapshot(u.coeffs), snapshot(c)), dict(stats, order=u.order))
 
 
-def solve_riccati(model, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
-    """psi(t) with psi' = R(psi), psi(0) = u0, by dopri5. Where R keeps
-    degree max(deg u0, 1) (``generator.riccati_closes``), the flow runs at
-    that order."""
+def solve_riccati(model: Characteristics, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
+    """psi(t) with psi' = R(psi), psi(0) = u0, by dopri5 under ``config``.
+    ``model`` is cut as in ``solve_linear``; where R keeps degree
+    max(deg u0, 1) (``generator.riccati_closes``), the flow runs at that
+    order."""
     model, u = _working(model, u0, riccati_closes)
-    return _series_flow(_operator(model, apply_r), u, u0.order, T, config)
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        return apply_r(CoeffSeries(u.dim, u.order, y), model).coeffs
+
+    return _flow(rhs, u, u.coeffs, T, config, _padded(u, u0.order))
 
 
-def riccati_from_linear(model, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
-    """psi(t) = log* c(t) where c flows linearly from exp*(u0).
+def riccati_from_linear(model: Characteristics, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
+    """psi(t) = log* c(t) where c flows linearly from exp*(u0), by dopri5
+    under ``config``, on ``model`` cut to u0's order.
 
     The degree-zero branch is not recoverable from c alone once Im log c_0
     wanders; an auxiliary scalar phi0' = (Lc)_0 / c_0 with phi0(0) = u0_0
     integrates the branch alongside and is handed to the *-logarithm.
     """
-    op = _operator(_at_order(model, u0), apply_l_composition)
+    model, _ = _working(model, u0)
     dim, order = u0.dim, u0.order
     c0 = ser.exp_star(u0)
     n = c0.coeffs.size
@@ -417,7 +391,7 @@ def riccati_from_linear(model, u0: CoeffSeries, T: float, config: OdeConfig | No
                 f"linear flow leading coefficient |c_0| = {abs(lead):.3e} within "
                 f"division guard at t = {t:.6g}; the *-log route breaks down here"
             )
-        dc = op(CoeffSeries(dim, order, y[:n])).coeffs
+        dc = apply_l_composition(CoeffSeries(dim, order, y[:n]), model).coeffs
         out = np.empty(n + 1, dtype=np.complex128)
         out[:n] = dc
         out[n] = dc[0] / lead
@@ -431,7 +405,7 @@ def riccati_from_linear(model, u0: CoeffSeries, T: float, config: OdeConfig | No
 
 
 def holomorphic_expectation(
-    model, u0: CoeffSeries, T: float, x0, config: OdeConfig | None = None
+    model: Characteristics, u0: CoeffSeries, T: float, x0, config: OdeConfig | None = None
 ) -> ExpectationResult:
     """E[h(X_T) | X_0 = x0] for the payoff with coefficients u0: the flow of
     ``solve_linear`` evaluated at x0."""
@@ -440,7 +414,7 @@ def holomorphic_expectation(
 
 
 def affine_expectation(
-    model,
+    model: Characteristics,
     u0: CoeffSeries,
     T: float,
     x0,

@@ -14,7 +14,6 @@ import numpy as np
 from holoseq import series as ser
 from holoseq.generator import apply_l_composition, apply_r
 from holoseq.models import (
-    AFFINE_LINEAR_JUMPS,
     TWO_STATE_RATES,
     FiniteChain,
     UnitIntervalModel,
@@ -34,7 +33,7 @@ from holoseq.odeflow import (
     solve_riccati,
 )
 
-from oracles import affine_transform, pointwise_generator
+from oracles import AFFINE_LINEAR_JUMPS, affine_transform, pointwise_generator
 
 TIGHT = OdeConfig(rtol=1e-12, atol=1e-14)
 REF = OdeConfig(rtol=1e-11, atol=1e-13)

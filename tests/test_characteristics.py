@@ -258,7 +258,7 @@ class TestConfig:
         chars = characteristics_from_config(cfg, order=6)
         assert chars.dim == 1 and chars.order == 6
         assert chars.drift[0].coefficient((1,)) == 0.2
-        assert chars.kernel.total_weight() == 1.5
+        assert [a.weight for a in chars.kernel.atoms] == [1.0, 0.5]
         assert chars.kernel.atoms[1].size[0].coefficient((0,)) == -0.3
 
     def test_round_trip_dim_two(self):

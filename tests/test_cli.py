@@ -322,6 +322,47 @@ class TestRun:
         # the log-linear engine row is the reference of the oracle's diff
         assert float(dual[0]["rel_diff"]) <= 1e-4
 
+    def test_one_element_x0_list_is_its_value(self, tmp_path, capsys):
+        # the dual row reads x0 as a float; a dim-1 list must give the same table
+        tables = []
+        for x0 in (0.5, [0.5]):
+            cfg = dict(UNIT_INTERVAL, run=dict(UNIT_INTERVAL["run"], x0=x0), oracles={"dual": {"k_max": 60}})
+            code, out, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+            assert code == 0, err
+            # the time column is the one cell that may differ
+            body = [line for line in out.splitlines() if not line.startswith("#")]
+            tables.append([" ".join(re.sub(r"(?<=  )\d+\.\d{3}(?=  |$)", "-", line).split()) for line in body])
+        assert tables[0] == tables[1]
+        assert any(line.startswith("dual-chain") for line in tables[0])
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="libyaml is not installed")
+    @pytest.mark.parametrize(
+        "which,flags",
+        [("readme", ("--mc-paths", "200")), ("chain", ()), ("sweep", ("--sweep-order", "4,6"))],
+    )
+    def test_header_is_the_same_with_either_dumper(self, tmp_path, capsys, monkeypatch, which, flags):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        cfg = {
+            "readme": yaml.safe_load(readme.split("```yaml\n", 1)[1].split("```", 1)[0]),
+            "chain": {
+                "model": {"preset": "two-state-affine"},
+                "function": {"family": "values", "values": [0.3, -0.2]},
+                "run": {"mode": "both", "T": 1.0, "x0": 1},
+            },
+            "sweep": dict(BASE, function={"family": "exp", "scale": 1.0}),
+        }[which]
+        path = write_cfg(tmp_path, cfg)
+
+        def header():
+            code, out, err = run_cli(capsys, "run", path, *flags)
+            assert code == 0, err
+            return [line for line in out.splitlines() if line.startswith("#")]
+
+        with_c = header()
+        # without it the header falls back to the pure-Python emitter
+        monkeypatch.delattr(yaml, "CSafeDumper")
+        assert header() == with_c and len(with_c) > 5
+
     def test_mc_override_flags(self, tmp_path, capsys):
         cfg = dict(BASE, oracles={"mc": {"paths": 5000, "dt": 0.005, "seed": 1}})
         code, out, _ = run_cli(

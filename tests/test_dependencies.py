@@ -97,3 +97,82 @@ def test_unused_scan_sees_every_import_form():
         ]
     )
     assert unused_imports(source) == [(2, "os"), (3, "np"), (5, "check_keys"), (9, "sys")]
+
+
+def private_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each single-underscore name the module defines at
+    its top level (a function, class or assignment target) and of each
+    single-underscore method of its top-level classes."""
+    tree = ast.parse(source)
+    out = []
+
+    def defined(node) -> list[str]:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return [node.name]
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        return []
+
+    for node in tree.body:
+        out += [(node.lineno, name) for name in defined(node)]
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (m.lineno, m.name) for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    return [(line, name) for line, name in out if name.startswith("_") and not name.startswith("__")]
+
+
+def names_read(source: str) -> set[str]:
+    """Every name a module loads, reads as an attribute or imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {a.name for a in node.names}
+    return read
+
+
+def dead_private_code(sources: dict[str, str]) -> list[str]:
+    """``file:line name`` of each private definition that no module of
+    ``sources`` (file name -> source) reads."""
+    read = set().union(*(names_read(s) for s in sources.values()))
+    return [
+        f"{path}:{line} {name}"
+        for path, source in sources.items()
+        for line, name in private_definitions(source)
+        if name not in read
+    ]
+
+
+def test_package_reads_every_private_name_it_defines():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    assert sources
+    found = dead_private_code(sources)
+    assert not found, found
+
+
+def test_private_scan_sees_every_definition_form():
+    sources = {
+        "a.py": "\n".join(
+            [
+                "_USED = 1",
+                "_UNUSED, _PAIRED = 2, 3",
+                "_ANNOTATED: int = 4",
+                "def _helper():\n    return _USED",
+                "class _Hidden:\n    def _method(self):\n        return self._attr\n    def __init__(self):\n        pass",
+                "def public():\n    _local = 5\n    return _local",
+            ]
+        ),
+        "b.py": "from a import _PAIRED\nx = _PAIRED",
+    }
+    assert dead_private_code(sources) == [
+        "a.py:2 _UNUSED",
+        "a.py:3 _ANNOTATED",
+        "a.py:4 _helper",
+        "a.py:6 _Hidden",
+        "a.py:7 _method",
+    ]

@@ -12,10 +12,8 @@ from holoseq import series as ser
 from holoseq.characteristics import Characteristics, validate_on_grid
 from holoseq.generator import apply_r
 from holoseq.models import (
-    AFFINE_LINEAR_JUMPS,
     PRESET_INFO,
     PRESETS,
-    AffineSpec,
     EscapeMassError,
     FiniteChain,
     UnitIntervalModel,
@@ -27,7 +25,8 @@ from holoseq.models import (
     two_state_closed_form,
 )
 
-from oracles import _affine_f, affine_transform, dual_series
+from oracles import AFFINE_LINEAR_JUMPS, AffineSpec, _affine_f, affine_transform, dual_series
+from test_characteristics import unit_interval_chars
 
 # frozen anchors: the compensated exponent rate at tau = 1 for unit diffusion
 # with +-1/2 jumps, and the unit-interval dual value at (T, x) = (1/2, 1/2)
@@ -125,7 +124,6 @@ class TestLevySpec:
         assert chars.drift[0].coefficient((0,)) == 0.2
         assert chars.diffusion[0][0].coefficient((0,)) == 1.5
         with_jumps = AffineSpec(atoms=((2.0, 0.3),), l0=0.7).to_characteristics(6)
-        assert with_jumps.kernel.total_weight() == 2.0
         assert with_jumps.kernel.intensity.coefficient((0,)) == 0.7
 
 
@@ -219,12 +217,21 @@ class TestUnitInterval:
             UnitIntervalModel(k_max=3)
 
     def test_characteristics_layout(self):
-        chars = UnitIntervalModel().characteristics(10)
+        chars = build_preset("unit-interval", 10)
         np.testing.assert_allclose(
             chars.diffusion[0][0].coeffs.real[:4], [0, 1, -3, 3], atol=1e-15
         )
         assert chars.kernel.pole_order == 1
         assert chars.kernel.atoms[0].size[0].coefficient((1,)) == -1.0
+
+
+def model_series(chars):
+    """Every series of a model: drift, diffusion, then the kernel's
+    intensity and atom sizes."""
+    out = [*chars.drift, *(s for row in chars.diffusion for s in row)]
+    if chars.kernel is not None:
+        out += [chars.kernel.intensity, *(s for a in chars.kernel.atoms for s in a.size)]
+    return out
 
 
 class TestPresets:
@@ -244,6 +251,29 @@ class TestPresets:
         assert build_preset("bm", order=9).order == 9
         assert isinstance(build_preset("finite-chain"), FiniteChain)
         assert build_preset("two-state-affine").n_states == 2
+
+    @pytest.mark.parametrize("order", [3, 8, 16, 34])
+    @pytest.mark.parametrize(
+        "name,construct",
+        [
+            ("bm", AffineSpec(a0=1.0).to_characteristics),
+            ("compound-poisson", AffineSpec(a0=1.0, l0=1.0, atoms=((1.0, 0.5), (1.0, -0.5))).to_characteristics),
+            ("affine-linear-jumps", AFFINE_LINEAR_JUMPS.to_characteristics),
+            ("unit-interval", unit_interval_chars),
+        ],
+    )
+    def test_spec_equals_direct_construction(self, name, construct, order):
+        # the inline spec, read like a config's model section, builds the
+        # same model as the direct construction, array for array
+        got, want = build_preset(name, order), construct(order)
+        assert (got.dim, got.order) == (want.dim, want.order)
+        assert (got.kernel is None) == (want.kernel is None)
+        if want.kernel is not None:
+            assert got.kernel.pole_order == want.kernel.pole_order
+            assert [a.weight for a in got.kernel.atoms] == [a.weight for a in want.kernel.atoms]
+        for x, y in zip(model_series(got), model_series(want), strict=True):
+            assert x.coeffs.dtype == y.coeffs.dtype
+            np.testing.assert_array_equal(x.coeffs, y.coeffs)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="available"):

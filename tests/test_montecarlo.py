@@ -119,7 +119,7 @@ class TestAgainstClosedForms:
         model = UnitIntervalModel(k_max=120)
         anchor = float(model.dual_expectation(0.5).evaluate(0.5))
         est = simulate_expectation(
-            model.characteristics(10),
+            build_preset("unit-interval", 10),
             np.exp,
             0.5,
             0.5,
@@ -236,7 +236,7 @@ class TestMartingaleAudit:
 
     def test_unit_interval_exponential(self):
         aud = martingale_audit(
-            UnitIntervalModel().characteristics(10),
+            build_preset("unit-interval", 10),
             lambda x: np.exp(np.asarray(x)),
             0.5,
             0.25,

@@ -14,7 +14,7 @@ from holoseq import models, odeflow
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics, JumpAtom, JumpKernel
 from holoseq.generator import apply_l_composition, apply_r, l_matrix, linear_closes, riccati_closes
-from holoseq.models import AFFINE_LINEAR_JUMPS, AffineSpec, UnitIntervalModel, build_preset
+from holoseq.models import UnitIntervalModel, build_preset
 from holoseq.odeflow import (
     ExpectationResult,
     FlowBudgetError,
@@ -34,7 +34,7 @@ from holoseq.odeflow import (
     solve_riccati,
 )
 
-from oracles import affine_mgf
+from oracles import AFFINE_LINEAR_JUMPS, AffineSpec, affine_mgf, ode_flow
 from test_characteristics import bm_chars, compound_poisson_chars, const, unit_interval_chars
 from test_generator import affine_models, dense_series, nd_affine_chars, polynomial_models
 
@@ -72,13 +72,13 @@ class TestIntegrators:
 
     def test_dopri5_step_budget(self):
         with pytest.raises(FlowBudgetError):
-            dopri5(lambda t, y: -y, 0.0, 1.0, np.array([1.0]), rtol=1e-12, max_steps=2)
+            dopri5(lambda t, y: -y, 0.0, 1.0, np.array([1.0]), OdeConfig(rtol=1e-12, max_steps=2))
 
     def test_dopri5_underflow_at_blowup(self):
         # y' = y^2 from 1 explodes at t = 1; the controller must give up
         # before stepping past it, reporting where
         with pytest.raises(StepSizeUnderflowError) as exc:
-            dopri5(lambda t, y: y * y, 0.0, 1.5, np.array([1.0]), max_steps=100_000)
+            dopri5(lambda t, y: y * y, 0.0, 1.5, np.array([1.0]), OdeConfig(max_steps=100_000))
         assert 0.9 < exc.value.time <= 1.05
 
     def test_config_validation(self):
@@ -125,7 +125,7 @@ def exp_payoff(dim, order, tau):
 
 
 def callable_l(chars):
-    """The same L as a callable operator, which the linear flow integrates by dopri5."""
+    """The same L as a callable operator, for the reference ``ode_flow``."""
     return lambda u: apply_l_composition(u, chars)
 
 
@@ -166,7 +166,7 @@ class TestExponentialAction:
         u0 = exp_payoff(dim, order, tau)
         flow = solve_linear(chars, u0, 0.5)
         assert flow.stats == {"method": "taylor", "matvecs": matvecs, "s": 1, "order": order}
-        ode = solve_linear(callable_l(chars), u0, 0.5, TIGHT).final.coeffs
+        ode = ode_flow(callable_l(chars), u0, 0.5, TIGHT).final.coeffs
         exact = expm_multiply(0.5 * l_matrix(chars), u0.coeffs)
         for want in (ode, exact):
             assert np.abs(flow.final.coeffs - want).max() <= 1e-12 * np.abs(want).max()
@@ -182,8 +182,8 @@ class TestExponentialAction:
             chars = unit_interval_chars(order)
             u0 = exp_payoff(1, order, [1.0])
             res = holomorphic_expectation(chars, u0, T, x0)
-            ode = holomorphic_expectation(callable_l(chars), u0, T, x0, REF)
-            err, ode_err = (abs(r.value - want) / want for r in (res, ode))
+            ode = ser.evaluate(ode_flow(callable_l(chars), u0, T, REF).final, x0)
+            err, ode_err = (abs(v - want) / want for v in (res.value, ode))
             assert res.flow.stats["method"] == "pade"
             assert err <= ode_err + 5e-13, order
             errs.append(err)
@@ -203,7 +203,7 @@ class TestExponentialAction:
             chars = data.draw(polynomial_models(dim, order, pole=kind == "pole"))
         u0 = data.draw(dense_series(dim, order))
         flow = solve_linear(chars, u0, 0.25)
-        ode = solve_linear(callable_l(chars), u0, 0.25, REF).final.coeffs
+        ode = ode_flow(callable_l(chars), u0, 0.25, REF).final.coeffs
         # compared as the flows' error norm weighs them: coefficient alpha by 1/alpha!
         w = ser.taylor_weights(dim, order)
         scale = max(1.0, float(np.abs(ode * w).max()))
@@ -342,8 +342,8 @@ def closure_cases(draw, dim, order):
 
 def check_closed_routes(chars, u0):
     """Run each route whose rule declares closure both at the closed order
-    and through the callable full-order path, and compare; return which
-    routes closed."""
+    and as the full-order ``ode_flow`` of its operator, and compare; return
+    which routes closed."""
     ode = OdeConfig(rtol=1e-10, atol=1e-12)
     d = max(ser.degree(u0), 1)
     above = ser._degrees(chars.dim, chars.order) > d
@@ -352,7 +352,7 @@ def check_closed_routes(chars, u0):
         if not yes:
             continue
         flow = solve(chars, u0, 0.25, ode)
-        full = solve(lambda u, apply=apply: apply(u, chars), u0, 0.25, ode)
+        full = ode_flow(lambda u, apply=apply: apply(u, chars), u0, 0.25, ode)
         assert flow.stats["order"] == d and full.stats["order"] == chars.order
         assert flow.final.order == chars.order and not flow.final.coeffs[above].any()
         # the full-order flow keeps what the rule declared
@@ -372,7 +372,7 @@ def poly_chars(order, drift, diffusion, intensity, sizes):
 
 class TestClosure:
     """A flow runs at the degree its system closes at, and equals the
-    full-order flow of the callable path there."""
+    full-order reference flow there."""
 
     @seed(20261019)
     @settings(max_examples=200, deadline=None)
@@ -592,17 +592,11 @@ class TestQuadraticFlow:
         assert abs(via_log.coefficient((0,)).imag - wrapped) > 1.0
 
     def test_log_route_guards_vanishing_leading_coefficient(self):
-        # rotate (c_0, c_1): c_0(t) = cos t - sin t hits 0 at pi/4, where the
-        # branch ODE blows up; expect the guard or a step collapse, not junk
-        def op(u):
-            out = np.zeros_like(u.coeffs)
-            out[0] = -u.coeffs[1]
-            out[1] = u.coeffs[0]
-            return ser.CoeffSeries(u.dim, u.order, out)
-
-        u0 = ser.from_entries(1, 2, [((1,), 1.0), ((2,), -1.0)])
-        with pytest.raises((LeadingCoefficientError, StepSizeUnderflowError)):
-            riccati_from_linear(op, u0, 1.5)
+        # transport at order one from exp*(-x) = (1, -1): c_0(t) = 1 - t hits
+        # 0 at t = 1, where the branch ODE blows up; expect the guard, not junk
+        u0 = ser.from_entries(1, 1, [((1,), -1.0)])
+        with pytest.raises(LeadingCoefficientError):
+            riccati_from_linear(drift_chars(order=1), u0, 1.5)
 
 
 class TestDiagnostics:
