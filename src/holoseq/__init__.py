@@ -11,7 +11,6 @@ if not any(_v in _os.environ for _v in _THREAD_VARS):
 from holoseq.series import (
     CoeffSeries,
     LeadingCoefficientError,
-    abs_norm,
     compose_shift,
     evaluate,
     exp_star,
@@ -27,7 +26,6 @@ from holoseq.series import (
 __all__ = [
     "CoeffSeries",
     "LeadingCoefficientError",
-    "abs_norm",
     "compose_shift",
     "evaluate",
     "exp_star",

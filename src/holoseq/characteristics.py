@@ -29,7 +29,6 @@ __all__ = [
     "Characteristics",
     "Degrees",
     "GridFinding",
-    "GridReport",
     "validate_on_grid",
     "characteristics_from_config",
     "series_from_config",
@@ -214,18 +213,6 @@ class GridFinding:
     detail: str
 
 
-@dataclass(frozen=True)
-class GridReport:
-    findings: tuple[GridFinding, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def by_kind(self, kind: str) -> list[GridFinding]:
-        return [f for f in self.findings if f.kind == kind]
-
-
 # a diffusion eigenvalue below -_PSD_TOL is reported as not PSD
 _PSD_TOL = 1e-10
 
@@ -234,8 +221,9 @@ def validate_on_grid(
     chars: Characteristics,
     points: Iterable[Sequence[float]] | np.ndarray,
     box: tuple[Sequence[float], Sequence[float]] | None = None,
-) -> GridReport:
-    """Spot-check model sanity on a state grid. Reports, never raises.
+) -> tuple[GridFinding, ...]:
+    """Spot-check model sanity on a state grid. Returns the findings, empty
+    when the model passes; never raises.
 
     Checks: negative or NaN jump intensity, non-PSD diffusion, atoms whose
     jump size vanishes at a point while carrying weight (mass at zero jumps),
@@ -288,7 +276,7 @@ def validate_on_grid(
                                 f"atom {m} lands at {tuple(np.round(target, 12).tolist())}",
                             )
                         )
-    return GridReport(tuple(findings))
+    return tuple(findings)
 
 
 # --- declarative config -------------------------------------------------------

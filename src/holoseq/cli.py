@@ -47,7 +47,7 @@ from .models import (
     chain_expectation,
     two_state_closed_form,
 )
-from .montecarlo import IntensityBoundError, McConfig, simulate_expectation
+from .montecarlo import IntensityBoundError, McConfig, check_run, simulate_expectation
 from .odeflow import (
     FlowBudgetError,
     OdeConfig,
@@ -241,8 +241,7 @@ def _grid_check(chars: Characteristics, grid_cfg: dict) -> list[str]:
     box = grid_cfg.get("box")
     if box is not None:
         box = _parse_box(box, chars.dim)
-    report = validate_on_grid(chars, pts, box)
-    return [f"{f.kind} at {f.point}: {f.detail}" for f in report.findings]
+    return [f"{f.kind} at {f.point}: {f.detail}" for f in validate_on_grid(chars, pts, box)]
 
 
 def _parse_box(box, dim: int) -> np.ndarray:
@@ -306,6 +305,8 @@ def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: 
     # oracle settings are checked here, so a config error costs no flow
     mc_cfg = oracles.get("mc")
     mc = _mc_config(mc_cfg, args) if mc_cfg is not None else None
+    if mc is not None:
+        check_run(model, x0, T, mc)
     dual_cfg = oracles.get("dual")
     if dual_cfg is not None:
         check_keys(dual_cfg, "dual", ("k_max",))
@@ -315,6 +316,9 @@ def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: 
             raise ConfigError("the dual-chain oracle computes E[exp X_T]; use an affine mode")
         if not _is_identity_payoff(u_full):
             raise ConfigError("the dual-chain oracle needs the identity payoff h(x) = x")
+        # the bound the oracle reports on its value holds on [0, 1] only
+        if not 0.0 <= x0 <= 1.0:
+            raise ConfigError(f"the dual-chain oracle needs run.x0 in [0, 1], got {x0}")
         k_max = _int_setting(dual_cfg.get("k_max", 400), "oracles.dual.k_max")
         try:
             dual = UnitIntervalModel(k_max=k_max)

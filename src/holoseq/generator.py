@@ -143,7 +143,8 @@ def apply_l_composition(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
     Per atom: u o j_m - u - sum_i u^(e_i) * j_m[i], then weighted, multiplied
     by the intensity and pole-divided. The composition map is exact for the
     truncated polynomial h_u whatever the jump sizes, so the only
-    approximation is the truncation of h_u itself. Raises
+    approximation is the truncation of h_u itself. A call is one product
+    with ``l_matrix(chars)``, compiled on first use; the compile step raises
     LeadingCoefficientError when a pole intensity meets a jump part that
     does not vanish at the origin.
     """

@@ -24,6 +24,7 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "IntensityBoundError",
+    "check_run",
     "simulate_expectation",
     "martingale_audit",
 ]
@@ -165,13 +166,12 @@ def _stream(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(batch_index,)))
 
 
-def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=None):
-    """Run all batches; returns (final states (paths, dim), clamps, absorbed).
-
-    ``step_hook(batch_index, x, frozen, dt)`` is called before each Euler step
-    with the current states; used by the martingale audit to accumulate the
-    compensator integral.
-    """
+def check_run(chars: Characteristics, x0, T: float, cfg: McConfig) -> tuple[np.ndarray, int]:
+    """The start point as a (dim,) array and the number of Euler steps of a
+    run under ``cfg`` from x0 over [0, T] on ``chars``. Raises ValueError,
+    before any path is drawn, for a run that cannot be simulated: a
+    ``state_box`` outside dimension one, an x0 of another dimension, or a T
+    that is not a positive whole number of dt steps."""
     dim = chars.dim
     if cfg.state_box is not None and dim != 1:
         raise ValueError("state_box reflection is supported in dimension one only")
@@ -183,6 +183,18 @@ def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=Non
         raise ValueError(f"horizon T={T} must be positive and span at least one dt={cfg.dt} step")
     if abs(nsteps * cfg.dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T={T} is not a whole number of dt={cfg.dt} steps")
+    return x0v, nsteps
+
+
+def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=None):
+    """Run all batches; returns (final states (paths, dim), clamps, absorbed).
+
+    ``step_hook(batch_index, x, frozen, dt)`` is called before each Euler step
+    with the current states; used by the martingale audit to accumulate the
+    compensator integral.
+    """
+    dim = chars.dim
+    x0v, nsteps = check_run(chars, x0, T, cfg)
     kernel = chars.kernel
     weights = np.array([a.weight for a in kernel.atoms]) if kernel else np.zeros(0)
     total_w = weights.sum()

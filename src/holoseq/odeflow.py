@@ -18,7 +18,8 @@ chain oracles.
 The riccati and log-linear routes run through one integration path around
 the adaptive Dormand-Prince 5(4) integrator ``dopri5``, which is
 dimension-agnostic over flat complex state vectors and keeps the start and
-end states only: a flow holds snapshots at t = 0 and t = T. The adaptive
+end states only. A flow holds the payoff it was given, as its t = 0
+snapshot, and its end state at t = T. The adaptive
 error norm weights coefficient alpha by 1 / alpha! so tolerance is enforced
 in the majorant metric at unit radius. ``OdeConfig`` governs these flows
 only, and the chain oracles' ODE routes.
@@ -295,7 +296,8 @@ def expm_action(a: np.ndarray, t: float, v: np.ndarray) -> tuple[np.ndarray, dic
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Start and end snapshots of a sequence flow, at t = 0 and t = T."""
+    """Snapshots of a sequence flow at t = 0 and t = T: the payoff the flow
+    was given, and its end state."""
 
     times: np.ndarray
     series: tuple[CoeffSeries, ...]
@@ -312,15 +314,16 @@ class ExpectationResult:
     flow: FlowResult
 
 
-def _flow(rhs, u0: CoeffSeries, y0: np.ndarray, T: float, config, snapshot) -> FlowResult:
-    """The integration path of the dopri5 flows: dopri5 from y0 over
-    [0, T], with the leading series block of the state weighted like u0 and
-    any trailing scalar by 1; ``snapshot`` turns the start and end states
-    into series. The stats add u0's order as the working ``order``."""
+def _flow(rhs, u0: CoeffSeries, u: CoeffSeries, y0: np.ndarray, T: float, config, snapshot) -> FlowResult:
+    """The integration path of the dopri5 flows of the payoff u0, run as u:
+    dopri5 from y0 over [0, T], with the leading series block of the state
+    weighted like u and any trailing scalar by 1. The flow starts at u0, and
+    ``snapshot`` turns the end state into a series. The stats add u's order
+    as the working ``order``."""
     w = np.ones(y0.size)
-    w[: u0.coeffs.size] = ser.taylor_weights(u0.dim, u0.order)
+    w[: u.coeffs.size] = ser.taylor_weights(u.dim, u.order)
     times, states, stats = dopri5(rhs, 0.0, T, y0, config, w)
-    return FlowResult(times, tuple(snapshot(y) for y in states), dict(stats, order=u0.order))
+    return FlowResult(times, (u0, snapshot(states[-1])), dict(stats, order=u.order))
 
 
 def _working(model: Characteristics, u0: CoeffSeries, closes=None):
@@ -353,9 +356,8 @@ def solve_linear(model: Characteristics, u0: CoeffSeries, T: float, config: OdeC
     read, and the stats are the action's."""
     model, u = _working(model, u0, lambda chars, d: linear_closes(chars))
     c, stats = expm_action(l_matrix(model), T, u.coeffs)
-    snapshot = _padded(u, u0.order)
     times = np.array([0.0, T], dtype=float)
-    return FlowResult(times, (snapshot(u.coeffs), snapshot(c)), dict(stats, order=u.order))
+    return FlowResult(times, (u0, _padded(u, u0.order)(c)), dict(stats, order=u.order))
 
 
 def solve_riccati(model: Characteristics, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
@@ -368,7 +370,7 @@ def solve_riccati(model: Characteristics, u0: CoeffSeries, T: float, config: Ode
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return apply_r(CoeffSeries(u.dim, u.order, y), model).coeffs
 
-    return _flow(rhs, u, u.coeffs, T, config, _padded(u, u0.order))
+    return _flow(rhs, u0, u, u.coeffs, T, config, _padded(u, u0.order))
 
 
 def riccati_from_linear(model: Characteristics, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
@@ -401,7 +403,7 @@ def riccati_from_linear(model: Characteristics, u0: CoeffSeries, T: float, confi
         return ser.log_star(CoeffSeries(dim, order, y[:n]), phi0=complex(y[n]))
 
     y0 = np.concatenate([c0.coeffs, [complex(u0.coeffs[0])]])
-    return _flow(rhs, u0, y0, T, config, snapshot)
+    return _flow(rhs, u0, u0, y0, T, config, snapshot)
 
 
 def holomorphic_expectation(

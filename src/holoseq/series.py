@@ -33,7 +33,6 @@ __all__ = [
     "lin_comb",
     "mul",
     "shift",
-    "divide_by_coordinate",
     "exp_star",
     "log_star",
     "compose_shift",
@@ -41,11 +40,10 @@ __all__ = [
     "evaluate",
     "real_points",
     "RealEvaluator",
-    "abs_norm",
 ]
 
 # Division guard for leading coefficients (log_star, Riccati-from-linear) and
-# for the pole division of divide_by_coordinate.
+# for the pole division of _divide_coeffs.
 EPS_DIV = 1e-12
 
 MultiIndex = tuple[int, ...]
@@ -297,22 +295,11 @@ def _mul_rows(b: CoeffSeries, beta: MultiIndex | None = None) -> tuple[np.ndarra
     return out[keep], left[keep], right[keep], w[keep]
 
 
-def divide_by_coordinate(u: CoeffSeries, coord: int = 0) -> CoeffSeries:
-    """Series of h_u(z)/z_i for h_u vanishing on {z_i = 0}.
-
-    Requires every coefficient with alpha_i = 0 to vanish (|.| <= EPS_DIV
-    guard); the result satisfies out_alpha = u_{alpha+e_i} / (alpha_i + 1).
-    Used to host jump intensities with a simple pole at the origin.
-    """
-    if not 0 <= coord < u.dim:
-        raise ValueError(f"coordinate {coord} out of range for dim={u.dim}")
-    return CoeffSeries(u.dim, u.order, _divide_coeffs(u.coeffs, u.dim, u.order, coord))
-
-
 def _divide_coeffs(c: np.ndarray, dim: int, order: int, coord: int = 0) -> np.ndarray:
-    """``divide_by_coordinate`` on a coefficient vector, or on every column of
-    a matrix whose rows are indexed like a series (the form that divides a
-    compiled operator)."""
+    """h(z) / z_coord for h vanishing on {z_coord = 0}: out_alpha =
+    c_(alpha + e_coord) / (alpha_coord + 1), for a coefficient vector or each
+    column of a matrix whose rows are indexed like a series (the form that
+    divides a compiled operator), behind the EPS_DIV guard."""
     idxm = _index_matrix(dim, order)
     bad = np.abs(c[idxm[:, coord] == 0])
     if bad.size and bad.max() > EPS_DIV:
@@ -581,17 +568,3 @@ class RealEvaluator:
             out += w if term is None else w * term
         return out
 
-
-def abs_norm(u: CoeffSeries, r: float | Sequence[float]) -> float:
-    """Weighted coefficient norm sum_alpha |u_alpha| r^alpha / alpha! at radius r > 0.
-
-    Dominates sup_{|z_i| <= r_i} |h_u(z)| and is submultiplicative for mul.
-    """
-    rv = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    if rv.shape == (1,) and u.dim > 1:
-        rv = np.full(u.dim, rv[0])
-    if rv.shape != (u.dim,):
-        raise ValueError(f"radius shape {rv.shape} does not match dim={u.dim}")
-    if np.any(rv <= 0):
-        raise ValueError("radius must be positive")
-    return float(np.sum(np.abs(u.coeffs) * taylor_weights(u.dim, u.order, rv)))

@@ -17,7 +17,7 @@ from holoseq import series as ser
 from holoseq.characteristics import Characteristics
 from holoseq.series import CoeffSeries
 
-from reference_kernels import drift_diffusion_series
+from reference_kernels import divide_by_coordinate, drift_diffusion_series
 
 
 def moment_series(chars: Characteristics, beta) -> CoeffSeries:
@@ -44,7 +44,7 @@ def moment_series(chars: Characteristics, beta) -> CoeffSeries:
         return ser.zero(chars.dim, chars.order)
     out = ser.mul(k.intensity, acc)
     for _ in range(k.pole_order):
-        out = ser.divide_by_coordinate(out, 0)
+        out = divide_by_coordinate(out, 0)
     return out
 
 

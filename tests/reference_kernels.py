@@ -3,8 +3,11 @@
 ``compose_shift`` sums (1/beta!) u^(beta) * v^{*beta} over every multi-index,
 with one ``mul`` per index, ``exp_star`` fills one coefficient per Python
 iteration, and ``log_star`` sums the power series of log(1 + d) with one
-``mul`` per degree. ``holoseq.series`` now applies a cached composition map
-and runs ``exp_star`` and ``log_star`` as one degree-by-degree recurrence.
+``mul`` per degree, and ``divide_by_coordinate`` divides one coefficient per
+Python iteration. ``holoseq.series`` now applies a cached composition map,
+runs ``exp_star`` and ``log_star`` as one degree-by-degree recurrence and
+divides a coefficient vector or a compiled matrix through its shift map
+(``_divide_coeffs``).
 
 ``apply_l_series`` and ``apply_r_series`` assemble the generator from series
 operations on every call: drift and diffusion multiply shifted coefficients
@@ -100,6 +103,22 @@ def log_star_term_scale(c: CoeffSeries) -> np.ndarray:
     return acc
 
 
+def divide_by_coordinate(u: CoeffSeries, coord: int = 0) -> CoeffSeries:
+    """h_u(z) / z_coord for h_u vanishing on {z_coord = 0}: out_alpha =
+    u_(alpha + e_coord) / (alpha_coord + 1), zero where alpha + e_coord is
+    above the order. A coefficient with alpha_coord = 0 above EPS_DIV raises
+    LeadingCoefficientError."""
+    idx, lookup = ser.index_table(u.dim, u.order)
+    out = np.zeros(len(idx), dtype=np.complex128)
+    for k, alpha in enumerate(idx):
+        if alpha[coord] == 0 and abs(u.coeffs[k]) > ser.EPS_DIV:
+            raise ser.LeadingCoefficientError(f"coefficient {alpha} does not vanish on z_{coord} = 0")
+        up = tuple(a + e for a, e in zip(alpha, _basis(u.dim, coord)))
+        if up in lookup:
+            out[k] = u.coeffs[lookup[up]] / (alpha[coord] + 1)
+    return CoeffSeries(u.dim, u.order, out)
+
+
 def _basis(dim: int, i: int) -> tuple[int, ...]:
     return tuple(1 if k == i else 0 for k in range(dim))
 
@@ -140,7 +159,7 @@ def _jump_series(
         acc = term if acc is None else acc + term
     out = ser.mul(k.intensity, acc)
     for _ in range(k.pole_order):
-        out = ser.divide_by_coordinate(out, 0)
+        out = divide_by_coordinate(out, 0)
     return out
 
 

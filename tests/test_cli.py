@@ -409,6 +409,20 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 2 and "unit-interval" in err
 
+    @pytest.mark.parametrize("x0,code", [(1.5, 2), (-0.5, 2), (0.0, 0), (1.0, 0)])
+    def test_dual_needs_x0_in_unit_interval(self, tmp_path, capsys, monkeypatch, x0, code):
+        # the bound the dual row prints holds on [0, 1] only; outside, the
+        # config is rejected before any flow
+        if code:
+            monkeypatch.setattr(cli, "affine_expectation", _no_flow)
+        cfg = dict(UNIT_INTERVAL, run=dict(UNIT_INTERVAL["run"], x0=x0), oracles={"dual": {"k_max": 60}})
+        got, out, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        assert got == code, err
+        if code:
+            assert "run.x0" in err
+        else:
+            assert any(line.startswith("dual-chain") for line in out.splitlines())
+
     def test_grid_failure(self, tmp_path, capsys):
         cfg = {
             "model": {"dim": 1, "diffusion": [[[1], 1.0]]},  # a(x) = x < 0 at x < 0
@@ -735,6 +749,29 @@ class TestExitCodes:
         cfg = dict(UNIT_INTERVAL, oracles=oracles)
         code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 2 and key in err
+
+    @pytest.mark.parametrize(
+        "cfg,argv,message",
+        [
+            (
+                dict(BASE, model={"preset": "compound-poisson"}, oracles={"mc": {"dt": 0.3}}),
+                ("--sweep-order", "8,12,16"),
+                "T=1.0 is not a whole number of dt=0.3 steps",
+            ),
+            (
+                dict(DIM_TWO, oracles={"mc": {"dt": 0.01, "state_box": [0.0, 1.0]}}),
+                (),
+                "state_box reflection is supported in dimension one only",
+            ),
+        ],
+    )
+    def test_simulation_checked_before_flows(self, tmp_path, capsys, monkeypatch, cfg, argv, message):
+        # the simulator's own checks of a run fail here before any flow
+        flows = []
+        flow = cli.holomorphic_expectation
+        monkeypatch.setattr(cli, "holomorphic_expectation", lambda *a: flows.append(a) or flow(*a))
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg), *argv)
+        assert (code, len(flows), err) == (2, 0, f"config error: {message}\n")
 
     def test_chain_rejects_sweep(self, tmp_path, capsys):
         cfg = {

@@ -1,16 +1,21 @@
-"""The package imports only the standard library, numpy and yaml, and uses
-every name it imports.
+"""The package imports only the standard library, numpy and yaml, uses
+every name it imports and reads every private name it defines; a public
+name is read inside the package or documented in README.
 
 scipy, pytest and hypothesis are test dependencies (``pyproject.toml``), so
 a kernel under ``src/holoseq`` must not reach for them. An import nothing
-reads is what a deletion leaves behind, so the scan fails on it too.
+reads is what a deletion leaves behind, so the scan fails on it too, and a
+public name that only tests read is code no result depends on.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "holoseq"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "holoseq"
+README = ROOT / "README.md"
 ALLOWED = {"holoseq", "numpy", "yaml"}
 
 
@@ -99,10 +104,11 @@ def test_unused_scan_sees_every_import_form():
     assert unused_imports(source) == [(2, "os"), (3, "np"), (5, "check_keys"), (9, "sys")]
 
 
-def private_definitions(source: str) -> list[tuple[int, str]]:
-    """(line, name) of each single-underscore name the module defines at
-    its top level (a function, class or assignment target) and of each
-    single-underscore method of its top-level classes."""
+def definitions(source: str) -> list[tuple[int, str, str]]:
+    """(line, name, label) of each name the module defines at its top level
+    (a function, class or assignment target) and of each method of its
+    top-level classes; a method's label is ``Class.method``, any other
+    label is the name."""
     tree = ast.parse(source)
     out = []
 
@@ -115,12 +121,21 @@ def private_definitions(source: str) -> list[tuple[int, str]]:
         return []
 
     for node in tree.body:
-        out += [(node.lineno, name) for name in defined(node)]
+        out += [(node.lineno, name, name) for name in defined(node)]
         if isinstance(node, ast.ClassDef):
             out += [
-                (m.lineno, m.name) for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                (m.lineno, m.name, f"{node.name}.{m.name}")
+                for m in node.body
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
             ]
-    return [(line, name) for line, name in out if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def private_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each single-underscore name of ``definitions``."""
+    return [
+        (line, name) for line, name, _ in definitions(source) if name.startswith("_") and not name.startswith("__")
+    ]
 
 
 def names_read(source: str) -> set[str]:
@@ -175,4 +190,62 @@ def test_private_scan_sees_every_definition_form():
         "a.py:4 _helper",
         "a.py:6 _Hidden",
         "a.py:7 _method",
+    ]
+
+
+def readme_code_names(text: str) -> set[str]:
+    """Every identifier in the fenced blocks and inline code spans of a
+    Markdown text."""
+    fence = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+    code = fence.findall(text) + re.findall(r"`([^`]+)`", fence.sub("", text))
+    return {w for chunk in code for w in re.findall(r"[A-Za-z_]\w*", chunk)}
+
+
+def undocumented_public_code(sources: dict[str, str], readme: str) -> list[str]:
+    """``file:line label`` of each public definition in ``sources`` (file
+    name -> source) that no module but ``__init__.py`` reads, and that
+    ``readme`` names in no code span or block. ``__init__.py`` only
+    re-exports, so its definitions and reads do not count, and neither does
+    an ``__all__`` entry."""
+    modules = {path: source for path, source in sources.items() if Path(path).name != "__init__.py"}
+    read = set().union(*(names_read(s) for s in modules.values()))
+    documented = readme_code_names(readme)
+    return [
+        f"{path}:{line} {label}"
+        for path, source in modules.items()
+        for line, name, label in definitions(source)
+        if not name.startswith("_") and name not in read and name not in documented
+    ]
+
+
+def test_package_reads_or_documents_every_public_name():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sources
+    found = undocumented_public_code(sources, README.read_text())
+    assert not found, found
+
+
+def test_public_scan_sees_every_definition_form():
+    sources = {
+        "a.py": "\n".join(
+            [
+                "USED = 1",
+                "UNUSED, PAIRED = 2, 3",
+                "NOTED: int = 4",
+                "def helper():\n    return USED",
+                "class Shown:\n    def method(self):\n        return self.attr\n    def read(self):\n        pass",
+                "    def _hidden(self):\n        pass",
+                "def documented():\n    pass",
+                "__all__ = ['UNUSED']",
+            ]
+        ),
+        "b.py": "from a import PAIRED\nprint(PAIRED, Shown().read)",
+        "__init__.py": "from a import NOTED, helper\nhelper(NOTED)",
+    }
+    readme = "The helper and the method, in prose.\n\n```python\nShown()\n```\n\nCall `a.documented()`.\n"
+    assert undocumented_public_code(sources, readme) == [
+        "a.py:2 UNUSED",
+        "a.py:3 NOTED",
+        "a.py:4 helper",
+        "a.py:7 Shown.method",
     ]
