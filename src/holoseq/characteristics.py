@@ -107,9 +107,10 @@ class Characteristics:
     _diffusion_eval: tuple[tuple[RealEvaluator, ...], ...] = field(
         init=False, repr=False, compare=False
     )
-    # the generator matrix L and the quadratic rows of R, compiled by
-    # ``holoseq.generator`` on first use
+    # the generator matrix L with its 1-norm, and the quadratic rows of R,
+    # compiled by ``holoseq.generator`` on first use
     _l_matrix: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    _l_norm: float | None = field(init=False, repr=False, compare=False, default=None)
     _r_rows: tuple[np.ndarray, ...] | None = field(init=False, repr=False, compare=False, default=None)
     degrees: Degrees = field(init=False, repr=False, compare=False)
     # lower-order copies made by ``truncated``, by order, kept on the model

@@ -319,7 +319,7 @@ def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: 
         # the bound the oracle reports on its value holds on [0, 1] only
         if not 0.0 <= x0 <= 1.0:
             raise ConfigError(f"the dual-chain oracle needs run.x0 in [0, 1], got {x0}")
-        k_max = _int_setting(dual_cfg.get("k_max", 400), "oracles.dual.k_max")
+        k_max = _int_setting(dual_cfg.get("k_max", UnitIntervalModel.k_max), "oracles.dual.k_max")
         try:
             dual = UnitIntervalModel(k_max=k_max)
         except ValueError as e:
@@ -352,7 +352,10 @@ def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: 
         _timed(
             rows, "dual-chain", "affine", "oracle",
             lambda: dual.dual_expectation(T),
-            lambda res: (res.evaluate(float(x0)), f"outflow {res.outflow:.2e}, bound {res.impact_bound:.2e}"),
+            lambda res: (
+                res.evaluate(float(x0)),
+                f"outflow {res.outflow:.2e}, bound {res.impact_bound:.2e}, rounding {res.rounding:.2e}",
+            ),
         )
     return rows
 

@@ -9,7 +9,7 @@ What depends only on the characteristics and the order is compiled once per
 ``Characteristics``, on first use, and kept read-only on it. L is linear, so
 it is a dense n x n matrix: ``apply_l_composition`` is one matrix-vector
 product, and the linear flow takes the matrix's exponential action
-(``l_matrix``). Drift and diffusion are the matrices of the product rows of
+(``l_matrix``, whose 1-norm ``l_norm`` is kept with it). Drift and diffusion are the matrices of the product rows of
 ``series._mul_rows``. Each jump atom is its composition map
 u -> u o (id + j) minus the identity, compensated in degree one, weighted,
 multiplied by the intensity and pole-divided. R is L plus the quadratic
@@ -36,6 +36,7 @@ __all__ = [
     "apply_l_composition",
     "apply_r",
     "l_matrix",
+    "l_norm",
     "linear_closes",
     "riccati_closes",
 ]
@@ -125,10 +126,18 @@ def _compile_quadratic(chars: Characteristics) -> tuple[np.ndarray, ...]:
 
 def l_matrix(chars: Characteristics) -> np.ndarray:
     """The read-only matrix of L at ``chars``' order, compiled on first use
-    and kept on ``chars``."""
+    and kept on ``chars`` with its 1-norm (``l_norm``)."""
     if chars._l_matrix is None:
-        object.__setattr__(chars, "_l_matrix", _compile_l(chars))
+        m = _compile_l(chars)
+        object.__setattr__(chars, "_l_norm", float(np.linalg.norm(m, 1)))
+        object.__setattr__(chars, "_l_matrix", m)
     return chars._l_matrix
+
+
+def l_norm(chars: Characteristics) -> float:
+    """||L||_1 of ``l_matrix(chars)``, computed once with it."""
+    l_matrix(chars)
+    return chars._l_norm
 
 
 def _linear(u: CoeffSeries, chars: Characteristics) -> np.ndarray:

@@ -5,7 +5,10 @@
   oracles for the sequence-flow machinery at zero truncation error;
 * a unit-interval kill model whose generator maps the monomial basis
   (x/2)^k to a birth-death chain on the exponent, so E[e^{X_T}] is computable
-  by uniformization of an explicit (explosive) dual chain.
+  by uniformization of an explicit (explosive) dual chain: Fox and Glynn's
+  Poisson weights over a window, summed in blocks of powers of the
+  transition matrix with one Horner pass, and reported with its escaped
+  mass and a first-order bound on its rounding.
 
 Each diffusive preset in ``PRESETS`` is an inline model spec, read by
 ``characteristics_from_config`` exactly as a config's ``model:`` section is;
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from holoseq.characteristics import characteristics_from_config
-from holoseq.odeflow import OdeConfig, dopri5, expm
+from holoseq.checks import is_finite_real
+from holoseq.odeflow import _UNIT_ROUNDOFF, OdeConfig, dopri5, expm
 
 __all__ = [
     "expm",
@@ -139,11 +143,14 @@ class DualResult:
     error: escaped mass re-enters level i with probability <= (1/2)^(k_max+1-i)
     (the chain drifts up 2:1) and then weighs <= (x/2)^i <= 2^(-i), so each
     escaped unit moves any value on [0, 1] by at most 2^(-(k_max+1)).
+    ``rounding`` is a first-order bound on the rounding error of ``evaluate``
+    at any x in [0, 1] (see ``UnitIntervalModel.dual_expectation``).
     """
 
     coefficients: np.ndarray
     outflow: float
     impact_bound: float
+    rounding: float
 
     def evaluate(self, x) -> np.ndarray:
         xs = np.asarray(x, dtype=float)
@@ -156,6 +163,21 @@ class DualResult:
 
 # largest evaluation error bound from escaped dual mass before dual_expectation fails
 _DUAL_TAIL_THRESHOLD = 1e-8
+# entries of P's powers below this are set to zero, so that no product of
+# two kept entries is subnormal (arithmetic on subnormals is many times slower)
+_FLUSH = 2.0**-500
+
+
+def _poisson_window(lt: float) -> tuple[int, np.ndarray]:
+    """(n_lo, w): Poisson(lt) weights on [n_lo, n_hi], cut at lt -+ (12 sqrt(lt)
+    + 30), by the ratio recurrence from the mode and normalised (Fox and
+    Glynn, Commun. ACM 31(4), 1988). At lt = 0 they are the single w_0 = 1."""
+    width = 12.0 * math.sqrt(lt) + 30.0
+    n_lo, mode, n_hi = max(0, math.floor(lt - width)), math.floor(lt), math.ceil(lt + width)
+    right = np.cumprod(lt / np.arange(mode + 1, n_hi + 1))  # w_n / w_mode, n > mode
+    left = np.cumprod(np.arange(mode, n_lo, -1) / lt)  # w_n / w_mode, n < mode, descending
+    w = np.concatenate((left[::-1], [1.0], right))
+    return n_lo, w / math.fsum(w)
 
 
 @dataclass(frozen=True)
@@ -186,33 +208,75 @@ class UnitIntervalModel:
 
     def dual_expectation(self, T: float) -> DualResult:
         """nu(T) = mu exp(T B) by uniformization, mu_k = 2^k / k! (so that
-        sum mu_k f_k = e^x); the up-edge out of k_max is dropped and tracked."""
+        sum mu_k f_k = e^x); the up-edge out of k_max is dropped and tracked.
+
+        With P = I + B / lam and lam = 1.05 x the top rate, nu(T) is the sum
+        of w_n mu P^n over the Poisson(lam T) window [n_lo, n_hi] of
+        ``_poisson_window``, taken in blocks of s, the least power of two
+        with s^2 > n_hi: Q = P^s by log2(s) squarings of the dense P, the
+        block starts y_b = mu Q^b by one vector-matrix product each,
+        z_i = sum_b w_(bs+i) y_b by one matrix product, and
+        nu(T) = sum_i z_i P^i by Horner in s - 1 tridiagonal steps. Two
+        (k_max+1)^2 float matrices are held at a time (1.3 MB each at
+        k_max 400), and the s x (k_max+1) block sums.
+
+        ``rounding`` bounds the rounding error to first order in the unit
+        roundoff u. Every operand is nonnegative, so a computed entry is off
+        by at most u times its count of roundings, relative, a dot product
+        of p nonzero terms counting p. The counts summed are: mu's
+        recurrence; P's entries over n_hi steps; the weight recurrence and
+        the rounding of lam T; the squarings, level j summing 2^j + 1 terms
+        and raised to the power s / 2^j in Q; the block products; the block
+        sums; the Horner steps; and the Horner of ``evaluate``. Times the
+        value at x = 1 that bounds the error at any x in [0, 1]. Entries of
+        Q's squarings below 2^-500 are set to zero, which adds at most
+        b_hi s (k_max+1) 2^-500 mu's mass; underflow elsewhere is left out.
+
+        T = 0 returns mu exactly; a negative or non-finite T raises
+        ValueError.
+        """
+        if not (is_finite_real(T) and T >= 0):
+            raise ValueError(f"the horizon must be finite and >= 0, got {T}")
         down, up = self.dual_rates()
         total = down + up
         lam = 1.05 * float(total.max())
-        mu = np.exp(np.arange(self.k_max + 1) * math.log(2.0)
-                    - np.array([math.lgamma(k + 1) for k in range(self.k_max + 1)]))
+        n = self.k_max + 1
+        # mu_k = mu_(k-1) * (2 / k)
+        mu = np.cumprod(np.concatenate(([1.0], 2.0 / np.arange(1, n))))
         mass_in = float(mu.sum())
 
-        lt = lam * T
-        width = 12.0 * math.sqrt(lt) + 30.0
-        n_hi = int(math.ceil(lt + width))
-        log_w = (np.arange(n_hi + 1) * math.log(lt) if lt > 0 else np.zeros(n_hi + 1))
-        log_w = log_w - lt - np.array([math.lgamma(n + 1) for n in range(n_hi + 1)])
-        w = np.exp(log_w)
-
+        n_lo, w = _poisson_window(lam * T)
+        n_hi = n_lo + len(w) - 1
+        stay = (lam - total) / lam
         p_down = down / lam
         p_up = up / lam
-        stay = 1.0 - total / lam
-        nu = mu.copy()
-        acc = w[0] * nu
-        for n in range(1, n_hi + 1):
-            nxt = nu * stay
-            nxt[:-1] += nu[1:] * p_down[1:]
-            nxt[1:] += nu[:-1] * p_up[:-1]
+        levels = (n_hi.bit_length() + 1) // 2
+        s = 1 << levels
+        q = np.diag(stay)
+        k = np.arange(1, n)
+        q[k, k - 1] = p_down[1:]
+        q[k - 1, k] = p_up[:-1]
+        for _ in range(levels):
+            q = q @ q
+            q[q < _FLUSH] = 0.0
+        b_lo, b_hi = n_lo // s, n_hi // s
+        y = mu
+        for _ in range(b_lo):
+            y = y @ q
+        starts = [y]
+        for _ in range(b_lo, b_hi):
+            starts.append(starts[-1] @ q)
+        blocks = np.zeros((b_hi - b_lo + 1) * s)
+        blocks[n_lo - b_lo * s : n_hi - b_lo * s + 1] = w
+        z = blocks.reshape(-1, s).T @ np.array(starts)
+        acc = z[-1]
+        for zi in z[-2::-1]:
+            nxt = acc * stay + zi
+            nxt[:-1] += acc[1:] * p_down[1:]
             # the up-move out of k_max has no target row: that mass leaks
-            nu = nxt
-            acc = acc + w[n] * nu
+            nxt[1:] += acc[:-1] * p_up[:-1]
+            acc = nxt
+
         outflow = mass_in * float(w.sum()) - float(acc.sum())
         outflow = max(outflow, 0.0)
         bound = outflow * 2.0 ** -(self.k_max + 1)
@@ -221,7 +285,19 @@ class UnitIntervalModel:
                 f"escaped dual mass {outflow:.3e} bounds the evaluation error by "
                 f"{bound:.3e} > {_DUAL_TAIL_THRESHOLD:.1e}; increase k_max"
             )
-        return DualResult(acc, outflow, bound)
+        squarings = sum((s >> j) * min((1 << j) + 1, n) for j in range(1, levels + 1))
+        roundings = (
+            2 * self.k_max  # mu
+            + 2 * n_hi  # P's entries
+            + 3 * len(w)  # the weights and lam T
+            + b_hi * (squarings + min(2 * s + 1, n))  # Q and the block products
+            + (b_hi - b_lo + 1)  # the block sums
+            + 4 * (s - 1)  # the Horner steps
+            + 2 * self.k_max  # evaluate
+        )
+        value_at_one = float(acc @ 0.5 ** np.arange(n))
+        flushed = b_hi * s * n * _FLUSH * mass_in
+        return DualResult(acc, outflow, bound, roundings * _UNIT_ROUNDOFF * value_at_one + flushed)
 
 
 # --- preset registry -----------------------------------------------------------

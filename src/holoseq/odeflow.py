@@ -42,7 +42,7 @@ import numpy as np
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics
 from holoseq.checks import is_finite_real, is_integer
-from holoseq.generator import apply_l_composition, apply_r, l_matrix, linear_closes, riccati_closes
+from holoseq.generator import apply_l_composition, apply_r, l_matrix, l_norm, linear_closes, riccati_closes
 from holoseq.series import CoeffSeries, LeadingCoefficientError
 
 __all__ = [
@@ -259,8 +259,9 @@ def _taylor_action(a: np.ndarray, t: float, v: np.ndarray, m: int, s: int) -> tu
     return f, {"method": "taylor", "matvecs": matvecs, "s": s}
 
 
-def expm_action(a: np.ndarray, t: float, v: np.ndarray) -> tuple[np.ndarray, dict]:
-    """exp(t a) v for a square matrix ``a``, with how it was computed.
+def expm_action(a: np.ndarray, t: float, v: np.ndarray, a_norm: float | None = None) -> tuple[np.ndarray, dict]:
+    """exp(t a) v for a square matrix ``a``, with how it was computed;
+    ``a_norm`` is ||a||_1 where the caller keeps it, and None computes it.
 
     With nu = t ||a||_1 and n = len(v), the method estimated to cost fewer
     matrix-vector products runs:
@@ -276,7 +277,7 @@ def expm_action(a: np.ndarray, t: float, v: np.ndarray) -> tuple[np.ndarray, dic
     """
     if not (is_finite_real(t) and t >= 0):
         raise ValueError(f"the horizon must be finite and >= 0, got {t}")
-    norm = t * float(np.linalg.norm(a, 1))
+    norm = t * (float(np.linalg.norm(a, 1)) if a_norm is None else a_norm)
     if not math.isfinite(norm):
         raise FlowBudgetError(f"||T L||_1 = {norm} is not finite; the flow cannot be computed")
     m, s = _taylor_plan(norm)
@@ -355,7 +356,7 @@ def solve_linear(model: Characteristics, u0: CoeffSeries, T: float, config: OdeC
     ``generator.linear_closes``) at order max(deg u0, 1). ``config`` is not
     read, and the stats are the action's."""
     model, u = _working(model, u0, lambda chars, d: linear_closes(chars))
-    c, stats = expm_action(l_matrix(model), T, u.coeffs)
+    c, stats = expm_action(l_matrix(model), T, u.coeffs, l_norm(model))
     times = np.array([0.0, T], dtype=float)
     return FlowResult(times, (u0, _padded(u, u0.order)(c)), dict(stats, order=u.order))
 

@@ -20,9 +20,15 @@ part through the series kernels, one ``compose_shift``, ``exp_star`` and
 ``mul`` per call; ``holoseq.generator.apply_r`` runs exp* on the raw array
 instead, to the same bits.
 
+``dual_steps`` sums the unit-interval dual chain's uniformization series one
+tridiagonal step per Poisson term, in any float type;
+``holoseq.models.UnitIntervalModel.dual_expectation`` sums the same series
+in blocks of powers of P.
+
 The property tests check each replacement against these.
 """
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -30,6 +36,7 @@ import numpy as np
 from holoseq import generator
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics
+from holoseq.models import UnitIntervalModel
 from holoseq.series import CoeffSeries
 
 
@@ -212,3 +219,37 @@ def apply_r_composed(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
             tilt = ser._divide_coeffs(tilt, dim, order)
         out += tilt
     return CoeffSeries(dim, order, out)
+
+
+def dual_steps(model: UnitIntervalModel, T: float, dtype=np.float64) -> tuple[np.ndarray, float]:
+    """(coefficients, outflow) of ``model.dual_expectation(T)``, with every
+    quantity in ``dtype``: the same lam, mu, P and Poisson window, the
+    weights by the ratio recurrence from the mode, and then one tridiagonal
+    step nu -> nu P per term, accumulating w_n nu."""
+    down, up = model.dual_rates()
+    lam = dtype(1.05 * float((down + up).max()))
+    down, up = down.astype(dtype), up.astype(dtype)
+    total = down + up
+    n = model.k_max + 1
+    mu = np.cumprod(np.concatenate(([dtype(1)], dtype(2) / np.arange(1, n).astype(dtype))))
+    lt = lam * dtype(T)
+    width = 12.0 * math.sqrt(float(lt)) + 30.0
+    n_lo, mode, n_hi = max(0, math.floor(float(lt) - width)), math.floor(float(lt)), math.ceil(float(lt) + width)
+    steps = np.arange(n_hi + 1).astype(dtype)
+    w = np.zeros(n_hi + 1, dtype=dtype)
+    w[mode] = 1
+    w[mode + 1 :] = np.cumprod(lt / steps[mode + 1 :])
+    w[n_lo:mode] = np.cumprod(steps[mode:n_lo:-1] / lt)[::-1]
+    w /= w.sum()
+    stay = (lam - total) / lam
+    p_down = down / lam
+    p_up = up / lam
+    nu = mu.copy()
+    acc = w[0] * nu
+    for k in range(1, n_hi + 1):
+        nxt = nu * stay
+        nxt[:-1] += nu[1:] * p_down[1:]
+        nxt[1:] += nu[:-1] * p_up[:-1]
+        nu = nxt
+        acc += w[k] * nu
+    return acc, float(mu.sum() * w.sum() - acc.sum())

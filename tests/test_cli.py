@@ -17,6 +17,7 @@ import yaml
 from holoseq import cli
 from holoseq import series as ser
 from holoseq.cli import main
+from holoseq.models import UnitIntervalModel
 
 BASE = {
     "model": {"preset": "bm"},
@@ -318,9 +319,16 @@ class TestRun:
             rows = list(csv.DictReader(fh))
         dual = [r for r in rows if r["quantity"] == "dual-chain"]
         assert len(dual) == 1 and dual[0]["kind"] == "oracle" and dual[0]["mode"] == "affine"
-        assert "outflow" in dual[0]["detail"] and "bound" in dual[0]["detail"]
+        assert all(key in dual[0]["detail"] for key in ("outflow", "bound", "rounding"))
         # the log-linear engine row is the reference of the oracle's diff
         assert float(dual[0]["rel_diff"]) <= 1e-4
+
+    def test_dual_default_k_max_is_the_models(self):
+        args = argparse.Namespace(sweep_order=None, mc_paths=None, seed=None, out=None)
+        rows = []
+        for dual in ({}, {"k_max": UnitIntervalModel().k_max}):
+            rows += [r for r in cli.run_config(dict(UNIT_INTERVAL, oracles={"dual": dual}), args) if r.kind == "oracle"]
+        assert len(rows) == 2 and (rows[0].value, rows[0].detail) == (rows[1].value, rows[1].detail)
 
     def test_one_element_x0_list_is_its_value(self, tmp_path, capsys):
         # the dual row reads x0 as a float; a dim-1 list must give the same table

@@ -1,6 +1,8 @@
 """The package imports only the standard library, numpy and yaml, uses
 every name it imports and reads every private name it defines; a public
-name is read inside the package or documented in README.
+name is read inside the package or documented in README. A method counts
+as read only as an attribute or a string, so a local variable of the same
+name does not hide a dead one.
 
 scipy, pytest and hypothesis are test dependencies (``pyproject.toml``), so
 a kernel under ``src/holoseq`` must not reach for them. An import nothing
@@ -131,35 +133,47 @@ def definitions(source: str) -> list[tuple[int, str, str]]:
     return out
 
 
-def private_definitions(source: str) -> list[tuple[int, str]]:
-    """(line, name) of each single-underscore name of ``definitions``."""
-    return [
-        (line, name) for line, name, _ in definitions(source) if name.startswith("_") and not name.startswith("__")
-    ]
-
-
-def names_read(source: str) -> set[str]:
-    """Every name a module loads, reads as an attribute or imports."""
-    read = set()
+def names_read(source: str) -> tuple[set[str], set[str]]:
+    """(names, attributes): every name a module loads, reads as an attribute
+    or imports, and the attributes it reads (``x.m``) with its string
+    constants, the ways a method is read."""
+    names, attributes = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
+            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
-            read |= {a.name for a in node.names}
-    return read
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            attributes.add(node.value)
+    return names, attributes
+
+
+def reads(sources) -> tuple[set[str], set[str]]:
+    """``names_read`` over several sources, joined."""
+    found = [names_read(s) for s in sources]
+    return set().union(*(n for n, _ in found)), set().union(*(a for _, a in found))
+
+
+def is_read(name: str, label: str, read: tuple[set[str], set[str]]) -> bool:
+    """Whether a definition of ``definitions`` is read: a method (label
+    ``Class.m``) through an attribute or string constant only, so a bare
+    local of the same name does not hide it; any other name as before."""
+    names, attributes = read
+    return name in (attributes if "." in label else names)
 
 
 def dead_private_code(sources: dict[str, str]) -> list[str]:
     """``file:line name`` of each private definition that no module of
     ``sources`` (file name -> source) reads."""
-    read = set().union(*(names_read(s) for s in sources.values()))
+    read = reads(sources.values())
     return [
         f"{path}:{line} {name}"
         for path, source in sources.items()
-        for line, name in private_definitions(source)
-        if name not in read
+        for line, name, label in definitions(source)
+        if name.startswith("_") and not name.startswith("__") and not is_read(name, label, read)
     ]
 
 
@@ -180,9 +194,12 @@ def test_private_scan_sees_every_definition_form():
                 "def _helper():\n    return _USED",
                 "class _Hidden:\n    def _method(self):\n        return self._attr\n    def __init__(self):\n        pass",
                 "def public():\n    _local = 5\n    return _local",
+                "class _Kept:\n    def _shadowed(self):\n        pass\n    def _by_name(self):\n        pass",
+                # a local of a method's name does not read the method
+                "def shadowing():\n    _shadowed = 6\n    return _shadowed",
             ]
         ),
-        "b.py": "from a import _PAIRED\nx = _PAIRED",
+        "b.py": "from a import _PAIRED, _Kept\nx = _PAIRED\ngetattr(_Kept(), '_by_name')",
     }
     assert dead_private_code(sources) == [
         "a.py:2 _UNUSED",
@@ -190,6 +207,7 @@ def test_private_scan_sees_every_definition_form():
         "a.py:4 _helper",
         "a.py:6 _Hidden",
         "a.py:7 _method",
+        "a.py:15 _shadowed",
     ]
 
 
@@ -208,13 +226,13 @@ def undocumented_public_code(sources: dict[str, str], readme: str) -> list[str]:
     re-exports, so its definitions and reads do not count, and neither does
     an ``__all__`` entry."""
     modules = {path: source for path, source in sources.items() if Path(path).name != "__init__.py"}
-    read = set().union(*(names_read(s) for s in modules.values()))
+    read = reads(modules.values())
     documented = readme_code_names(readme)
     return [
         f"{path}:{line} {label}"
         for path, source in modules.items()
         for line, name, label in definitions(source)
-        if not name.startswith("_") and name not in read and name not in documented
+        if not name.startswith("_") and not is_read(name, label, read) and name not in documented
     ]
 
 
@@ -235,11 +253,14 @@ def test_public_scan_sees_every_definition_form():
                 "def helper():\n    return USED",
                 "class Shown:\n    def method(self):\n        return self.attr\n    def read(self):\n        pass",
                 "    def _hidden(self):\n        pass",
-                "def documented():\n    pass",
+                "    def ok(self):\n        pass",
+                "    def by_name(self):\n        pass",
+                # a local of a method's name does not read the method
+                "def documented():\n    ok = True\n    return ok",
                 "__all__ = ['UNUSED']",
             ]
         ),
-        "b.py": "from a import PAIRED\nprint(PAIRED, Shown().read)",
+        "b.py": "from a import PAIRED\nprint(PAIRED, Shown().read, getattr(Shown(), 'by_name'))",
         "__init__.py": "from a import NOTED, helper\nhelper(NOTED)",
     }
     readme = "The helper and the method, in prose.\n\n```python\nShown()\n```\n\nCall `a.documented()`.\n"
@@ -248,4 +269,5 @@ def test_public_scan_sees_every_definition_form():
         "a.py:3 NOTED",
         "a.py:4 helper",
         "a.py:7 Shown.method",
+        "a.py:13 Shown.ok",
     ]

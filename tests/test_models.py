@@ -2,14 +2,18 @@
 unit-interval dual. scipy appears here as a test-only oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics, validate_on_grid
+from holoseq import models
 from holoseq.generator import apply_r
 from holoseq.models import (
     PRESET_INFO,
@@ -26,6 +30,7 @@ from holoseq.models import (
 )
 
 from oracles import AFFINE_LINEAR_JUMPS, AffineSpec, _affine_f, affine_transform, dual_series
+from reference_kernels import dual_steps
 from test_characteristics import unit_interval_chars
 
 # frozen anchors: the compensated exponent rate at tau = 1 for unit diffusion
@@ -223,6 +228,62 @@ class TestUnitInterval:
         )
         assert chars.kernel.pole_order == 1
         assert chars.kernel.atoms[0].size[0].coefficient((1,)) == -1.0
+
+
+class TestDualSum:
+    """The blocked uniformization sum against the step-by-step one it
+    replaced, in double and in long double."""
+
+    @seed(20261020)
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(4, 80), st.floats(0.0, 1.0))
+    def test_blocks_match_steps(self, k_max, T):
+        model = UnitIntervalModel(k_max=k_max)
+        want, outflow = dual_steps(model, T)
+        if outflow * 2.0 ** -(k_max + 1) > models._DUAL_TAIL_THRESHOLD:
+            with pytest.raises(EscapeMassError):
+                model.dual_expectation(T)
+            return
+        res = model.dual_expectation(T)
+        assert len(res.coefficients) == k_max + 1
+        assert np.all(np.abs(res.coefficients - want) <= 1e-12 * want)
+        # the outflow is a difference of masses, so its rounding is relative to them
+        mass = sum(2.0**k / math.factorial(k) for k in range(k_max + 1))
+        assert abs(res.outflow - outflow) <= 1e-12 * mass
+
+    # the largest difference on [0, 1] of the step-by-step sum with the
+    # weights exp(n log(lam T) - lam T - lgamma(n + 1)), as it ran before the
+    # blocked sum, to the long-double sum at T = 0.5
+    @pytest.mark.parametrize("k_max,before", [(24, 2.4e-13), (60, 5.3e-13), (200, 3.29e-11)])
+    def test_long_double_error_within_rounding_bound(self, k_max, before):
+        model = UnitIntervalModel(k_max=k_max)
+        want, _ = dual_steps(model, 0.5, np.longdouble)
+        xs = np.linspace(0.0, 1.0, 101)
+        half = xs.astype(np.longdouble) / 2
+        exact = np.zeros_like(half)
+        for c in want[::-1]:
+            exact = exact * half + c
+        res = model.dual_expectation(0.5)
+        err = float(np.abs(res.evaluate(xs) - exact).max())
+        assert err <= before
+        assert err <= res.rounding
+
+    def test_rounding_bound_at_the_default_k_max(self):
+        res = UnitIntervalModel().dual_expectation(0.5)
+        assert 0 < res.rounding < 1e-9
+
+    def test_zero_horizon_is_the_start_law(self):
+        res = UnitIntervalModel(k_max=60).dual_expectation(0.0)
+        mu = [Fraction(2**k, math.factorial(k)) for k in range(61)]
+        assert all(abs(Fraction(c) - m) <= 1e-14 * m for c, m in zip(res.coefficients, mu, strict=True))
+        assert res.outflow == res.impact_bound == 0.0
+        for x in (0.0, 0.5, 1.0):
+            assert abs(float(res.evaluate(x)) - math.exp(x)) <= 1e-15 * math.exp(x)
+
+    @pytest.mark.parametrize("T", [-0.5, -1e-300, math.nan, math.inf])
+    def test_horizon_must_be_finite_and_forward(self, T):
+        with pytest.raises(ValueError, match="horizon"):
+            UnitIntervalModel(k_max=24).dual_expectation(T)
 
 
 def model_series(chars):

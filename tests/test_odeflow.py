@@ -13,7 +13,7 @@ from scipy.sparse.linalg import expm_multiply
 from holoseq import models, odeflow
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics, JumpAtom, JumpKernel
-from holoseq.generator import apply_l_composition, apply_r, l_matrix, linear_closes, riccati_closes
+from holoseq.generator import apply_l_composition, apply_r, l_matrix, l_norm, linear_closes, riccati_closes
 from holoseq.models import UnitIntervalModel, build_preset
 from holoseq.odeflow import (
     ExpectationResult,
@@ -227,6 +227,24 @@ class TestExponentialAction:
         # the rule's side: the Taylor products against the dense estimate (4 + q) n
         squarings = odeflow._squarings(t * np.linalg.norm(a, 1))
         assert (taylor_stats["matvecs"] < (4 + squarings) * len(v)) == (method == "taylor")
+
+    def test_norm_is_kept_with_the_matrix(self, monkeypatch):
+        chars = nd_affine_chars(2, 6)
+        u0 = exp_payoff(2, 6, (0.5, -0.4))
+        first = solve_linear(chars, u0, 0.5)
+        assert chars._l_norm == np.linalg.norm(chars._l_matrix, 1)
+        a, v = l_matrix(chars), u0.coeffs
+        got, want = expm_action(a, 0.5, v, l_norm(chars)), expm_action(a, 0.5, v)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        # a second flow on the model computes no norm
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda *args, **kw: calls.append(args) or norm(*args, **kw))
+        second = solve_linear(chars, u0, 0.5)
+        assert calls == []
+        np.testing.assert_array_equal(first.final.coeffs, second.final.coeffs)
+        assert first.stats == second.stats
 
     def test_zero_horizon_is_the_identity(self):
         chars = nd_affine_chars(2, 6)
