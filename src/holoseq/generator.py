@@ -9,7 +9,7 @@ What depends only on the characteristics and the order is compiled once per
 ``Characteristics``, on first use, and kept read-only on it. L is linear, so
 it is a dense n x n matrix: ``apply_l_composition`` is one matrix-vector
 product, and the linear flow takes the matrix's exponential action
-(``l_matrix``, whose 1-norm ``l_norm`` is kept with it). Drift and diffusion are the matrices of the product rows of
+(``l_matrix``). Drift and diffusion are the matrices of the product rows of
 ``series._mul_rows``. Each jump atom is its composition map
 u -> u o (id + j) minus the identity, compensated in degree one, weighted,
 multiplied by the intensity and pole-divided. R is L plus the quadratic

@@ -160,7 +160,8 @@ def reads(sources) -> tuple[set[str], set[str]]:
 def is_read(name: str, label: str, read: tuple[set[str], set[str]]) -> bool:
     """Whether a definition of ``definitions`` is read: a method (label
     ``Class.m``) through an attribute or string constant only, so a bare
-    local of the same name does not hide it; any other name as before."""
+    local of the same name does not hide it; any other name also through a
+    load or an import."""
     names, attributes = read
     return name in (attributes if "." in label else names)
 

@@ -11,9 +11,9 @@ import scipy.linalg
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from holoseq import models
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics, validate_on_grid
-from holoseq import models
 from holoseq.generator import apply_r
 from holoseq.models import (
     PRESET_INFO,
@@ -251,9 +251,9 @@ class TestDualSum:
         mass = sum(2.0**k / math.factorial(k) for k in range(k_max + 1))
         assert abs(res.outflow - outflow) <= 1e-12 * mass
 
-    # the largest difference on [0, 1] of the step-by-step sum with the
-    # weights exp(n log(lam T) - lam T - lgamma(n + 1)), as it ran before the
-    # blocked sum, to the long-double sum at T = 0.5
+    # ``before``: the largest difference on [0, 1] to the long-double sum at
+    # T = 0.5 of the step-by-step sum with the weights
+    # exp(n log(lam T) - lam T - lgamma(n + 1)); the blocked sum is no worse
     @pytest.mark.parametrize("k_max,before", [(24, 2.4e-13), (60, 5.3e-13), (200, 3.29e-11)])
     def test_long_double_error_within_rounding_bound(self, k_max, before):
         model = UnitIntervalModel(k_max=k_max)
