@@ -283,6 +283,8 @@ def _mc_detail(est):
         detail += f", clamps {est.clamps}"
     if est.absorbed:
         detail += f", absorbed {est.absorbed}"
+    if est.jumps:
+        detail += f", jumps {est.jumps}"
     return est.mean, detail
 
 

@@ -8,6 +8,18 @@ different process whenever the jump mean is nonzero.
 Reproducibility: paths are processed in fixed-size batches, each with its own
 stream keyed by (seed, batch index), and reduced in batch order; results are
 bit-identical for a fixed config regardless of how batches would be scheduled.
+
+Per-run values: a characteristic whose series has degree <= 0 does not
+depend on the state, so a run evaluates and checks it once, at x0. That
+covers the drift; the diffusion and its factor, sqrt(a dt) in dimension one
+and otherwise the symmetric root from one ``eigh``; the jump sizes with
+their atom table and weighted mean; and the intensity of a kernel without a
+pole. The other characteristics are evaluated on the live paths at every
+step. Until the first path is absorbed, a step reads and writes the batch
+arrays through views; boolean masks come in only after that. Every estimate
+is bit-identical to that of the loop which evaluated each characteristic on
+every path at every step (kept in the tests as
+``reference_kernels.euler_paths``).
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ import numpy as np
 
 from holoseq.characteristics import Characteristics
 from holoseq.checks import is_finite_real, is_integer
-from holoseq.series import real_points
+from holoseq.series import degree, real_points
 
 __all__ = [
     "McConfig",
@@ -79,6 +91,8 @@ class McEstimate:
     paths: int
     clamps: int = 0
     absorbed: int = 0
+    # accepted jumps over all paths and steps
+    jumps: int = 0
 
     def within(self, reference: float, n_stderr: float = 3.0) -> bool:
         return abs(self.mean - reference) <= n_stderr * self.stderr
@@ -170,14 +184,19 @@ def check_run(chars: Characteristics, x0, T: float, cfg: McConfig) -> tuple[np.n
     """The start point as a (dim,) array and the number of Euler steps of a
     run under ``cfg`` from x0 over [0, T] on ``chars``. Raises ValueError,
     before any path is drawn, for a run that cannot be simulated: a
-    ``state_box`` outside dimension one, an x0 of another dimension, or a T
-    that is not a positive whole number of dt steps."""
+    ``state_box`` outside dimension one, an x0 of another dimension or with
+    a NaN or infinite coordinate, or a T that is not a finite, positive
+    whole number of dt steps."""
     dim = chars.dim
     if cfg.state_box is not None and dim != 1:
         raise ValueError("state_box reflection is supported in dimension one only")
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0v.shape != (dim,):
         raise ValueError(f"x0 shape {x0v.shape} does not match dim={dim}")
+    if not np.isfinite(x0v).all():
+        raise ValueError(f"x0={x0v.tolist()} must be finite")
+    if not is_finite_real(T):
+        raise ValueError(f"horizon T={T!r} must be a finite number")
     nsteps = int(round(T / cfg.dt))
     if nsteps < 1:
         raise ValueError(f"horizon T={T} must be positive and span at least one dt={cfg.dt} step")
@@ -186,23 +205,80 @@ def check_run(chars: Characteristics, x0, T: float, cfg: McConfig) -> tuple[np.n
     return x0v, nsteps
 
 
+def _per_run(constant: bool, evaluate, x0v: np.ndarray):
+    """The evaluator ``(states, step) -> value`` a run steps with.
+
+    It is called once at x0 before the first step: every path starts there,
+    so this is the first step's evaluation and raises what that step would.
+    A characteristic that does not depend on the state keeps that value.
+    """
+    value = evaluate(x0v, 0)
+    return (lambda xs, k: value) if constant else evaluate
+
+
 def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=None):
-    """Run all batches; returns (final states (paths, dim), clamps, absorbed).
+    """Run all batches; returns (final states (paths, dim), clamps, absorbed, jumps).
 
     ``step_hook(batch_index, x, frozen, dt)`` is called before each Euler step
     with the current states; used by the martingale audit to accumulate the
-    compensator integral.
+    compensator integral. Which values are computed once per run is in the
+    module docstring.
     """
-    dim = chars.dim
+    dim, dt = chars.dim, cfg.dt
     x0v, nsteps = check_run(chars, x0, T, cfg)
     kernel = chars.kernel
     weights = np.array([a.weight for a in kernel.atoms]) if kernel else np.zeros(0)
     total_w = weights.sum()
     cum_w = np.cumsum(weights) / total_w if total_w > 0 else None
+    jumping = kernel is not None and total_w > 0
+    degrees = chars.degrees
+
+    def intensity_at(xs, k):
+        """lambda clipped at zero and the per-step jump probability."""
+        lam = kernel.intensity_value(xs)
+        # +inf (a path sitting on a pole) is a certain jump; NaN is not a rate
+        if np.isnan(lam).any():
+            raise IntensityBoundError(f"NaN jump intensity at t={k * dt:.6g}")
+        if np.any(lam < -1e-12):
+            raise IntensityBoundError(f"negative jump intensity {lam.min():.6g} at t={k * dt:.6g}")
+        lam = np.clip(lam, 0.0, None)
+        # exact per-step jump probability 1 - exp(-rate dt), which stays valid
+        # as rates blow up
+        return lam, -np.expm1(-(lam * total_w) * dt)
+
+    def jump_sizes_at(xs, k):
+        """(atoms, points, dim) jump sizes and their weighted sum, the
+        compensated kernel's drift correction per unit intensity."""
+        sizes = _jump_sizes(chars, xs)
+        return np.stack(sizes, axis=0), sum(w * s for w, s in zip(weights, sizes))
+
+    def diffusion_root_at(xs, k):
+        """sqrt(a dt) in dimension one, else the symmetric square root of a."""
+        a = chars.diffusion_values(xs)
+        if dim == 1:
+            av = a[:, 0, 0]
+            if np.any(av < -1e-12):
+                raise np.linalg.LinAlgError(f"diffusion a(x) negative ({av.min():.3e}) at t={k * dt:.6g}")
+            return np.sqrt(np.clip(av, 0.0, None) * dt)[:, None]
+        # symmetric square root: works for singular PSD matrices too
+        w_eig, vecs = np.linalg.eigh(a)
+        if np.any(w_eig < -1e-10):
+            raise np.linalg.LinAlgError(f"diffusion not PSD (eig {w_eig.min():.3e}) at t={k * dt:.6g}")
+        root = vecs * np.sqrt(np.clip(w_eig, 0.0, None))[:, None, :]
+        return np.einsum("nik,njk->nij", root, vecs)
+
+    # in the order a step evaluates and checks them
+    drift = _per_run(degrees.drift <= 0, lambda xs, k: chars.drift_values(xs), x0v)
+    if jumping:
+        intensity = _per_run(kernel.pole_order == 0 and degrees.intensity <= 0, intensity_at, x0v)
+        # every atom, not only those ``degrees`` counts: a zero-weight atom
+        # still enters the weighted sum and the atom table
+        constant_sizes = all(degree(s) <= 0 for atom in kernel.atoms for s in atom.size)
+        jump_sizes = _per_run(constant_sizes, jump_sizes_at, x0v)
+    diffusion_root = _per_run(degrees.diffusion <= 0, diffusion_root_at, x0v)
 
     finals = []
-    clamps = 0
-    absorbed_count = 0
+    clamps = absorbed = jumps = 0
     for b_idx, m in enumerate(_batch_sizes(cfg.paths, _BATCH)):
         rng = _stream(cfg.seed, b_idx)
         x = np.tile(x0v, (m, 1))
@@ -214,56 +290,32 @@ def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=Non
             u_jump = rng.random(m)
             u_atom = rng.random(m)
             if step_hook is not None:
-                step_hook(b_idx, x, frozen, cfg.dt)
-            alive = ~frozen
-            if not alive.any():
-                continue
+                step_hook(b_idx, x, frozen, dt)
+            # views of the whole batch until the first absorption, masked
+            # copies after it
+            alive = ~frozen if frozen.any() else slice(None)
             xa = x[alive]
-            b = chars.drift_values(xa)
-            a = chars.diffusion_values(xa)
-            jumped = np.zeros(alive.sum(), dtype=bool)
-            if kernel is not None and total_w > 0:
-                lam = kernel.intensity_value(xa)
-                # +inf (a path sitting on a pole) is a certain jump; NaN is not a rate
-                if np.isnan(lam).any():
-                    raise IntensityBoundError(f"NaN jump intensity at t={k * cfg.dt:.6g}")
-                if np.any(lam < -1e-12):
-                    raise IntensityBoundError(
-                        f"negative jump intensity {lam.min():.6g} at t={k * cfg.dt:.6g}"
-                    )
-                sizes = _jump_sizes(chars, xa)
-                # exact per-step jump probability 1 - exp(-rate dt), which
-                # stays valid as rates blow up
-                rate = np.clip(lam, 0.0, None) * total_w
-                jumped = u_jump[alive] < -np.expm1(-rate * cfg.dt)
-                # compensated-kernel drift correction
-                mean_jump = sum(w * s for w, s in zip(weights, sizes))
-                b = b - np.clip(lam, 0.0, None)[:, None] * mean_jump
-            # diffusion increment
+            if not len(xa):
+                continue
+            b = drift(xa, k)
+            if jumping:
+                lam, p_jump = intensity(xa, k)
+                table, mean_jump = jump_sizes(xa, k)
+                jumped = u_jump[alive] < p_jump
+                b = b - lam[:, None] * mean_jump
+            root = diffusion_root(xa, k)
             if dim == 1:
-                av = a[:, 0, 0]
-                if np.any(av < -1e-12):
-                    raise np.linalg.LinAlgError(
-                        f"diffusion a(x) negative ({av.min():.3e}) at t={k * cfg.dt:.6g}"
-                    )
-                inc = np.sqrt(np.clip(av, 0.0, None) * cfg.dt)[:, None] * z[alive]
+                inc = root * z[alive]
             else:
-                # symmetric square root: works for singular PSD matrices too
-                w_eig, vecs = np.linalg.eigh(a)
-                if np.any(w_eig < -1e-10):
-                    raise np.linalg.LinAlgError(
-                        f"diffusion not PSD (eig {w_eig.min():.3e}) at t={k * cfg.dt:.6g}"
-                    )
-                root = vecs * np.sqrt(np.clip(w_eig, 0.0, None))[:, None, :]
-                root = np.einsum("nik,njk->nij", root, vecs)
-                inc = np.einsum("nij,nj->ni", root, z[alive]) * np.sqrt(cfg.dt)
-            xn = xa + b * cfg.dt + inc
-            if kernel is not None and total_w > 0 and jumped.any():
+                inc = np.einsum("nij,nj->ni", root, z[alive]) * np.sqrt(dt)
+            xn = xa + b * dt + inc
+            if jumping and jumped.any():
                 jr = np.flatnonzero(jumped)
                 atom_idx = np.searchsorted(cum_w, u_atom[alive][jumped])
                 atom_idx = np.minimum(atom_idx, len(weights) - 1)
-                all_sizes = np.stack(sizes, axis=0)  # (atoms, alive, dim)
-                xn[jr] = xa[jr] + all_sizes[atom_idx, jr, :]
+                table = np.broadcast_to(table, (len(weights), len(xa), dim))
+                xn[jr] = xa[jr] + table[atom_idx, jr, :]
+                jumps += len(jr)
             if cfg.state_box is not None:
                 lo, hi = cfg.state_box
                 col = xn[:, 0]
@@ -275,26 +327,43 @@ def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=Non
             x[alive] = xn
             if cfg.absorb_delta is not None:
                 new_frozen = np.zeros(m, dtype=bool)
-                new_frozen[alive] = x[alive][:, 0] < cfg.absorb_delta
+                new_frozen[alive] = xn[:, 0] < cfg.absorb_delta
                 x[new_frozen] = 0.0
                 frozen |= new_frozen
-        absorbed_count += int(frozen.sum())
+        absorbed += int(frozen.sum())
         finals.append(x)
-    return np.concatenate(finals, axis=0), clamps, absorbed_count
+    return np.concatenate(finals, axis=0), clamps, absorbed, jumps
 
 
-def _estimate(values: np.ndarray, clamps: int, absorbed: int) -> McEstimate:
+def _estimate(values: np.ndarray, clamps: int, absorbed: int, jumps: int) -> McEstimate:
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    return McEstimate(mean, stderr, len(values), clamps, absorbed)
+    return McEstimate(mean, stderr, len(values), clamps, absorbed, jumps)
 
 
 def simulate_expectation(chars: Characteristics, f, x0, T: float, cfg: McConfig) -> McEstimate:
     """E[f(X_T)] by Euler paths; f vectorised over final states, real-valued."""
-    finals, clamps, absorbed = _simulate(chars, x0, T, cfg)
+    finals, *counts = _simulate(chars, x0, T, cfg)
     arg = finals[:, 0] if chars.dim == 1 else finals
     vals = np.asarray(f(arg), dtype=float)
-    return _estimate(vals, clamps, absorbed)
+    return _estimate(vals, *counts)
+
+
+def _compensator(chars: Characteristics, f, paths: int):
+    """A step hook for ``_simulate`` and the (paths,) array it fills with
+    int_0^T A f(X_s) ds, the pointwise generator at each step's left
+    endpoint, per path; absorbed paths add nothing."""
+    integral = np.zeros(paths)
+
+    def hook(b_idx: int, x: np.ndarray, frozen: np.ndarray, dt: float) -> None:
+        part = integral[b_idx * _BATCH : b_idx * _BATCH + len(x)]
+        if not frozen.any():
+            part += generator_values(chars, f, x).real * dt
+        elif not frozen.all():
+            alive = ~frozen
+            part[alive] += generator_values(chars, f, x[alive]).real * dt
+
+    return hook, integral
 
 
 def martingale_audit(chars: Characteristics, f, x0, T: float, cfg: McConfig) -> McEstimate:
@@ -304,22 +373,12 @@ def martingale_audit(chars: Characteristics, f, x0, T: float, cfg: McConfig) -> 
     states (left endpoints), so the audit exercises simulator and generator
     against each other with no series machinery involved.
     """
-    acc: dict[int, np.ndarray] = {}
-
-    def hook(b_idx: int, x: np.ndarray, frozen: np.ndarray, dt: float) -> None:
-        if b_idx not in acc:
-            acc[b_idx] = np.zeros(len(x))
-        alive = ~frozen
-        if alive.any():
-            vals = generator_values(chars, f, x[alive]).real
-            acc[b_idx][alive] += vals * dt
-
-    finals, clamps, absorbed = _simulate(chars, x0, T, cfg, step_hook=hook)
+    hook, integral = _compensator(chars, f, cfg.paths)
+    finals, *counts = _simulate(chars, x0, T, cfg, step_hook=hook)
     arg = finals[:, 0] if chars.dim == 1 else finals
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
     f_end = np.asarray(f(arg), dtype=float)
     start_arg = x0v if chars.dim == 1 else x0v[None, :]
     f_start = float(np.asarray(f(start_arg), dtype=float).reshape(-1)[0])
-    integral = np.concatenate([acc[i] for i in sorted(acc)])
     vals = f_end - f_start - integral
-    return _estimate(vals, clamps, absorbed)
+    return _estimate(vals, *counts)

@@ -25,6 +25,13 @@ tridiagonal step per Poisson term, in any float type;
 ``holoseq.models.UnitIntervalModel.dual_expectation`` sums the same series
 in blocks of powers of P.
 
+``euler_paths`` is the Euler loop that evaluates every characteristic at
+every path on every step, and reads the live paths through boolean masks
+from the first step on; ``compensator`` is the martingale audit's step hook
+that goes with it. ``holoseq.montecarlo._simulate`` evaluates a
+characteristic that does not depend on the state once per run and works on
+the batch arrays themselves until a path is absorbed.
+
 The property tests check each replacement against these.
 """
 
@@ -37,6 +44,15 @@ from holoseq import generator
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics
 from holoseq.models import UnitIntervalModel
+from holoseq.montecarlo import (
+    _BATCH,
+    IntensityBoundError,
+    _batch_sizes,
+    _jump_sizes,
+    _stream,
+    check_run,
+    generator_values,
+)
 from holoseq.series import CoeffSeries
 
 
@@ -253,3 +269,104 @@ def dual_steps(model: UnitIntervalModel, T: float, dtype=np.float64) -> tuple[np
         nu = nxt
         acc += w[k] * nu
     return acc, float(mu.sum() * w.sum() - acc.sum())
+
+
+def euler_paths(chars: Characteristics, x0, T: float, cfg, step_hook=None):
+    """(final states, clamps, absorbed) of ``holoseq.montecarlo._simulate``,
+    every characteristic evaluated on every step."""
+    dim = chars.dim
+    x0v, nsteps = check_run(chars, x0, T, cfg)
+    kernel = chars.kernel
+    weights = np.array([a.weight for a in kernel.atoms]) if kernel else np.zeros(0)
+    total_w = weights.sum()
+    cum_w = np.cumsum(weights) / total_w if total_w > 0 else None
+
+    finals = []
+    clamps = 0
+    absorbed_count = 0
+    for b_idx, m in enumerate(_batch_sizes(cfg.paths, _BATCH)):
+        rng = _stream(cfg.seed, b_idx)
+        x = np.tile(x0v, (m, 1))
+        frozen = np.zeros(m, dtype=bool)
+        for k in range(nsteps):
+            z = rng.standard_normal((m, dim))
+            u_jump = rng.random(m)
+            u_atom = rng.random(m)
+            if step_hook is not None:
+                step_hook(b_idx, x, frozen, cfg.dt)
+            alive = ~frozen
+            if not alive.any():
+                continue
+            xa = x[alive]
+            b = chars.drift_values(xa)
+            a = chars.diffusion_values(xa)
+            jumped = np.zeros(alive.sum(), dtype=bool)
+            if kernel is not None and total_w > 0:
+                lam = kernel.intensity_value(xa)
+                if np.isnan(lam).any():
+                    raise IntensityBoundError(f"NaN jump intensity at t={k * cfg.dt:.6g}")
+                if np.any(lam < -1e-12):
+                    raise IntensityBoundError(
+                        f"negative jump intensity {lam.min():.6g} at t={k * cfg.dt:.6g}"
+                    )
+                sizes = _jump_sizes(chars, xa)
+                rate = np.clip(lam, 0.0, None) * total_w
+                jumped = u_jump[alive] < -np.expm1(-rate * cfg.dt)
+                mean_jump = sum(w * s for w, s in zip(weights, sizes))
+                b = b - np.clip(lam, 0.0, None)[:, None] * mean_jump
+            if dim == 1:
+                av = a[:, 0, 0]
+                if np.any(av < -1e-12):
+                    raise np.linalg.LinAlgError(
+                        f"diffusion a(x) negative ({av.min():.3e}) at t={k * cfg.dt:.6g}"
+                    )
+                inc = np.sqrt(np.clip(av, 0.0, None) * cfg.dt)[:, None] * z[alive]
+            else:
+                w_eig, vecs = np.linalg.eigh(a)
+                if np.any(w_eig < -1e-10):
+                    raise np.linalg.LinAlgError(
+                        f"diffusion not PSD (eig {w_eig.min():.3e}) at t={k * cfg.dt:.6g}"
+                    )
+                root = vecs * np.sqrt(np.clip(w_eig, 0.0, None))[:, None, :]
+                root = np.einsum("nik,njk->nij", root, vecs)
+                inc = np.einsum("nij,nj->ni", root, z[alive]) * np.sqrt(cfg.dt)
+            xn = xa + b * cfg.dt + inc
+            if kernel is not None and total_w > 0 and jumped.any():
+                jr = np.flatnonzero(jumped)
+                atom_idx = np.searchsorted(cum_w, u_atom[alive][jumped])
+                atom_idx = np.minimum(atom_idx, len(weights) - 1)
+                all_sizes = np.stack(sizes, axis=0)
+                xn[jr] = xa[jr] + all_sizes[atom_idx, jr, :]
+            if cfg.state_box is not None:
+                lo, hi = cfg.state_box
+                col = xn[:, 0]
+                out_of_box = (col < lo) | (col > hi)
+                clamps += int(out_of_box.sum())
+                col = lo + np.abs(col - lo)
+                col = hi - np.abs(hi - col)
+                xn[:, 0] = np.clip(col, lo, hi)
+            x[alive] = xn
+            if cfg.absorb_delta is not None:
+                new_frozen = np.zeros(m, dtype=bool)
+                new_frozen[alive] = x[alive][:, 0] < cfg.absorb_delta
+                x[new_frozen] = 0.0
+                frozen |= new_frozen
+        absorbed_count += int(frozen.sum())
+        finals.append(x)
+    return np.concatenate(finals, axis=0), clamps, absorbed_count
+
+
+def compensator(chars: Characteristics, f):
+    """A step hook for ``euler_paths`` and a function returning, once the run
+    is over, the (paths,) compensator integrals it accumulated, batch by
+    batch through boolean masks."""
+    acc: dict[int, np.ndarray] = {}
+
+    def hook(b_idx: int, x: np.ndarray, frozen: np.ndarray, dt: float) -> None:
+        if b_idx not in acc:
+            acc[b_idx] = np.zeros(len(x))
+        alive = ~frozen
+        if alive.any():
+            acc[b_idx][alive] += generator_values(chars, f, x[alive]).real * dt
+
+    return hook, lambda: np.concatenate([acc[i] for i in sorted(acc)])

@@ -380,6 +380,17 @@ class TestRun:
         mc = next(line for line in out.splitlines() if line.startswith("monte-carlo"))
         assert "paths 800" in mc
 
+    def test_mc_row_counts_jumps(self, tmp_path, capsys):
+        # printed, like clamps and absorptions, only when there are any
+        oracles = {"mc": {"paths": 500, "dt": 0.01, "seed": 1}}
+        for preset, jumps in (("compound-poisson", True), ("bm", False)):
+            cfg = dict(BASE, model={"preset": preset}, oracles=oracles)
+            code, out, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+            assert code == 0, err
+            mc = next(line for line in out.splitlines() if line.startswith("monte-carlo"))
+            found = re.search(r", jumps (\d+)", mc)
+            assert (found is not None and int(found.group(1)) > 0) if jumps else found is None
+
 
 class TestExitCodes:
     def test_missing_file(self, tmp_path, capsys):
