@@ -113,6 +113,9 @@ class Characteristics:
     _l_norm: float | None = field(init=False, repr=False, compare=False, default=None)
     _r_rows: tuple[np.ndarray, ...] | None = field(init=False, repr=False, compare=False, default=None)
     degrees: Degrees = field(init=False, repr=False, compare=False)
+    # the characteristics that do not depend on the state, evaluated by
+    # ``holoseq.montecarlo`` on first use
+    _state_free: tuple | None = field(init=False, repr=False, compare=False, default=None)
     # lower-order copies made by ``truncated``, by order, kept on the model
     # they were cut from; a copy names that model as its root
     _truncations: dict = field(init=False, repr=False, compare=False, default_factory=dict)

@@ -309,6 +309,9 @@ def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: 
     mc = _mc_config(mc_cfg, args) if mc_cfg is not None else None
     if mc is not None:
         check_run(model, x0, T, mc)
+        # the oracle's payoff is Re h: it would estimate another quantity
+        if np.any(u_full.coeffs.imag != 0):
+            raise ConfigError("oracles.mc estimates real payoffs; function.entries has a nonzero imaginary coefficient")
     dual_cfg = oracles.get("dual")
     if dual_cfg is not None:
         check_keys(dual_cfg, "dual", ("k_max",))

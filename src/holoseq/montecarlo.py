@@ -20,11 +20,21 @@ arrays through views; boolean masks come in only after that. Every estimate
 is bit-identical to that of the loop which evaluated each characteristic on
 every path at every step (kept in the tests as
 ``reference_kernels.euler_paths``).
+
+The martingale audit's generator by differences, ``generator_values``,
+follows the same rule: the characteristics that do not depend on the state
+are evaluated once per model and kept on it, at shapes that broadcast over
+the points. Its stencil works in f's own type, float64 for a real f, which
+the audit's f is; the values equal the real parts of the complex128
+stencil that evaluated every characteristic at every point (kept in the
+tests as ``reference_kernels.generator_values``), so audit estimates are
+bit-identical to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,26 +117,64 @@ def _jump_sizes(chars: Characteristics, xs: np.ndarray) -> list[np.ndarray]:
     return [atom.size_values(xs) for atom in chars.kernel.atoms]
 
 
+class _StateFree(NamedTuple):
+    """The characteristics that do not depend on the state, each evaluated
+    once at a broadcastable shape, or None where it depends on the state."""
+
+    drift: np.ndarray | None  # (1, dim)
+    diffusion: np.ndarray | None  # (1, dim, dim)
+    # the intensity of a kernel without a pole only
+    intensity: np.ndarray | None  # (1,)
+    # every atom's sizes or none: a zero-weight atom still enters the
+    # weighted sums and the atom table
+    sizes: list[np.ndarray] | None  # (1, dim) per atom
+
+
+def _state_free(chars: Characteristics) -> _StateFree:
+    """The values of ``chars`` whose series have degree <= 0 (``chars.degrees``),
+    evaluated on first use and kept on the model."""
+    if chars._state_free is None:
+        origin = np.zeros((1, chars.dim))
+        degrees, k = chars.degrees, chars.kernel
+        fixed = _StateFree(
+            chars.drift_values(origin) if degrees.drift <= 0 else None,
+            chars.diffusion_values(origin) if degrees.diffusion <= 0 else None,
+            k.intensity_value(origin) if k is not None and k.pole_order == 0 and degrees.intensity <= 0 else None,
+            _jump_sizes(chars, origin)
+            if k is not None and all(degree(s) <= 0 for atom in k.atoms for s in atom.size)
+            else None,
+        )
+        object.__setattr__(chars, "_state_free", fixed)
+    return chars._state_free
+
+
 def generator_values(chars: Characteristics, f, xs: np.ndarray) -> np.ndarray:
     """Extended generator applied to f at many states, derivatives by differences.
 
     ``f`` must be vectorised: it maps an (n, dim) array (or (n,) in dimension
-    one) to n values. Gradients and pure second derivatives use fourth-order
-    central stencils with step 1e-4 (1 + |x_i|); cross partials use the
-    second-order four-point cross. States sitting exactly at the origin of a
-    pole-order kernel get a zero jump term (the absorbed-state limit).
+    one) to n values. The result has f's type: float64 when f returns real
+    values, complex128 when it returns complex ones, and then equals the
+    float64 result in its real part. Gradients and pure second derivatives
+    use fourth-order central stencils with step 1e-4 (1 + |x_i|); cross
+    partials use the second-order four-point cross. States sitting exactly
+    at the origin of a pole-order kernel get a zero jump term (the
+    absorbed-state limit). A characteristic that does not depend on the
+    state is evaluated once per model, not at every state of every call.
     """
     pts = real_points(xs, chars.dim)
     n, dim = pts.shape
+    fixed = _state_free(chars)
 
     def call(q: np.ndarray) -> np.ndarray:
-        arg = q[:, 0] if chars.dim == 1 else q
-        return np.asarray(f(arg), dtype=np.complex128)
+        return np.asarray(f(q[:, 0] if chars.dim == 1 else q), dtype=dtype)
 
+    dtype = None  # f's own type, read from f0
     f0 = call(pts)
+    dtype = np.complex128 if np.iscomplexobj(f0) else np.float64
+    f0 = f0.astype(dtype, copy=False)
     h = _fd_steps(pts)  # (n, dim)
-    grad = np.empty((n, dim), dtype=np.complex128)
-    diag = np.empty((n, dim), dtype=np.complex128)
+    grad = np.empty((n, dim), dtype=dtype)
+    diag = np.empty((n, dim), dtype=dtype)
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = 1.0
@@ -135,11 +183,13 @@ def generator_values(chars: Characteristics, f, xs: np.ndarray) -> np.ndarray:
         fp2 = call(pts + 2 * h[:, [i]] * e)
         fm2 = call(pts - 2 * h[:, [i]] * e)
         hi = h[:, i]
-        grad[:, i] = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * hi)
-        diag[:, i] = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * hi * hi)
+        # a product with the reciprocal is what dividing a complex value by
+        # a real one computes, so both types round alike
+        grad[:, i] = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) * (1.0 / (12 * hi))
+        diag[:, i] = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) * (1.0 / (12 * hi * hi))
 
-    b = chars.drift_values(pts)
-    a = chars.diffusion_values(pts)
+    b = chars.drift_values(pts) if fixed.drift is None else fixed.drift
+    a = chars.diffusion_values(pts) if fixed.diffusion is None else fixed.diffusion
     out = np.sum(b * grad, axis=1) + 0.5 * np.sum(
         a[:, np.arange(dim), np.arange(dim)] * diag, axis=1
     )
@@ -151,23 +201,27 @@ def generator_values(chars: Characteristics, f, xs: np.ndarray) -> np.ndarray:
             ej[j] = 1.0
             hij = h[:, [i]] * ei + h[:, [j]] * ej
             hij_m = h[:, [i]] * ei - h[:, [j]] * ej
-            cross = (call(pts + hij) - call(pts + hij_m) - call(pts - hij_m) + call(pts - hij)) / (
-                4 * h[:, i] * h[:, j]
+            cross = (call(pts + hij) - call(pts + hij_m) - call(pts - hij_m) + call(pts - hij)) * (
+                1.0 / (4 * h[:, i] * h[:, j])
             )
             out = out + a[:, i, j] * cross
 
-    if chars.kernel is not None and chars.kernel.atoms:
-        at_pole = np.zeros(n, dtype=bool)
-        if chars.kernel.pole_order:
+    k = chars.kernel
+    if k is not None and k.atoms:
+        if k.pole_order:
             at_pole = pts[:, 0] == 0.0
-        safe = pts.copy()
-        safe[at_pole, 0] = 1.0  # placeholder, masked out below
-        lam = chars.kernel.intensity_value(safe)
-        jump_term = np.zeros(n, dtype=np.complex128)
-        for atom, sizes in zip(chars.kernel.atoms, _jump_sizes(chars, pts)):
-            fj = call(pts + sizes)
-            jump_term += atom.weight * (fj - f0 - np.sum(grad * sizes, axis=1))
-        out = out + np.where(at_pole, 0.0, lam * jump_term)
+            safe = pts.copy()
+            safe[at_pole, 0] = 1.0  # placeholder, masked out below
+            lam = k.intensity_value(safe)
+        else:
+            lam = k.intensity_value(pts) if fixed.intensity is None else fixed.intensity
+        sizes = _jump_sizes(chars, pts) if fixed.sizes is None else fixed.sizes
+        jump_term = np.zeros(n, dtype=dtype)
+        for atom, size in zip(k.atoms, sizes):
+            fj = call(pts + size)
+            jump_term += atom.weight * (fj - f0 - np.sum(grad * size, axis=1))
+        jump = lam * jump_term
+        out = out + (np.where(at_pole, 0.0, jump) if k.pole_order else jump)
     return out
 
 
@@ -231,7 +285,7 @@ def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=Non
     total_w = weights.sum()
     cum_w = np.cumsum(weights) / total_w if total_w > 0 else None
     jumping = kernel is not None and total_w > 0
-    degrees = chars.degrees
+    fixed = _state_free(chars)
 
     def intensity_at(xs, k):
         """lambda clipped at zero and the per-step jump probability."""
@@ -268,14 +322,11 @@ def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=Non
         return np.einsum("nik,njk->nij", root, vecs)
 
     # in the order a step evaluates and checks them
-    drift = _per_run(degrees.drift <= 0, lambda xs, k: chars.drift_values(xs), x0v)
+    drift = _per_run(fixed.drift is not None, lambda xs, k: chars.drift_values(xs), x0v)
     if jumping:
-        intensity = _per_run(kernel.pole_order == 0 and degrees.intensity <= 0, intensity_at, x0v)
-        # every atom, not only those ``degrees`` counts: a zero-weight atom
-        # still enters the weighted sum and the atom table
-        constant_sizes = all(degree(s) <= 0 for atom in kernel.atoms for s in atom.size)
-        jump_sizes = _per_run(constant_sizes, jump_sizes_at, x0v)
-    diffusion_root = _per_run(degrees.diffusion <= 0, diffusion_root_at, x0v)
+        intensity = _per_run(fixed.intensity is not None, intensity_at, x0v)
+        jump_sizes = _per_run(fixed.sizes is not None, jump_sizes_at, x0v)
+    diffusion_root = _per_run(fixed.diffusion is not None, diffusion_root_at, x0v)
 
     finals = []
     clamps = absorbed = jumps = 0
@@ -341,12 +392,22 @@ def _estimate(values: np.ndarray, clamps: int, absorbed: int, jumps: int) -> McE
     return McEstimate(mean, stderr, len(values), clamps, absorbed, jumps)
 
 
+def _real_values(values) -> np.ndarray:
+    """f's values as float64; a nonzero imaginary part raises ValueError
+    instead of being dropped."""
+    v = np.asarray(values)
+    if np.iscomplexobj(v):
+        if np.any(v.imag != 0):
+            raise ValueError("f returned values with a nonzero imaginary part; Monte Carlo estimates real payoffs only")
+        v = v.real
+    return np.asarray(v, dtype=float)
+
+
 def simulate_expectation(chars: Characteristics, f, x0, T: float, cfg: McConfig) -> McEstimate:
     """E[f(X_T)] by Euler paths; f vectorised over final states, real-valued."""
     finals, *counts = _simulate(chars, x0, T, cfg)
     arg = finals[:, 0] if chars.dim == 1 else finals
-    vals = np.asarray(f(arg), dtype=float)
-    return _estimate(vals, *counts)
+    return _estimate(_real_values(f(arg)), *counts)
 
 
 def _compensator(chars: Characteristics, f, paths: int):
@@ -377,8 +438,8 @@ def martingale_audit(chars: Characteristics, f, x0, T: float, cfg: McConfig) -> 
     finals, *counts = _simulate(chars, x0, T, cfg, step_hook=hook)
     arg = finals[:, 0] if chars.dim == 1 else finals
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
-    f_end = np.asarray(f(arg), dtype=float)
+    f_end = _real_values(f(arg))
     start_arg = x0v if chars.dim == 1 else x0v[None, :]
-    f_start = float(np.asarray(f(start_arg), dtype=float).reshape(-1)[0])
+    f_start = float(_real_values(f(start_arg)).reshape(-1)[0])
     vals = f_end - f_start - integral
     return _estimate(vals, *counts)

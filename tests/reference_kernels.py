@@ -28,9 +28,12 @@ in blocks of powers of P.
 ``euler_paths`` is the Euler loop that evaluates every characteristic at
 every path on every step, and reads the live paths through boolean masks
 from the first step on; ``compensator`` is the martingale audit's step hook
-that goes with it. ``holoseq.montecarlo._simulate`` evaluates a
-characteristic that does not depend on the state once per run and works on
-the batch arrays themselves until a path is absorbed.
+that goes with it, through ``generator_values``, the generator by
+differences in complex128 with every characteristic evaluated at every
+state. ``holoseq.montecarlo._simulate`` evaluates a characteristic that does
+not depend on the state once per run and works on the batch arrays
+themselves until a path is absorbed; ``holoseq.montecarlo.generator_values``
+works in f's own type and evaluates such a characteristic once per model.
 
 The property tests check each replacement against these.
 """
@@ -51,9 +54,8 @@ from holoseq.montecarlo import (
     _jump_sizes,
     _stream,
     check_run,
-    generator_values,
 )
-from holoseq.series import CoeffSeries
+from holoseq.series import CoeffSeries, real_points
 
 
 def compose_shift(u: CoeffSeries, vec) -> CoeffSeries:
@@ -354,6 +356,71 @@ def euler_paths(chars: Characteristics, x0, T: float, cfg, step_hook=None):
         absorbed_count += int(frozen.sum())
         finals.append(x)
     return np.concatenate(finals, axis=0), clamps, absorbed_count
+
+
+def generator_values(chars: Characteristics, f, xs: np.ndarray) -> np.ndarray:
+    """``holoseq.montecarlo.generator_values`` in complex128 arithmetic, with
+    every characteristic evaluated at every state.
+
+    ``f`` must be vectorised: it maps an (n, dim) array (or (n,) in dimension
+    one) to n values. Gradients and pure second derivatives use fourth-order
+    central stencils with step 1e-4 (1 + |x_i|); cross partials use the
+    second-order four-point cross. States sitting exactly at the origin of a
+    pole-order kernel get a zero jump term (the absorbed-state limit).
+    """
+    pts = real_points(xs, chars.dim)
+    n, dim = pts.shape
+
+    def call(q: np.ndarray) -> np.ndarray:
+        arg = q[:, 0] if chars.dim == 1 else q
+        return np.asarray(f(arg), dtype=np.complex128)
+
+    f0 = call(pts)
+    h = 1e-4 * (1.0 + np.abs(pts))  # (n, dim)
+    grad = np.empty((n, dim), dtype=np.complex128)
+    diag = np.empty((n, dim), dtype=np.complex128)
+    for i in range(dim):
+        e = np.zeros(dim)
+        e[i] = 1.0
+        fp1 = call(pts + h[:, [i]] * e)
+        fm1 = call(pts - h[:, [i]] * e)
+        fp2 = call(pts + 2 * h[:, [i]] * e)
+        fm2 = call(pts - 2 * h[:, [i]] * e)
+        hi = h[:, i]
+        grad[:, i] = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * hi)
+        diag[:, i] = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * hi * hi)
+
+    b = chars.drift_values(pts)
+    a = chars.diffusion_values(pts)
+    out = np.sum(b * grad, axis=1) + 0.5 * np.sum(
+        a[:, np.arange(dim), np.arange(dim)] * diag, axis=1
+    )
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            ei = np.zeros(dim)
+            ej = np.zeros(dim)
+            ei[i] = 1.0
+            ej[j] = 1.0
+            hij = h[:, [i]] * ei + h[:, [j]] * ej
+            hij_m = h[:, [i]] * ei - h[:, [j]] * ej
+            cross = (call(pts + hij) - call(pts + hij_m) - call(pts - hij_m) + call(pts - hij)) / (
+                4 * h[:, i] * h[:, j]
+            )
+            out = out + a[:, i, j] * cross
+
+    if chars.kernel is not None and chars.kernel.atoms:
+        at_pole = np.zeros(n, dtype=bool)
+        if chars.kernel.pole_order:
+            at_pole = pts[:, 0] == 0.0
+        safe = pts.copy()
+        safe[at_pole, 0] = 1.0  # placeholder, masked out below
+        lam = chars.kernel.intensity_value(safe)
+        jump_term = np.zeros(n, dtype=np.complex128)
+        for atom, sizes in zip(chars.kernel.atoms, _jump_sizes(chars, pts)):
+            fj = call(pts + sizes)
+            jump_term += atom.weight * (fj - f0 - np.sum(grad * sizes, axis=1))
+        out = out + np.where(at_pole, 0.0, lam * jump_term)
+    return out
 
 
 def compensator(chars: Characteristics, f):

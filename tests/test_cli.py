@@ -547,6 +547,25 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 2 and "function.entries" in err
 
+    @pytest.mark.parametrize("imag", [1.0, 0.0])
+    def test_mc_oracle_needs_a_real_payoff(self, tmp_path, capsys, monkeypatch, imag):
+        # the oracle simulates Re h, so for h = (0.5 + i) x it would print
+        # E[exp(Re h)] = 1.12857 next to the engine's 0.603153+0.329505j
+        if imag:
+            monkeypatch.setattr(cli, "affine_expectation", _no_flow)
+        cfg = dict(
+            BASE,
+            function={"family": "series", "entries": [[1, 0.5, imag]]},
+            run={"mode": "affine", "T": 1.0, "x0": 0.0},
+            oracles={"mc": {"paths": 200, "dt": 0.01}},
+        )
+        code, out, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
+        if imag:
+            assert code == 2 and "oracles.mc" in err and "function.entries" in err
+        else:
+            assert code == 0, err
+            assert any(line.startswith("monte-carlo") for line in out.splitlines())
+
     def test_negative_intensity_in_simulation_exits_3(self, tmp_path, capsys):
         # intensity 1 - x is negative at the start state x0 = 2
         cfg = {

@@ -6,6 +6,7 @@ Monte Carlo noise.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,12 +23,14 @@ from holoseq.montecarlo import (
     McEstimate,
     _compensator,
     _simulate,
+    generator_values,
     martingale_audit,
     simulate_expectation,
 )
 from holoseq.odeflow import solve_linear
 
 from oracles import pointwise_generator
+import reference_kernels
 from reference_kernels import compensator, euler_paths
 from test_characteristics import const
 
@@ -210,6 +213,16 @@ class TestErrors:
     def test_non_finite_horizon_is_refused_by_name(self, run, T):
         with pytest.raises(ValueError, match=f"horizon T={T!r} must be a finite number"):
             run(build_preset("bm"), lambda x: x, 0.0, T, McConfig(paths=10, dt=1e-2))
+
+
+    @pytest.mark.parametrize("run", [simulate_expectation, martingale_audit])
+    def test_complex_payoff_is_refused(self, run):
+        bm, cfg = build_preset("bm"), McConfig(paths=50, dt=1e-2, seed=1)
+        with pytest.raises(ValueError, match="nonzero imaginary part"):
+            run(bm, lambda x: np.exp((0.5 + 1j) * x), 0.0, 0.1, cfg)
+        # a complex type with zero imaginary parts is a real payoff
+        typed = run(bm, lambda x: np.exp(0.5 * x).astype(complex), 0.0, 0.1, cfg)
+        assert typed == run(bm, lambda x: np.exp(0.5 * x), 0.0, 0.1, cfg)
 
 
 class TestPointwiseGenerator:
@@ -436,6 +449,86 @@ class TestMatchesReferenceLoop:
         cfg = McConfig(paths=_BATCH + 50, dt=5e-3, seed=3)
         got, want = _run_both(build_preset("compound-poisson", 8), lambda x: np.exp(0.4 * x), 0.0, 0.01, cfg)
         _assert_same(got, want)
+
+
+def _payoffs(dim):
+    """A real and a complex payoff of dimension ``dim``; both mix the
+    coordinates when dim > 1, so the cross partials enter."""
+    if dim == 1:
+        return np.sin, lambda x: np.exp((0.4 + 0.7j) * x)
+    return (
+        lambda p: np.sin(p[:, 0]) * p[:, -1] + p[:, -1] ** 2,
+        lambda p: np.exp((0.3 - 0.5j) * p[:, 0] + 0.6j * p[:, 0] * p[:, -1]),
+    )
+
+
+def _assert_matches_frozen(chars, pts):
+    """``generator_values`` in f's type against the complex128 reference:
+    a real f's values equal the reference's real part, a complex f's equal
+    the reference."""
+    real_f, complex_f = _payoffs(chars.dim)
+    got = generator_values(chars, real_f, pts)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, reference_kernels.generator_values(chars, real_f, pts).real)
+    got = generator_values(chars, complex_f, pts)
+    assert got.dtype == np.complex128
+    np.testing.assert_array_equal(got, reference_kernels.generator_values(chars, complex_f, pts))
+
+
+class TestGeneratorValues:
+    """The generator by differences in f's own type, with the state-free
+    characteristics evaluated once per model, against the complex128 loop
+    that evaluates every characteristic at every state."""
+
+    @seed(20261025)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2, 3]), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_random_models(self, data, dim, n, rng_seed):
+        chars = data.draw(euler_models(dim))
+        rng = np.random.default_rng(rng_seed)
+        pts = rng.uniform(-1.0, 1.0, (n, dim))
+        pts[rng.random((n, dim)) < 0.2] = 0.0
+        _assert_matches_frozen(chars, pts)
+        # the second call reads the values kept on the model
+        _assert_matches_frozen(chars, pts[::-1])
+
+    def test_pole_kernel_at_the_origin(self):
+        pts = np.concatenate([[0.0, 0.0], np.linspace(0.0, 1.0, 21), [1e-300, 0.0]])[:, None]
+        for order in (6, 12):
+            _assert_matches_frozen(build_preset("unit-interval", order), pts)
+        # lambda = 0.5 / x with jumps of 0.3 + x: nonzero at the origin and
+        # at the placeholder state, unlike the unit interval's
+        order = 6
+        size = ser.from_entries(1, order, [((0,), 0.3), ((1,), 1.0)])
+        kernel = JumpKernel(const(1, order, 0.5), (JumpAtom(1.0, (size,)),), pole_order=1)
+        chars = Characteristics(1, (const(1, order, 0.1),), ((const(1, order, 0.2),),), kernel)
+        _assert_matches_frozen(chars, pts)
+
+    def test_benchmark_shaped_models(self):
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, (200, 2))
+        _assert_matches_frozen(constant_two_dim_chars(), pts)
+        _assert_matches_frozen(state_dependent_two_dim_chars(), pts)
+        for name in ("bm", "compound-poisson", "affine-linear-jumps"):
+            _assert_matches_frozen(build_preset(name, 8), pts[:, 0])
+
+    def test_state_free_characteristics_once_per_model(self, monkeypatch):
+        counts = Counter()
+        for cls, name in ((Characteristics, "drift_values"), (Characteristics, "diffusion_values"),
+                          (JumpKernel, "intensity_value"), (JumpAtom, "size_values")):
+            def counting(self, xs, method=getattr(cls, name), name=name):
+                counts[name] += 1
+                return method(self, xs)
+
+            monkeypatch.setattr(cls, name, counting)
+        seen = []
+        for T in (0.05, 0.3):
+            counts.clear()
+            cfg = McConfig(paths=200, dt=5e-3, seed=1)
+            martingale_audit(build_preset("compound-poisson"), np.exp, 0.0, T, cfg)
+            seen.append(dict(counts))
+        # once for the model and once for the run at x0; two atoms
+        want = {"drift_values": 2, "diffusion_values": 2, "intensity_value": 2, "size_values": 4}
+        assert seen == [want, want]
 
 
 def constant_two_dim_chars(order=6):
