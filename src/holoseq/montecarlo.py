@@ -178,15 +178,15 @@ def generator_values(chars: Characteristics, f, xs: np.ndarray) -> np.ndarray:
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = 1.0
-        fp1 = call(pts + h[:, [i]] * e)
-        fm1 = call(pts - h[:, [i]] * e)
-        fp2 = call(pts + 2 * h[:, [i]] * e)
-        fm2 = call(pts - 2 * h[:, [i]] * e)
+        step, step2 = h[:, i : i + 1] * e, 2 * h[:, i : i + 1] * e
+        fp1, fm1 = call(pts + step), call(pts - step)
+        fp2, fm2 = call(pts + step2), call(pts - step2)
         hi = h[:, i]
+        hi12, neg_fp2 = 12 * hi, -fp2
         # a product with the reciprocal is what dividing a complex value by
         # a real one computes, so both types round alike
-        grad[:, i] = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) * (1.0 / (12 * hi))
-        diag[:, i] = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) * (1.0 / (12 * hi * hi))
+        grad[:, i] = (neg_fp2 + 8 * fp1 - 8 * fm1 + fm2) * (1.0 / hi12)
+        diag[:, i] = (neg_fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) * (1.0 / (hi12 * hi))
 
     b = chars.drift_values(pts) if fixed.drift is None else fixed.drift
     a = chars.diffusion_values(pts) if fixed.diffusion is None else fixed.diffusion
@@ -204,24 +204,26 @@ def generator_values(chars: Characteristics, f, xs: np.ndarray) -> np.ndarray:
             cross = (call(pts + hij) - call(pts + hij_m) - call(pts - hij_m) + call(pts - hij)) * (
                 1.0 / (4 * h[:, i] * h[:, j])
             )
-            out = out + a[:, i, j] * cross
+            out += a[:, i, j] * cross
 
     k = chars.kernel
     if k is not None and k.atoms:
-        if k.pole_order:
-            at_pole = pts[:, 0] == 0.0
+        # a state at the origin of a pole kernel reads lambda at a
+        # placeholder state and gets no jump term
+        at_pole = np.flatnonzero(pts[:, 0] == 0.0) if k.pole_order else []
+        safe = pts
+        if len(at_pole):
             safe = pts.copy()
-            safe[at_pole, 0] = 1.0  # placeholder, masked out below
-            lam = k.intensity_value(safe)
-        else:
-            lam = k.intensity_value(pts) if fixed.intensity is None else fixed.intensity
+            safe[at_pole, 0] = 1.0
+        lam = k.intensity_value(safe) if fixed.intensity is None else fixed.intensity
         sizes = _jump_sizes(chars, pts) if fixed.sizes is None else fixed.sizes
         jump_term = np.zeros(n, dtype=dtype)
         for atom, size in zip(k.atoms, sizes):
             fj = call(pts + size)
             jump_term += atom.weight * (fj - f0 - np.sum(grad * size, axis=1))
         jump = lam * jump_term
-        out = out + (np.where(at_pole, 0.0, jump) if k.pole_order else jump)
+        jump[at_pole] = 0.0
+        out += jump
     return out
 
 
