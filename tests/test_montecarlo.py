@@ -214,7 +214,6 @@ class TestErrors:
         with pytest.raises(ValueError, match=f"horizon T={T!r} must be a finite number"):
             run(build_preset("bm"), lambda x: x, 0.0, T, McConfig(paths=10, dt=1e-2))
 
-
     @pytest.mark.parametrize("run", [simulate_expectation, martingale_audit])
     def test_complex_payoff_is_refused(self, run):
         bm, cfg = build_preset("bm"), McConfig(paths=50, dt=1e-2, seed=1)
