@@ -9,22 +9,23 @@ Reproducibility: paths are processed in fixed-size batches, each with its own
 stream keyed by (seed, batch index), and reduced in batch order; results are
 bit-identical for a fixed config regardless of how batches would be scheduled.
 
-Per-run values: a characteristic whose series has degree <= 0 does not
-depend on the state, so a run evaluates and checks it once, at x0. That
-covers the drift; the diffusion and its factor, sqrt(a dt) in dimension one
-and otherwise the symmetric root from one ``eigh``; the jump sizes with
-their atom table and weighted mean; and the intensity of a kernel without a
-pole. The other characteristics are evaluated on the live paths at every
-step. Until the first path is absorbed, a step reads and writes the batch
-arrays through views; boolean masks come in only after that. Every estimate
-is bit-identical to that of the loop which evaluated each characteristic on
-every path at every step (kept in the tests as
-``reference_kernels.euler_paths``).
+One evaluation per step: ``_characteristics`` evaluates the drift, the
+diffusion, the unclipped intensity and the jump sizes at a step's live
+states. The step derives from that one result its diffusion root, clipped
+intensity, jump probability, atom table and mean jump; the martingale
+audit's generator by differences, ``generator_values``, reads the same
+result, so an audit evaluates nothing twice. A characteristic whose series
+has degree <= 0 does not depend on the state: it is evaluated once per
+model and kept there, at a shape that broadcasts over the states, and what
+the step derives from it once per run. Until the first path is absorbed, a
+step reads and writes the batch arrays through views; boolean masks come
+in only after that. A state at the origin of a pole kernel has an infinite
+intensity: its jump is certain and its jump compensator zero, in the step
+and in the generator. Every estimate is bit-identical to that of the loop
+which evaluated each characteristic on every path at every step (kept in
+the tests as ``reference_kernels.euler_paths``).
 
-The martingale audit's generator by differences, ``generator_values``,
-follows the same rule: the characteristics that do not depend on the state
-are evaluated once per model and kept on it, at shapes that broadcast over
-the points. Its stencil works in f's own type, float64 for a real f, which
+The generator's stencil works in f's own type, float64 for a real f, which
 the audit's f is; the values equal the real parts of the complex128
 stencil that evaluated every characteristic at every point (kept in the
 tests as ``reference_kernels.generator_values``), so audit estimates are
@@ -108,10 +109,6 @@ class McEstimate:
         return abs(self.mean - reference) <= n_stderr * self.stderr
 
 
-def _fd_steps(x: np.ndarray) -> np.ndarray:
-    return 1e-4 * (1.0 + np.abs(x))
-
-
 def _jump_sizes(chars: Characteristics, xs: np.ndarray) -> list[np.ndarray]:
     """Per atom: (npoints, dim) jump sizes."""
     return [atom.size_values(xs) for atom in chars.kernel.atoms]
@@ -128,6 +125,9 @@ class _StateFree(NamedTuple):
     # every atom's sizes or none: a zero-weight atom still enters the
     # weighted sums and the atom table
     sizes: list[np.ndarray] | None  # (1, dim) per atom
+    # the kernel has an atom of positive weight; one without moves no path
+    # and adds nothing to the generator
+    jumps: bool
 
 
 def _state_free(chars: Characteristics) -> _StateFree:
@@ -143,12 +143,54 @@ def _state_free(chars: Characteristics) -> _StateFree:
             _jump_sizes(chars, origin)
             if k is not None and all(degree(s) <= 0 for atom in k.atoms for s in atom.size)
             else None,
+            k is not None and any(atom.weight > 0 for atom in k.atoms),
         )
         object.__setattr__(chars, "_state_free", fixed)
     return chars._state_free
 
 
-def generator_values(chars: Characteristics, f, xs: np.ndarray) -> np.ndarray:
+class _Values(NamedTuple):
+    """The raw characteristics at n states; one that does not depend on the
+    state has its ``_StateFree`` shape, which broadcasts over the states."""
+
+    drift: np.ndarray  # (n, dim)
+    diffusion: np.ndarray  # (n, dim, dim)
+    # both None when the kernel does not jump; the intensity is unclipped
+    intensity: np.ndarray | None  # (n,)
+    sizes: list[np.ndarray] | None  # (n, dim) per atom
+    pole: np.ndarray  # indices of the states at the origin of a pole kernel
+
+
+def _characteristics(chars: Characteristics, xs: np.ndarray) -> _Values:
+    """The characteristics at the (n, dim) states ``xs``, each that depends on
+    the state evaluated once; the rest are read from ``_state_free``."""
+    fixed, k = _state_free(chars), chars.kernel
+    lam = sizes = None
+    pole = np.zeros(0, dtype=int)
+    if fixed.jumps:
+        lam = k.intensity_value(xs) if fixed.intensity is None else fixed.intensity
+        sizes = _jump_sizes(chars, xs) if fixed.sizes is None else fixed.sizes
+        if k.pole_order:
+            pole = np.flatnonzero(xs[:, 0] == 0.0)
+    return _Values(
+        chars.drift_values(xs) if fixed.drift is None else fixed.drift,
+        chars.diffusion_values(xs) if fixed.diffusion is None else fixed.diffusion,
+        lam, sizes, pole,
+    )
+
+
+def _off_pole(lam: np.ndarray, term: np.ndarray, pole: np.ndarray) -> np.ndarray:
+    """lam * term, zero at the ``pole`` rows: a state at the origin of a pole
+    kernel jumps with certainty and has no jump compensator."""
+    if not len(pole):
+        return lam * term
+    with np.errstate(invalid="ignore"):  # inf * 0 at the pole
+        out = lam * term
+    out[pole] = 0.0
+    return out
+
+
+def generator_values(chars: Characteristics, f, xs: np.ndarray, values: _Values | None = None) -> np.ndarray:
     """Extended generator applied to f at many states, derivatives by differences.
 
     ``f`` must be vectorised: it maps an (n, dim) array (or (n,) in dimension
@@ -158,12 +200,13 @@ def generator_values(chars: Characteristics, f, xs: np.ndarray) -> np.ndarray:
     use fourth-order central stencils with step 1e-4 (1 + |x_i|); cross
     partials use the second-order four-point cross. States sitting exactly
     at the origin of a pole-order kernel get a zero jump term (the
-    absorbed-state limit). A characteristic that does not depend on the
-    state is evaluated once per model, not at every state of every call.
+    absorbed-state limit). ``values`` are the characteristics at ``xs`` when
+    the caller has them, as an Euler step does; otherwise they are evaluated
+    here, the state-free ones once per model.
     """
     pts = real_points(xs, chars.dim)
     n, dim = pts.shape
-    fixed = _state_free(chars)
+    v = _characteristics(chars, pts) if values is None else values
 
     def call(q: np.ndarray) -> np.ndarray:
         return np.asarray(f(q[:, 0] if chars.dim == 1 else q), dtype=dtype)
@@ -172,13 +215,12 @@ def generator_values(chars: Characteristics, f, xs: np.ndarray) -> np.ndarray:
     f0 = call(pts)
     dtype = np.complex128 if np.iscomplexobj(f0) else np.float64
     f0 = f0.astype(dtype, copy=False)
-    h = _fd_steps(pts)  # (n, dim)
+    h = 1e-4 * (1.0 + np.abs(pts))  # (n, dim) stencil steps
     grad = np.empty((n, dim), dtype=dtype)
     diag = np.empty((n, dim), dtype=dtype)
+    unit = np.eye(dim)
     for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        step, step2 = h[:, i : i + 1] * e, 2 * h[:, i : i + 1] * e
+        step, step2 = h[:, i : i + 1] * unit[i], 2 * h[:, i : i + 1] * unit[i]
         fp1, fm1 = call(pts + step), call(pts - step)
         fp2, fm2 = call(pts + step2), call(pts - step2)
         hi = h[:, i]
@@ -188,42 +230,25 @@ def generator_values(chars: Characteristics, f, xs: np.ndarray) -> np.ndarray:
         grad[:, i] = (neg_fp2 + 8 * fp1 - 8 * fm1 + fm2) * (1.0 / hi12)
         diag[:, i] = (neg_fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) * (1.0 / (hi12 * hi))
 
-    b = chars.drift_values(pts) if fixed.drift is None else fixed.drift
-    a = chars.diffusion_values(pts) if fixed.diffusion is None else fixed.diffusion
-    out = np.sum(b * grad, axis=1) + 0.5 * np.sum(
+    a = v.diffusion
+    out = np.sum(v.drift * grad, axis=1) + 0.5 * np.sum(
         a[:, np.arange(dim), np.arange(dim)] * diag, axis=1
     )
     for i in range(dim):
         for j in range(i + 1, dim):
-            ei = np.zeros(dim)
-            ej = np.zeros(dim)
-            ei[i] = 1.0
-            ej[j] = 1.0
-            hij = h[:, [i]] * ei + h[:, [j]] * ej
-            hij_m = h[:, [i]] * ei - h[:, [j]] * ej
+            hij = h[:, [i]] * unit[i] + h[:, [j]] * unit[j]
+            hij_m = h[:, [i]] * unit[i] - h[:, [j]] * unit[j]
             cross = (call(pts + hij) - call(pts + hij_m) - call(pts - hij_m) + call(pts - hij)) * (
                 1.0 / (4 * h[:, i] * h[:, j])
             )
             out += a[:, i, j] * cross
 
-    k = chars.kernel
-    if k is not None and k.atoms:
-        # a state at the origin of a pole kernel reads lambda at a
-        # placeholder state and gets no jump term
-        at_pole = np.flatnonzero(pts[:, 0] == 0.0) if k.pole_order else []
-        safe = pts
-        if len(at_pole):
-            safe = pts.copy()
-            safe[at_pole, 0] = 1.0
-        lam = k.intensity_value(safe) if fixed.intensity is None else fixed.intensity
-        sizes = _jump_sizes(chars, pts) if fixed.sizes is None else fixed.sizes
+    if v.intensity is not None:
         jump_term = np.zeros(n, dtype=dtype)
-        for atom, size in zip(k.atoms, sizes):
+        for atom, size in zip(chars.kernel.atoms, v.sizes):
             fj = call(pts + size)
             jump_term += atom.weight * (fj - f0 - np.sum(grad * size, axis=1))
-        jump = lam * jump_term
-        jump[at_pole] = 0.0
-        out += jump
+        out += _off_pole(v.intensity, jump_term, v.pole)
     return out
 
 
@@ -261,24 +286,14 @@ def check_run(chars: Characteristics, x0, T: float, cfg: McConfig) -> tuple[np.n
     return x0v, nsteps
 
 
-def _per_run(constant: bool, evaluate, x0v: np.ndarray):
-    """The evaluator ``(states, step) -> value`` a run steps with.
-
-    It is called once at x0 before the first step: every path starts there,
-    so this is the first step's evaluation and raises what that step would.
-    A characteristic that does not depend on the state keeps that value.
-    """
-    value = evaluate(x0v, 0)
-    return (lambda xs, k: value) if constant else evaluate
-
-
 def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=None):
     """Run all batches; returns (final states (paths, dim), clamps, absorbed, jumps).
 
-    ``step_hook(batch_index, x, frozen, dt)`` is called before each Euler step
-    with the current states; used by the martingale audit to accumulate the
-    compensator integral. Which values are computed once per run is in the
-    module docstring.
+    ``step_hook(rows, alive, xa, values, dt)`` is called at each step with a
+    live path, after the step's checks: ``rows`` slices the batch out of the
+    run's paths, ``alive`` selects the live paths in it, ``xa`` are their
+    states and ``values`` the step's ``_characteristics`` at ``xa``. The
+    martingale audit accumulates its compensator integral there.
     """
     dim, dt = chars.dim, cfg.dt
     x0v, nsteps = check_run(chars, x0, T, cfg)
@@ -286,12 +301,10 @@ def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=Non
     weights = np.array([a.weight for a in kernel.atoms]) if kernel else np.zeros(0)
     total_w = weights.sum()
     cum_w = np.cumsum(weights) / total_w if total_w > 0 else None
-    jumping = kernel is not None and total_w > 0
     fixed = _state_free(chars)
 
-    def intensity_at(xs, k):
+    def intensity_at(lam, k):
         """lambda clipped at zero and the per-step jump probability."""
-        lam = kernel.intensity_value(xs)
         # +inf (a path sitting on a pole) is a certain jump; NaN is not a rate
         if np.isnan(lam).any():
             raise IntensityBoundError(f"NaN jump intensity at t={k * dt:.6g}")
@@ -302,15 +315,13 @@ def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=Non
         # as rates blow up
         return lam, -np.expm1(-(lam * total_w) * dt)
 
-    def jump_sizes_at(xs, k):
+    def atom_table(sizes):
         """(atoms, points, dim) jump sizes and their weighted sum, the
         compensated kernel's drift correction per unit intensity."""
-        sizes = _jump_sizes(chars, xs)
         return np.stack(sizes, axis=0), sum(w * s for w, s in zip(weights, sizes))
 
-    def diffusion_root_at(xs, k):
+    def diffusion_root_at(a, k):
         """sqrt(a dt) in dimension one, else the symmetric square root of a."""
-        a = chars.diffusion_values(xs)
         if dim == 1:
             av = a[:, 0, 0]
             if np.any(av < -1e-12):
@@ -323,12 +334,10 @@ def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=Non
         root = vecs * np.sqrt(np.clip(w_eig, 0.0, None))[:, None, :]
         return np.einsum("nik,njk->nij", root, vecs)
 
-    # in the order a step evaluates and checks them
-    drift = _per_run(fixed.drift is not None, lambda xs, k: chars.drift_values(xs), x0v)
-    if jumping:
-        intensity = _per_run(fixed.intensity is not None, intensity_at, x0v)
-        jump_sizes = _per_run(fixed.sizes is not None, jump_sizes_at, x0v)
-    diffusion_root = _per_run(fixed.diffusion is not None, diffusion_root_at, x0v)
+    # derived once per run from a state-free value, None where each step does
+    rate0 = intensity_at(fixed.intensity, 0) if fixed.jumps and fixed.intensity is not None else None
+    table0 = atom_table(fixed.sizes) if fixed.jumps and fixed.sizes is not None else None
+    root0 = diffusion_root_at(fixed.diffusion, 0) if fixed.diffusion is not None else None
 
     finals = []
     clamps = absorbed = jumps = 0
@@ -342,27 +351,28 @@ def _simulate(chars: Characteristics, x0, T: float, cfg: McConfig, step_hook=Non
             z = rng.standard_normal((m, dim))
             u_jump = rng.random(m)
             u_atom = rng.random(m)
-            if step_hook is not None:
-                step_hook(b_idx, x, frozen, dt)
             # views of the whole batch until the first absorption, masked
             # copies after it
             alive = ~frozen if frozen.any() else slice(None)
             xa = x[alive]
             if not len(xa):
                 continue
-            b = drift(xa, k)
-            if jumping:
-                lam, p_jump = intensity(xa, k)
-                table, mean_jump = jump_sizes(xa, k)
+            v = _characteristics(chars, xa)
+            b = v.drift
+            if fixed.jumps:
+                lam, p_jump = intensity_at(v.intensity, k) if rate0 is None else rate0
+                table, mean_jump = atom_table(v.sizes) if table0 is None else table0
                 jumped = u_jump[alive] < p_jump
-                b = b - lam[:, None] * mean_jump
-            root = diffusion_root(xa, k)
+                b = b - _off_pole(lam[:, None], mean_jump, v.pole)
+            root = diffusion_root_at(v.diffusion, k) if root0 is None else root0
+            if step_hook is not None:
+                step_hook(slice(b_idx * _BATCH, b_idx * _BATCH + m), alive, xa, v, dt)
             if dim == 1:
                 inc = root * z[alive]
             else:
                 inc = np.einsum("nij,nj->ni", root, z[alive]) * np.sqrt(dt)
             xn = xa + b * dt + inc
-            if jumping and jumped.any():
+            if fixed.jumps and jumped.any():
                 jr = np.flatnonzero(jumped)
                 atom_idx = np.searchsorted(cum_w, u_atom[alive][jumped])
                 atom_idx = np.minimum(atom_idx, len(weights) - 1)
@@ -394,10 +404,10 @@ def _estimate(values: np.ndarray, clamps: int, absorbed: int, jumps: int) -> McE
     return McEstimate(mean, stderr, len(values), clamps, absorbed, jumps)
 
 
-def _real_values(values) -> np.ndarray:
-    """f's values as float64; a nonzero imaginary part raises ValueError
-    instead of being dropped."""
-    v = np.asarray(values)
+def _payoff(chars: Characteristics, f, states: np.ndarray) -> np.ndarray:
+    """f at (n, dim) states as float64; a nonzero imaginary part raises
+    ValueError instead of being dropped."""
+    v = np.asarray(f(states[:, 0] if chars.dim == 1 else states))
     if np.iscomplexobj(v):
         if np.any(v.imag != 0):
             raise ValueError("f returned values with a nonzero imaginary part; Monte Carlo estimates real payoffs only")
@@ -408,8 +418,7 @@ def _real_values(values) -> np.ndarray:
 def simulate_expectation(chars: Characteristics, f, x0, T: float, cfg: McConfig) -> McEstimate:
     """E[f(X_T)] by Euler paths; f vectorised over final states, real-valued."""
     finals, *counts = _simulate(chars, x0, T, cfg)
-    arg = finals[:, 0] if chars.dim == 1 else finals
-    return _estimate(_real_values(f(arg)), *counts)
+    return _estimate(_payoff(chars, f, finals), *counts)
 
 
 def _compensator(chars: Characteristics, f, paths: int):
@@ -418,13 +427,8 @@ def _compensator(chars: Characteristics, f, paths: int):
     endpoint, per path; absorbed paths add nothing."""
     integral = np.zeros(paths)
 
-    def hook(b_idx: int, x: np.ndarray, frozen: np.ndarray, dt: float) -> None:
-        part = integral[b_idx * _BATCH : b_idx * _BATCH + len(x)]
-        if not frozen.any():
-            part += generator_values(chars, f, x).real * dt
-        elif not frozen.all():
-            alive = ~frozen
-            part[alive] += generator_values(chars, f, x[alive]).real * dt
+    def hook(rows: slice, alive, xa: np.ndarray, values: _Values, dt: float) -> None:
+        integral[rows][alive] += generator_values(chars, f, xa, values).real * dt
 
     return hook, integral
 
@@ -438,10 +442,5 @@ def martingale_audit(chars: Characteristics, f, x0, T: float, cfg: McConfig) -> 
     """
     hook, integral = _compensator(chars, f, cfg.paths)
     finals, *counts = _simulate(chars, x0, T, cfg, step_hook=hook)
-    arg = finals[:, 0] if chars.dim == 1 else finals
-    x0v = np.atleast_1d(np.asarray(x0, dtype=float))
-    f_end = _real_values(f(arg))
-    start_arg = x0v if chars.dim == 1 else x0v[None, :]
-    f_start = float(_real_values(f(start_arg)).reshape(-1)[0])
-    vals = f_end - f_start - integral
-    return _estimate(vals, *counts)
+    f_start = float(_payoff(chars, f, real_points(x0, chars.dim)).reshape(-1)[0])
+    return _estimate(_payoff(chars, f, finals) - f_start - integral, *counts)

@@ -30,10 +30,11 @@ every path on every step, and reads the live paths through boolean masks
 from the first step on; ``compensator`` is the martingale audit's step hook
 that goes with it, through ``generator_values``, the generator by
 differences in complex128 with every characteristic evaluated at every
-state. ``holoseq.montecarlo._simulate`` evaluates a characteristic that does
-not depend on the state once per run and works on the batch arrays
+state. ``holoseq.montecarlo._simulate`` evaluates each characteristic once
+per step and hands the values to the audit's generator, evaluates one that
+does not depend on the state once per model, and works on the batch arrays
 themselves until a path is absorbed; ``holoseq.montecarlo.generator_values``
-works in f's own type and evaluates such a characteristic once per model.
+works in f's own type.
 
 The property tests check each replacement against these.
 """
@@ -315,7 +316,9 @@ def euler_paths(chars: Characteristics, x0, T: float, cfg, step_hook=None):
                 rate = np.clip(lam, 0.0, None) * total_w
                 jumped = u_jump[alive] < -np.expm1(-rate * cfg.dt)
                 mean_jump = sum(w * s for w, s in zip(weights, sizes))
-                b = b - np.clip(lam, 0.0, None)[:, None] * mean_jump
+                # NaN at a pole (inf * 0); the certain jump overwrites it
+                with np.errstate(invalid="ignore"):
+                    b = b - np.clip(lam, 0.0, None)[:, None] * mean_jump
             if dim == 1:
                 av = a[:, 0, 0]
                 if np.any(av < -1e-12):

@@ -6,6 +6,7 @@ Monte Carlo noise.
 """
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -511,23 +512,57 @@ class TestGeneratorValues:
             _assert_matches_frozen(build_preset(name, 8), pts[:, 0])
 
     def test_state_free_characteristics_once_per_model(self, monkeypatch):
-        counts = Counter()
-        for cls, name in ((Characteristics, "drift_values"), (Characteristics, "diffusion_values"),
-                          (JumpKernel, "intensity_value"), (JumpAtom, "size_values")):
-            def counting(self, xs, method=getattr(cls, name), name=name):
-                counts[name] += 1
-                return method(self, xs)
-
-            monkeypatch.setattr(cls, name, counting)
+        counts = _count_evaluations(monkeypatch)
         seen = []
         for T in (0.05, 0.3):
             counts.clear()
             cfg = McConfig(paths=200, dt=5e-3, seed=1)
             martingale_audit(build_preset("compound-poisson"), np.exp, 0.0, T, cfg)
             seen.append(dict(counts))
-        # once for the model and once for the run at x0; two atoms
-        want = {"drift_values": 2, "diffusion_values": 2, "intensity_value": 2, "size_values": 4}
+        # once for the model, shared by the run and the audit's generator; two atoms
+        want = {"drift_values": 1, "diffusion_values": 1, "intensity_value": 1, "size_values": 2}
         assert seen == [want, want]
+
+    def test_audit_shares_the_steps_evaluation(self, monkeypatch):
+        # the unit interval's drift is zero, so only it is state-free; the
+        # generator reads the step's diffusion, intensity and sizes
+        counts = _count_evaluations(monkeypatch)
+        cfg = McConfig(paths=500, dt=5e-3, seed=2, absorb_delta=1e-6, state_box=(0.0, 1.0))
+        steps = 60
+        seen = []
+        for run in (simulate_expectation, martingale_audit):
+            counts.clear()
+            est = run(build_preset("unit-interval", 12), np.exp, 0.5, steps * cfg.dt, cfg)
+            assert est.absorbed < cfg.paths  # a live path at every step
+            seen.append(dict(counts))
+        want = {"drift_values": 1, "diffusion_values": steps, "intensity_value": steps, "size_values": steps}
+        assert seen == [want, want]
+
+
+def _count_evaluations(monkeypatch) -> Counter:
+    """Counts the calls of each characteristic evaluator, by name."""
+    counts = Counter()
+    for cls, name in ((Characteristics, "drift_values"), (Characteristics, "diffusion_values"),
+                      (JumpKernel, "intensity_value"), (JumpAtom, "size_values")):
+        def counting(self, xs, method=getattr(cls, name), name=name):
+            counts[name] += 1
+            return method(self, xs)
+
+        monkeypatch.setattr(cls, name, counting)
+    return counts
+
+
+class TestPoleStates:
+    def test_paths_on_the_pole_raise_no_warning(self):
+        # with no absorption, a path killed onto x = 0 steps on from the pole:
+        # its jump is certain and its jump compensator zero, not inf * 0
+        chars = build_preset("unit-interval", 12)
+        cfg = McConfig(paths=500, dt=5e-3, seed=5, absorb_delta=None, state_box=(0.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (simulate_expectation, martingale_audit):
+                est = run(chars, np.exp, 0.02, 0.2, cfg)
+                assert np.isfinite(est.mean) and est.jumps > 0
 
 
 def constant_two_dim_chars(order=6):
@@ -569,8 +604,8 @@ class TestDiffusionRoot:
         assert calls == [(1, 2, 2)]
         calls.clear()
         simulate_expectation(state_dependent_two_dim_chars(), lambda p: p[:, 0], (0.0, 0.0), 0.2, cfg)
-        # once at x0, then once per step over all paths
-        assert calls == [(1, 2, 2)] + [(300, 2, 2)] * 20
+        # once per step over all paths
+        assert calls == [(300, 2, 2)] * 20
 
     def test_state_dependent_cross_moment(self):
         # E[X_1 X_2] closes on polynomials of degree 2: the linear route is exact
