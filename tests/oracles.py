@@ -3,7 +3,8 @@
 Each takes the model object it checks as its first argument: the scalar
 affine transform of an ``AffineSpec``, the dual chain's coefficients in the
 sequence convention, the generator at one state by finite differences, and
-``ode_flow``, the reference flow of any series operator by dopri5.
+``ode_flow``, the reference flow of any series operator by the package's
+adaptive 8(5,3) integrator ``odeflow.dopri5``.
 ``_affine_f(spec, tau, lin=False)`` is the Lévy exponent of a spec with
 b1 = a1 = l1 = 0.
 """

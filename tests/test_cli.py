@@ -111,7 +111,7 @@ class TestRun:
         ids=["holomorphic", "affine"],
     )
     def test_header_echoes_ode_where_read(self, tmp_path, capsys, run, ode):
-        base = dict(BASE, run=run, function={"family": "polynomial", "coefficients": [0.0, 0.5]})
+        base = dict(BASE, run=run, function={"family": "polynomial", "coefficients": [0.0, 2.0]})
         loose = dict(base, numerics={"order": 8, "ode": {"rtol": 1e-3}})
         code, out, err = run_cli(capsys, "run", write_cfg(tmp_path, loose))
         assert code == 0, err

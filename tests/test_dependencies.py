@@ -11,7 +11,9 @@ public name that only tests read is code no result depends on.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,6 +67,20 @@ def test_package_imports_only_stdlib_numpy_and_yaml():
         f"{p.relative_to(SRC)}:{line} imports {mod}" for p in files for line, mod in foreign_imports(p.read_text())
     ]
     assert not found, found
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # the scan above reads import statements only; an import made at run
+    # time, or one a dependency makes, shows only in a fresh interpreter
+    code = "import sys, holoseq, holoseq.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+    ).stdout
+    assert out.strip() == "[]", out
 
 
 def test_scan_sees_every_import_form():

@@ -81,6 +81,61 @@ class TestIntegrators:
             dopri5(lambda t, y: y * y, 0.0, 1.5, np.array([1.0]), OdeConfig(max_steps=100_000))
         assert 0.9 < exc.value.time <= 1.05
 
+    def test_pair_matches_the_published_table(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        np.testing.assert_array_equal(odeflow._C, ref.C[: ref.N_STAGES])
+        np.testing.assert_array_equal(odeflow._A, ref.A[: ref.N_STAGES, : ref.N_STAGES])
+        np.testing.assert_array_equal(odeflow._B, ref.B)
+        np.testing.assert_array_equal(odeflow._E, [ref.E5[:-1], ref.E3[:-1]])
+        # f at the new point enters neither error estimate
+        assert ref.E5[-1] == ref.E3[-1] == 0.0
+        # each stage's weights sum to its node, and the solution's to one
+        np.testing.assert_allclose(odeflow._A.sum(axis=1), odeflow._C, rtol=0, atol=1e-15)
+        assert odeflow._B.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_fixed_steps_converge_at_order_eight(self):
+        # the two-state chain's linear flow at 2, 4 and 8 fixed steps over
+        # [0, 2]: each halving of h cuts the error by about 2^8
+        q = models.build_preset("two-state-affine").generator_matrix
+        u1, u2, T = 0.3, -0.4, 2.0
+        want = models.two_state_closed_form(*models.TWO_STATE_RATES, u1, u2, T)
+        errors = []
+        for m in (2, 4, 8):
+            y, h = np.exp([u1, u2]), T / m
+            k = np.empty((12, 2))
+            for i in range(m):
+                k[0] = q @ y
+                y = odeflow._step(lambda t, v: q @ v, i * h, y, h, k)
+            errors.append(np.abs(y - want).max())
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert errors[-1] > 1e-13  # still far above rounding
+        np.testing.assert_allclose(orders, 8.0, atol=0.3)
+
+    def test_stiff_decay_does_not_grow_after_a_rejection(self, monkeypatch):
+        # y' = -500 y is stable only for steps near 1/100: the controller
+        # keeps hitting that edge, and after an accepted retry the next step
+        # must not grow past the retry
+        attempts = []
+        step = odeflow._step
+
+        def recorded(rhs, t, y, h, k):
+            attempts.append((t, h))
+            return step(rhs, t, y, h, k)
+
+        monkeypatch.setattr(odeflow, "_step", recorded)
+        _, ys, stats = dopri5(lambda t, y: -500.0 * y, 0.0, 1.0, np.array([1.0]))
+        assert abs(ys[1][0] - math.exp(-500.0)) < 1e-12
+        assert stats["rejected"] > 0 and len(attempts) == stats["accepted"] + stats["rejected"]
+        # attempt i was rejected when attempt i + 1 starts at the same time
+        retries = [
+            i + 1 for i in range(len(attempts) - 2)
+            if attempts[i + 1][0] == attempts[i][0] < attempts[i + 2][0]
+        ]
+        assert retries
+        for i in retries:
+            assert attempts[i + 1][1] <= attempts[i][1] <= attempts[i - 1][1]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OdeConfig(rtol=0.0)
@@ -296,8 +351,8 @@ class TestSharedFlow:
     @pytest.mark.parametrize(
         "route,value,nfev",
         [
-            ("riccati", 1.7063862310814977, 25),
-            ("log-linear", 1.7063862310169975, 37),
+            ("riccati", 1.7063862310814977, 48),
+            ("log-linear", 1.7063862310169975, 36),
         ],
     )
     def test_compound_poisson_routes_pinned(self, route, value, nfev):
