@@ -7,7 +7,11 @@ Output is a provenance header echoing every resolved setting, one table row
 per computed quantity (engine rows say how their flow ran, oracle rows carry
 absolute/relative differences against the engine), and, with ``--out``,
 CSV artifacts at full precision. No row carries a truncation estimate;
-``--sweep-order`` diffs each order against the oracle instead.
+``--sweep-order`` diffs each order against the oracle instead. Sweep rows of
+one route whose flows close at the same degree (``odeflow.working_order``)
+run one flow: the first such row runs it, and each later row reuses its
+result, bit for bit, with ``shared with N=<first>`` in its detail and the
+lookup alone as its time.
 
 Exit codes: 0 on success, 2 on config or model-validation problems, 3 on
 numerical failure (step-size underflow, flow budget, an exponential action
@@ -55,6 +59,7 @@ from .odeflow import (
     affine_expectation,
     flow_to_csv,
     holomorphic_expectation,
+    working_order,
 )
 from .series import CoeffSeries, LeadingCoefficientError
 
@@ -340,11 +345,19 @@ def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: 
                 routes.append((r, "affine", lambda u, r=r: affine_expectation(model, u, T, x0, ode, route=r)))
 
     rows: list[Row] = []
+    # (route, working order) -> (N, result) of the row that ran that flow
+    flows = {}
     for n in orders:
         u0 = ser.with_order(u_full, n + buffer)
         tag = f" N={n}" if sweep else ""
         for label, row_mode, call in routes:
-            res = _timed(rows, f"{label}-flow{tag}", row_mode, "engine", lambda: call(u0), _flow_detail)
+            key = (label, working_order(model, u0, label))
+            quantity = f"{label}-flow{tag}"
+            if key in flows:
+                _timed(rows, quantity, row_mode, "engine", lambda: flows[key], lambda s: _shared_detail(s, u0.order))
+                continue
+            res = _timed(rows, quantity, row_mode, "engine", lambda: call(u0), _flow_detail)
+            flows[key] = (n, res)
             if out_dir is not None and not sweep:
                 flow_to_csv(res.flow, out_dir / f"flow_{label.replace('-', '_')}.csv")
 
@@ -365,16 +378,27 @@ def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: 
     return rows
 
 
-def _flow_detail(res):
+def _flow_detail(res, order=None):
+    """(value, detail) of an engine row: how its flow ran, and the degree it
+    closed at where that is below the row's ``order``, the flow's own when
+    None."""
     stats = res.flow.stats
     if "nfev" in stats:
         detail = f"nfev {stats['nfev']}"
     else:  # an exponential action: its Taylor steps or its Pade squarings
         steps = "s" if stats["method"] == "taylor" else "squarings"
         detail = f"{stats['method']}, matvecs {stats['matvecs']}, {steps} {stats[steps]}"
-    if stats["order"] < res.flow.final.order:
+    if stats["order"] < (order or res.flow.final.order):
         detail += f", closed at degree {stats['order']}"
     return res.value, detail
+
+
+def _shared_detail(shared, order: int):
+    """``_flow_detail`` of a row of working ``order`` that reuses the result
+    of the row labelled N=n, where ``shared`` is (n, result)."""
+    n, res = shared
+    value, detail = _flow_detail(res, order)
+    return value, f"{detail}, shared with N={n}"
 
 
 def _chain_rows(chain: FiniteChain, cfg, args) -> list[Row]:

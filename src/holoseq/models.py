@@ -139,10 +139,12 @@ class DualResult:
     """E[e^{X_T} | X_0 = .] on [0, 1] in the basis f_k(x) = (x/2)^k.
 
     ``outflow`` is the basis mass that escaped past k_max through the dropped
-    up-transition; ``impact_bound`` converts it into a bound on the evaluation
-    error: escaped mass re-enters level i with probability <= (1/2)^(k_max+1-i)
-    (the chain drifts up 2:1) and then weighs <= (x/2)^i <= 2^(-i), so each
-    escaped unit moves any value on [0, 1] by at most 2^(-(k_max+1)).
+    up-transition, accumulated as the mass of an absorbing sink state, so it
+    keeps its digits however small it is; ``impact_bound`` converts it into
+    a bound on the evaluation error: escaped mass re-enters level i with
+    probability <= (1/2)^(k_max+1-i) (the chain drifts up 2:1) and then
+    weighs <= (x/2)^i <= 2^(-i), so each escaped unit moves any value on
+    [0, 1] by at most 2^(-(k_max+1)).
     ``rounding`` is a first-order bound on the rounding error of ``evaluate``
     at any x in [0, 1] (see ``UnitIntervalModel.dual_expectation``).
     """
@@ -208,7 +210,8 @@ class UnitIntervalModel:
 
     def dual_expectation(self, T: float) -> DualResult:
         """nu(T) = mu exp(T B) by uniformization, mu_k = 2^k / k! (so that
-        sum mu_k f_k = e^x); the up-edge out of k_max is dropped and tracked.
+        sum mu_k f_k = e^x); the up-edge out of k_max leads to an absorbing
+        sink, whose mass is the ``outflow``.
 
         With P = I + B / lam and lam = 1.05 x the top rate, nu(T) is the sum
         of w_n mu P^n over the Poisson(lam T) window [n_lo, n_hi] of
@@ -218,7 +221,11 @@ class UnitIntervalModel:
         z_i = sum_b w_(bs+i) y_b by one matrix product, and
         nu(T) = sum_i z_i P^i by Horner in s - 1 tridiagonal steps. Two
         (k_max+1)^2 float matrices are held at a time (1.3 MB each at
-        k_max 400), and the s x (k_max+1) block sums.
+        k_max 400), and the s x (k_max+1) block sums. The sink's column of
+        Q, the mass each state sinks within s steps, rides along the
+        squarings, and its mass along the block starts, the block sums and
+        the Horner steps, so the escape counts every leaked unit, not the
+        difference of two masses near e^2; nu(T) itself does not read it.
 
         ``rounding`` bounds the rounding error to first order in the unit
         roundoff u. Every operand is nonnegative, so a computed entry is off
@@ -256,29 +263,36 @@ class UnitIntervalModel:
         k = np.arange(1, n)
         q[k, k - 1] = p_down[1:]
         q[k - 1, k] = p_up[:-1]
+        # the column of the absorbing sink past k_max, kept apart from q:
+        # the up-move out of k_max leads there, and the sink keeps its mass
+        sink = np.zeros(n)
+        sink[-1] = p_up[-1]
         for _ in range(levels):
+            sink = q @ sink + sink
             q = q @ q
             q[q < _FLUSH] = 0.0
+            sink[sink < _FLUSH] = 0.0
         b_lo, b_hi = n_lo // s, n_hi // s
-        y = mu
+        # each block start with the mass it has sunk
+        y, sunk = mu, 0.0
         for _ in range(b_lo):
-            y = y @ q
-        starts = [y]
+            y, sunk = y @ q, sunk + float(y @ sink)
+        starts, sunks = [y], [sunk]
         for _ in range(b_lo, b_hi):
             starts.append(starts[-1] @ q)
+            sunks.append(sunks[-1] + float(starts[-2] @ sink))
         blocks = np.zeros((b_hi - b_lo + 1) * s)
         blocks[n_lo - b_lo * s : n_hi - b_lo * s + 1] = w
-        z = blocks.reshape(-1, s).T @ np.array(starts)
-        acc = z[-1]
-        for zi in z[-2::-1]:
+        weights = blocks.reshape(-1, s).T
+        z, z_sunk = weights @ np.array(starts), (weights @ np.array(sunks)).tolist()
+        acc, outflow = z[-1], z_sunk[-1]
+        for zi, zi_sunk in zip(z[-2::-1], z_sunk[-2::-1]):
             nxt = acc * stay + zi
             nxt[:-1] += acc[1:] * p_down[1:]
-            # the up-move out of k_max has no target row: that mass leaks
             nxt[1:] += acc[:-1] * p_up[:-1]
+            outflow = outflow + float(acc[-1] * p_up[-1]) + zi_sunk
             acc = nxt
 
-        outflow = mass_in * float(w.sum()) - float(acc.sum())
-        outflow = max(outflow, 0.0)
         bound = outflow * 2.0 ** -(self.k_max + 1)
         if bound > _DUAL_TAIL_THRESHOLD:
             raise EscapeMassError(

@@ -29,6 +29,8 @@ only, and the chain oracles' ODE routes.
 
 Every flow takes its model as ``Characteristics`` of the payoff's dimension
 and any order at least the payoff's, and cuts it to the payoff's order.
+Where the route's system closes at the payoff's degree (the table
+``_CLOSES``), it runs at that degree; ``working_order`` says which order.
 
 An expectation is its flow's end state evaluated once at the start point,
 by ``series.evaluate``, which is exactly rounded.
@@ -58,6 +60,7 @@ __all__ = [
     "expm",
     "expm_action",
     "solve_linear",
+    "working_order",
     "solve_riccati",
     "riccati_from_linear",
     "holomorphic_expectation",
@@ -412,11 +415,21 @@ def _flow(rhs, u0: CoeffSeries, u: CoeffSeries, y0: np.ndarray, T: float, config
     return FlowResult(times, (u0, snapshot(states[-1])), dict(stats, order=u.order))
 
 
-def _working(model: Characteristics, u0: CoeffSeries, closes=None):
-    """The model and payoff a flow from u0 runs on. The model, of u0's
-    dimension and any order >= u0's, is cut to u0's order; where its system
-    then ``closes`` at d = max(deg u0, 1) < u0.order, both are cut to order
-    d, which is exact there."""
+# The closure test of each route's system at degree d (see ``_working``):
+# the one rule of which flows run below the payoff's order. The log-linear
+# route's augmented flow of exp*(u0) is a full series, and never closes.
+_CLOSES = {
+    "linear": lambda chars, d: linear_closes(chars),
+    "riccati": riccati_closes,
+    "log-linear": lambda chars, d: False,
+}
+
+
+def _working(model: Characteristics, u0: CoeffSeries, route: str):
+    """The model and payoff a flow of ``route`` from u0 runs on. The model,
+    of u0's dimension and any order >= u0's, is cut to u0's order; where the
+    route's system then closes (``_CLOSES``) at d = max(deg u0, 1) <
+    u0.order, both are cut to order d, which is exact there."""
     if model.dim != u0.dim or model.order < u0.order:
         raise ValueError(
             f"a model of dim={model.dim} order={model.order} cannot flow "
@@ -424,9 +437,24 @@ def _working(model: Characteristics, u0: CoeffSeries, closes=None):
         )
     model = model.truncated(u0.order)
     d = max(ser.degree(u0), 1)
-    if closes is not None and d < u0.order and closes(model, d):
+    if d < u0.order and _CLOSES[route](model, d):
         return model.truncated(d), ser.with_order(u0, d)
     return model, u0
+
+
+def working_order(model: Characteristics, u0: CoeffSeries, route: str) -> int:
+    """The order the flow of u0 on ``route`` ("linear", "riccati" or
+    "log-linear") runs at: max(deg u0, 1) where the route's system closes
+    there, else u0's order.
+
+    Two payoffs of one model with the same working order run the same flow
+    on the same working model and payoff, so their flows give the same bits
+    and their values at one start point are equal, ``series.evaluate`` being
+    exactly rounded. ``holoseq run --sweep-order`` keys its rows by (route,
+    working order): the first row of a key runs the flow, and each later
+    row reuses that result, says ``shared with N=<first>`` and times the
+    lookup alone."""
+    return _working(model, u0, route)[1].order
 
 
 def _padded(u: CoeffSeries, order: int):
@@ -434,13 +462,13 @@ def _padded(u: CoeffSeries, order: int):
     return lambda y: ser.with_order(CoeffSeries(u.dim, u.order, y), order)
 
 
-def solve_linear(model: Characteristics, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
+def solve_linear(model: Characteristics, u0: CoeffSeries, T: float) -> FlowResult:
     """c(T) with c' = L(c), c(0) = u0, as c(T) = exp(T L) u0 by
     ``expm_action`` on the compiled L. ``model`` has u0's dimension and any
     order >= u0's; it runs cut to u0's order, and on a polynomial model (see
-    ``generator.linear_closes``) at order max(deg u0, 1). ``config`` is not
-    read, and the stats are the action's."""
-    model, u = _working(model, u0, lambda chars, d: linear_closes(chars))
+    ``generator.linear_closes``) at order max(deg u0, 1). The stats are the
+    action's."""
+    model, u = _working(model, u0, "linear")
     c, stats = expm_action(l_matrix(model), T, u.coeffs, l_norm(model))
     times = np.array([0.0, T], dtype=float)
     return FlowResult(times, (u0, _padded(u, u0.order)(c)), dict(stats, order=u.order))
@@ -451,7 +479,7 @@ def solve_riccati(model: Characteristics, u0: CoeffSeries, T: float, config: Ode
     ``model`` is cut as in ``solve_linear``; where R keeps degree
     max(deg u0, 1) (``generator.riccati_closes``), the flow runs at that
     order."""
-    model, u = _working(model, u0, riccati_closes)
+    model, u = _working(model, u0, "riccati")
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return apply_r(CoeffSeries(u.dim, u.order, y), model).coeffs
@@ -467,7 +495,7 @@ def riccati_from_linear(model: Characteristics, u0: CoeffSeries, T: float, confi
     wanders; an auxiliary scalar phi0' = (Lc)_0 / c_0 with phi0(0) = u0_0
     integrates the branch alongside and is handed to the *-logarithm.
     """
-    model, _ = _working(model, u0)
+    model, _ = _working(model, u0, "log-linear")
     dim, order = u0.dim, u0.order
     c0 = ser.exp_star(u0)
     n = c0.coeffs.size
@@ -496,8 +524,9 @@ def holomorphic_expectation(
     model: Characteristics, u0: CoeffSeries, T: float, x0, config: OdeConfig | None = None
 ) -> ExpectationResult:
     """E[h(X_T) | X_0 = x0] for the payoff with coefficients u0: the flow of
-    ``solve_linear`` evaluated at x0."""
-    flow = solve_linear(model, u0, T, config)
+    ``solve_linear`` evaluated at x0. ``config`` is not read; it stays while
+    callers pass it positionally."""
+    flow = solve_linear(model, u0, T)
     return ExpectationResult(ser.evaluate(flow.final, x0), flow)
 
 

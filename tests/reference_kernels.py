@@ -240,11 +240,13 @@ def apply_r_composed(u: CoeffSeries, chars: Characteristics) -> CoeffSeries:
     return CoeffSeries(dim, order, out)
 
 
-def dual_steps(model: UnitIntervalModel, T: float, dtype=np.float64) -> tuple[np.ndarray, float]:
-    """(coefficients, outflow) of ``model.dual_expectation(T)``, with every
-    quantity in ``dtype``: the same lam, mu, P and Poisson window, the
+def dual_steps(model: UnitIntervalModel, T: float, dtype=np.float64) -> tuple[np.ndarray, float, float]:
+    """(coefficients, outflow, leak) of ``model.dual_expectation(T)``, with
+    every quantity in ``dtype``: the same lam, mu, P and Poisson window, the
     weights by the ratio recurrence from the mode, and then one tridiagonal
-    step nu -> nu P per term, accumulating w_n nu."""
+    step nu -> nu P per term, accumulating w_n nu. ``outflow`` is the mass
+    missing from the sum, mass(mu) sum w - sum acc; ``leak`` is the same
+    escape accumulated directly, sum_n w_n sum_(m<n) nu_m[k_max] p_up[k_max]."""
     down, up = model.dual_rates()
     lam = dtype(1.05 * float((down + up).max()))
     down, up = down.astype(dtype), up.astype(dtype)
@@ -265,13 +267,16 @@ def dual_steps(model: UnitIntervalModel, T: float, dtype=np.float64) -> tuple[np
     p_up = up / lam
     nu = mu.copy()
     acc = w[0] * nu
+    sunk = leak = dtype(0)
     for k in range(1, n_hi + 1):
+        sunk += nu[-1] * p_up[-1]
         nxt = nu * stay
         nxt[:-1] += nu[1:] * p_down[1:]
         nxt[1:] += nu[:-1] * p_up[:-1]
         nu = nxt
         acc += w[k] * nu
-    return acc, float(mu.sum() * w.sum() - acc.sum())
+        leak += w[k] * sunk
+    return acc, float(mu.sum() * w.sum() - acc.sum()), float(leak)
 
 
 def euler_paths(chars: Characteristics, x0, T: float, cfg, step_hook=None):

@@ -17,7 +17,8 @@ import yaml
 from holoseq import cli
 from holoseq import series as ser
 from holoseq.cli import main
-from holoseq.models import UnitIntervalModel
+from holoseq.models import UnitIntervalModel, build_preset
+from holoseq.odeflow import OdeConfig, affine_expectation, holomorphic_expectation
 
 BASE = {
     "model": {"preset": "bm"},
@@ -53,6 +54,11 @@ def write_cfg(tmp_path, cfg, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
     return str(path)
+
+
+def sweep_args(sweep):
+    """The arguments of ``holoseq run`` with ``--sweep-order sweep`` and no other flag."""
+    return argparse.Namespace(sweep_order=sweep, mc_paths=None, seed=None, out=None)
 
 
 def run_cli(capsys, *argv):
@@ -118,7 +124,7 @@ class TestRun:
         header = [line[2:] for line in out.splitlines() if line.startswith("#")]
         assert yaml.safe_load("\n".join(header[1:]))["numerics"]["ode"] == ode
         # the loose tolerance moves the value exactly where the header says it is read
-        args = argparse.Namespace(sweep_order=None, mc_paths=None, seed=None, out=None)
+        args = sweep_args(None)
         values = [cli.run_config(cfg, args)[0].value for cfg in (loose, base)]
         assert (values[0] == values[1]) == (ode == "not read")
 
@@ -277,12 +283,16 @@ class TestRun:
             "numerics": {"order": 4},
         }
         orders = [6, 3, 9]
-        args = lambda sweep: argparse.Namespace(sweep_order=sweep, mc_paths=None, seed=None, out=None)  # noqa: E731
-        swept = cli.run_config(cfg, args(",".join(map(str, orders))))
-        single = [r for n in orders for r in cli.run_config(dict(cfg, numerics={"order": n}), args(None))]
+        swept = cli.run_config(cfg, sweep_args(",".join(map(str, orders))))
+        single = [r for n in orders for r in cli.run_config(dict(cfg, numerics={"order": n}), sweep_args(None))]
         assert len(swept) == len(single) == 9
         for a, b in zip(swept, single):
-            assert a.quantity.split()[0] == b.quantity and (a.value, a.detail) == (b.value, b.detail)
+            detail = a.detail.split(", shared with N=")[0]
+            assert a.quantity.split()[0] == b.quantity and (a.value, detail) == (b.value, b.detail)
+        # the polynomial model's linear rows close at degree two and share the N=6 row's flow;
+        # the riccati system does not close under jumps at degree two, nor does any route inline
+        shared = [(a.quantity, a.detail.split(", shared with ")[1]) for a in swept if "shared with" in a.detail]
+        assert shared == ([("linear-flow N=3", "N=6"), ("linear-flow N=9", "N=6")] if "preset" in model else [])
 
     def test_sweep_drops_entries_above_a_row_order(self, tmp_path, capsys):
         # a degree-5 drift term is beyond the N=2 row's working order 4, so
@@ -324,7 +334,7 @@ class TestRun:
         assert float(dual[0]["rel_diff"]) <= 1e-4
 
     def test_dual_default_k_max_is_the_models(self):
-        args = argparse.Namespace(sweep_order=None, mc_paths=None, seed=None, out=None)
+        args = sweep_args(None)
         rows = []
         for dual in ({}, {"k_max": UnitIntervalModel().k_max}):
             rows += [r for r in cli.run_config(dict(UNIT_INTERVAL, oracles={"dual": dual}), args) if r.kind == "oracle"]
@@ -390,6 +400,88 @@ class TestRun:
             mc = next(line for line in out.splitlines() if line.startswith("monte-carlo"))
             found = re.search(r", jumps (\d+)", mc)
             assert (found is not None and int(found.group(1)) > 0) if jumps else found is None
+
+
+class TestSweepSharing:
+    """Sweep rows of one route whose flows run at the same working order
+    share the first such row's flow."""
+
+    @pytest.mark.parametrize(
+        "preset,route,cs,degree",
+        [
+            # constant diffusion and a quadratic exponent: R closes at degree two
+            ("bm", "riccati", [0.0, 0.6, 0.15], 2),
+            # affine models and a linear exponent: R closes at degree one
+            ("compound-poisson", "riccati", [0.0, 1.2], 1),
+            ("affine-linear-jumps", "riccati", [0.0, 0.7], 1),
+            # a polynomial model: L closes at the payoff's degree six; the N=4
+            # row runs at order six without closing, which is the same flow
+            ("compound-poisson", "linear", [0.3, -0.5, 0.8, 0.2, -0.4, 0.1, 0.05], 6),
+        ],
+        ids=["bm-riccati", "cp-riccati", "alj-riccati", "cp-linear"],
+    )
+    def test_shared_values_equal_direct_calls(self, preset, route, cs, degree):
+        orders, T, x0 = [4, 5, 8, 12], 0.5, 0.3
+        run = {"mode": "holomorphic"} if route == "linear" else {"mode": "affine", "affine_route": route}
+        cfg = {
+            "model": {"preset": preset},
+            "function": {"family": "polynomial", "coefficients": cs},
+            "run": dict(run, T=T, x0=x0),
+        }
+        rows = cli.run_config(cfg, sweep_args(",".join(map(str, orders))))
+        assert len(rows) == len(orders)
+        for n, row in zip(orders, rows):
+            # the default buffer: a row labelled N runs at order N + 2
+            chars, u0 = build_preset(preset, order=n + 2), ser.from_entries(
+                1, n + 2, [((k,), c * math.factorial(k)) for k, c in enumerate(cs)]
+            )
+            if route == "linear":
+                want = holomorphic_expectation(chars, u0, T, x0)
+            else:
+                want = affine_expectation(chars, u0, T, x0, OdeConfig(), route=route)
+            assert row.value == want.value
+        assert [r.detail.endswith(", shared with N=4") for r in rows] == [False, True, True, True]
+        assert [f"closed at degree {degree}," in r.detail + "," for r in rows] == [n + 2 > degree for n in orders]
+
+    @pytest.mark.parametrize(
+        "run,function",
+        [
+            # a full series closes at no degree
+            ({"mode": "holomorphic"}, {"family": "exp", "scale": 0.5}),
+            # the log-linear flow of exp*(u0) is a full series even where R closes
+            ({"mode": "affine", "affine_route": "log-linear"}, {"family": "polynomial", "coefficients": [0.0, 0.6, 0.15]}),
+        ],
+        ids=["exp-payoff", "log-linear"],
+    )
+    def test_rows_at_their_own_orders_share_nothing(self, run, function):
+        cfg = {"model": {"preset": "bm"}, "function": function, "run": dict(run, T=0.5, x0=0.3)}
+        rows = cli.run_config(cfg, sweep_args("4,8,12"))
+        assert len(rows) == 3 and not any("shared" in r.detail for r in rows)
+
+    def test_no_row_shares_across_routes(self):
+        cfg = {
+            "model": {"preset": "bm"},
+            "function": {"family": "polynomial", "coefficients": [0.0, 0.6, 0.15]},
+            "run": {"mode": "both", "T": 0.5, "x0": 0.3, "affine_route": "both"},
+        }
+        rows = cli.run_config(cfg, sweep_args("4,8,12"))
+        by_name = {r.quantity: r for r in rows}
+        shared = {}
+        for r in rows:
+            if "shared with N=" in r.detail:
+                first = by_name[f"{r.quantity.split()[0]} N={r.detail.rsplit('=', 1)[1]}"]
+                assert "shared" not in first.detail and first.value == r.value
+                shared[r.quantity] = first.quantity
+        # L and R close at degree two on bm, the log-linear flow does not
+        assert shared == {
+            "linear-flow N=8": "linear-flow N=4",
+            "linear-flow N=12": "linear-flow N=4",
+            "riccati-flow N=8": "riccati-flow N=4",
+            "riccati-flow N=12": "riccati-flow N=4",
+        }
+        # nothing is kept between runs: a second run's first rows run their flows again
+        again = cli.run_config(cfg, sweep_args("4,8,12"))
+        assert [(r.value, r.detail) for r in again] == [(r.value, r.detail) for r in rows]
 
 
 class TestExitCodes:

@@ -239,7 +239,7 @@ class TestDualSum:
     @given(st.integers(4, 80), st.floats(0.0, 1.0))
     def test_blocks_match_steps(self, k_max, T):
         model = UnitIntervalModel(k_max=k_max)
-        want, outflow = dual_steps(model, T)
+        want, outflow, _ = dual_steps(model, T)
         if outflow * 2.0 ** -(k_max + 1) > models._DUAL_TAIL_THRESHOLD:
             with pytest.raises(EscapeMassError):
                 model.dual_expectation(T)
@@ -257,7 +257,7 @@ class TestDualSum:
     @pytest.mark.parametrize("k_max,before", [(24, 2.4e-13), (60, 5.3e-13), (200, 3.29e-11)])
     def test_long_double_error_within_rounding_bound(self, k_max, before):
         model = UnitIntervalModel(k_max=k_max)
-        want, _ = dual_steps(model, 0.5, np.longdouble)
+        want, _, _ = dual_steps(model, 0.5, np.longdouble)
         xs = np.linspace(0.0, 1.0, 101)
         half = xs.astype(np.longdouble) / 2
         exact = np.zeros_like(half)
@@ -267,6 +267,18 @@ class TestDualSum:
         err = float(np.abs(res.evaluate(xs) - exact).max())
         assert err <= before
         assert err <= res.rounding
+
+    @pytest.mark.parametrize("k_max,T", [(40, 0.001), (40, 0.01), (60, 0.05), (24, 0.001), (24, 0.5), (80, 0.3)])
+    def test_outflow_is_the_leak_itself(self, k_max, T):
+        # the escape is accumulated, not a difference of masses near e^2, so
+        # it keeps its digits far below one ulp of the mass
+        model = UnitIntervalModel(k_max=k_max)
+        _, _, leak = dual_steps(model, T)
+        res = model.dual_expectation(T)
+        assert abs(res.outflow - leak) <= 1e-12 * leak
+        if (k_max, T) == (40, 0.001):
+            mass = sum(2.0**k / math.factorial(k) for k in range(k_max + 1))
+            assert 0 < res.outflow < 1e-15 * np.spacing(mass)
 
     def test_rounding_bound_at_the_default_k_max(self):
         res = UnitIntervalModel().dual_expectation(0.5)
