@@ -4,10 +4,11 @@
 characteristics), a payoff (named family or explicit series entries), and
 runs the requested sequence flows plus whatever oracles the config enables.
 Output is a provenance header echoing every resolved setting, one table row
-per computed quantity (engine rows say how their flow ran, oracle rows carry
-absolute/relative differences against the engine), and, with ``--out``,
-CSV artifacts at full precision. No row carries a truncation estimate;
-``--sweep-order`` diffs each order against the oracle instead. Sweep rows of
+per computed quantity (engine rows say how their flow ran and the order it
+ran at, oracle rows carry absolute/relative differences against the engine),
+and, with ``--out``, CSV artifacts at full precision. No row carries a
+truncation estimate; ``--sweep-order`` diffs each order against the oracle
+instead, or with no oracle against its route's last row. Sweep rows of
 one route whose flows close at the same degree (``odeflow.working_order``)
 run one flow: the first such row runs it, and each later row reuses its
 result, bit for bit, with ``shared with N=<first>`` in its detail and the
@@ -27,6 +28,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -55,7 +57,6 @@ from .montecarlo import IntensityBoundError, McConfig, check_run, simulate_expec
 from .odeflow import (
     FlowBudgetError,
     OdeConfig,
-    StepSizeUnderflowError,
     affine_expectation,
     flow_to_csv,
     holomorphic_expectation,
@@ -64,7 +65,6 @@ from .odeflow import (
 from .series import CoeffSeries, LeadingCoefficientError
 
 NUMERICAL_ERRORS = (
-    StepSizeUnderflowError,
     FlowBudgetError,
     LeadingCoefficientError,
     EscapeMassError,
@@ -187,13 +187,8 @@ def _ode_config(cfg: dict) -> OdeConfig:
         raise ConfigError(f"numerics.ode.{e}") from None
 
 
-def _mc_config(cfg: dict, args) -> McConfig:
+def _mc_config(cfg: dict) -> McConfig:
     check_keys(cfg, "oracles.mc", [f.name for f in fields(McConfig)])
-    cfg = dict(cfg)
-    if args.mc_paths is not None:
-        cfg["paths"] = args.mc_paths
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     try:
         return McConfig(**cfg)
     except ValueError as e:
@@ -262,6 +257,7 @@ def _parse_box(box, dim: int) -> np.ndarray:
 
 
 _MODES = {"holomorphic": ("holomorphic",), "affine": ("affine",), "both": ("holomorphic", "affine")}
+_AFFINE_ROUTES = {"riccati": ("riccati",), "log-linear": ("log-linear",), "both": ("riccati", "log-linear")}
 
 
 def _run_modes(run_cfg: dict) -> tuple[str, ...]:
@@ -269,6 +265,24 @@ def _run_modes(run_cfg: dict) -> tuple[str, ...]:
     if mode not in _MODES:
         raise ConfigError(f"run.mode must be holomorphic, affine or both, got {mode!r}")
     return _MODES[mode]
+
+
+class _Run(NamedTuple):
+    """The ``run`` section of a series model, resolved."""
+
+    modes: tuple[str, ...]
+    T: float
+    x0: float | np.ndarray
+    affine_routes: tuple[str, ...]
+
+
+def _run_settings(cfg: dict, dim: int) -> _Run:
+    run_cfg = _section(cfg, "run", keys=("mode", "T", "x0", "affine_route"))
+    modes, T, x0 = _run_modes(run_cfg), _horizon(run_cfg), _parse_x0(run_cfg, dim)
+    route = run_cfg.get("affine_route", "riccati")
+    if route not in _AFFINE_ROUTES:
+        raise ConfigError(f"run.affine_route must be riccati, log-linear or both, got {route!r}")
+    return _Run(modes, T, x0, _AFFINE_ROUTES[route])
 
 
 def _timed(rows: list[Row], quantity: str, mode: str, kind: str, call, describe=lambda v: (v, "")):
@@ -293,15 +307,10 @@ def _mc_detail(est):
     return est.mean, detail
 
 
-def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: int, ode: OdeConfig) -> list[Row]:
-    run_cfg = _section(cfg, "run", keys=("mode", "T", "x0", "affine_route"))
-    modes = _run_modes(run_cfg)
-    T = _horizon(run_cfg)
-    x0 = _parse_x0(run_cfg, model.dim)
-    route = run_cfg.get("affine_route", "riccati")
-    if route not in ("riccati", "log-linear", "both"):
-        raise ConfigError(f"run.affine_route must be riccati, log-linear or both, got {route!r}")
-    sweep = args.sweep_order is not None
+def _diffusive_rows(
+    model, name, cfg, run: _Run, out_dir, orders: list[int], buffer: int, ode: OdeConfig, sweep: bool
+) -> list[Row]:
+    modes, T, x0 = run.modes, run.T, run.x0
 
     oracles = _section(cfg, "oracles", required=False, keys=("mc", "dual"))
     fn_cfg = _section(cfg, "function")
@@ -311,7 +320,7 @@ def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: 
 
     # oracle settings are checked here, so a config error costs no flow
     mc_cfg = oracles.get("mc")
-    mc = _mc_config(mc_cfg, args) if mc_cfg is not None else None
+    mc = _mc_config(mc_cfg) if mc_cfg is not None else None
     if mc is not None:
         check_run(model, x0, T, mc)
         # the oracle's payoff is Re h: it would estimate another quantity
@@ -340,9 +349,8 @@ def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: 
     if "holomorphic" in modes:
         routes.append(("linear", "holomorphic", lambda u: holomorphic_expectation(model, u, T, x0)))
     if "affine" in modes:
-        for r in ("riccati", "log-linear"):
-            if route in (r, "both"):
-                routes.append((r, "affine", lambda u, r=r: affine_expectation(model, u, T, x0, ode, route=r)))
+        for r in run.affine_routes:
+            routes.append((r, "affine", lambda u, r=r: affine_expectation(model, u, T, x0, ode, route=r)))
 
     rows: list[Row] = []
     # (route, working order) -> (N, result) of the row that ran that flow
@@ -354,7 +362,7 @@ def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: 
             key = (label, working_order(model, u0, label))
             quantity = f"{label}-flow{tag}"
             if key in flows:
-                _timed(rows, quantity, row_mode, "engine", lambda: flows[key], lambda s: _shared_detail(s, u0.order))
+                _timed(rows, quantity, row_mode, "engine", lambda: flows[key], _shared_detail)
                 continue
             res = _timed(rows, quantity, row_mode, "engine", lambda: call(u0), _flow_detail)
             flows[key] = (n, res)
@@ -378,26 +386,23 @@ def _diffusive_rows(model, name, cfg, args, out_dir, orders: list[int], buffer: 
     return rows
 
 
-def _flow_detail(res, order=None):
-    """(value, detail) of an engine row: how its flow ran, and the degree it
-    closed at where that is below the row's ``order``, the flow's own when
-    None."""
+def _flow_detail(res):
+    """(value, detail) of an engine row: how its flow ran, and the order it
+    ran at."""
     stats = res.flow.stats
     if "nfev" in stats:
         detail = f"nfev {stats['nfev']}"
     else:  # an exponential action: its Taylor steps or its Pade squarings
         steps = "s" if stats["method"] == "taylor" else "squarings"
         detail = f"{stats['method']}, matvecs {stats['matvecs']}, {steps} {stats[steps]}"
-    if stats["order"] < (order or res.flow.final.order):
-        detail += f", closed at degree {stats['order']}"
-    return res.value, detail
+    return res.value, f"{detail}, order {stats['order']}"
 
 
-def _shared_detail(shared, order: int):
-    """``_flow_detail`` of a row of working ``order`` that reuses the result
-    of the row labelled N=n, where ``shared`` is (n, result)."""
+def _shared_detail(shared):
+    """``_flow_detail`` of a row that reuses the result of the row labelled
+    N=n, where ``shared`` is (n, result)."""
     n, res = shared
-    value, detail = _flow_detail(res, order)
+    value, detail = _flow_detail(res)
     return value, f"{detail}, shared with N={n}"
 
 
@@ -436,21 +441,27 @@ def _chain_rows(chain: FiniteChain, cfg, args) -> list[Row]:
 
 def _attach_diffs(rows: list[Row], sweep: bool) -> None:
     """Oracle rows diff against the engine; in a sweep the engine rows diff
-    against the oracle instead (that is the convergence readout)."""
+    against the oracle instead (that is the convergence readout), or with no
+    oracle, each route's rows against that route's last row."""
     for mode in ("holomorphic", "affine"):
         engines = [r for r in rows if r.mode == mode and r.kind == "engine"]
         oracles = [r for r in rows if r.mode == mode and r.kind == "oracle"]
         if not engines:
             continue
-        if sweep:
-            ref = oracles[0].value if oracles else engines[-1].value
-            targets = engines if oracles else engines[:-1]
+        if not sweep:
+            groups = [(oracles, engines[0].value)]
+        elif oracles:
+            groups = [(engines, oracles[0].value)]
         else:
-            ref, targets = engines[0].value, oracles
-        for r in targets:
-            r.abs_diff = abs(r.value - ref)
-            # against a zero reference only the absolute difference means anything
-            r.rel_diff = r.abs_diff / abs(ref) if ref != 0 else None
+            by_route: dict[str, list[Row]] = {}
+            for r in engines:
+                by_route.setdefault(r.quantity.split()[0], []).append(r)
+            groups = [(route_rows[:-1], route_rows[-1].value) for route_rows in by_route.values()]
+        for targets, ref in groups:
+            for r in targets:
+                r.abs_diff = abs(r.value - ref)
+                # against a zero reference only the absolute difference means anything
+                r.rel_diff = r.abs_diff / abs(ref) if ref != 0 else None
 
 
 def _fmt_value(v: complex) -> str:
@@ -506,11 +517,7 @@ def _echo_header(cfg: dict, args, name: str, numerics: dict | None = None) -> No
     """``numerics`` holds the resolved truncation settings of a series model."""
     resolved = {
         "model": name,
-        "overrides": {
-            "sweep_order": args.sweep_order,
-            "mc_paths": args.mc_paths,
-            "seed": args.seed,
-        },
+        "overrides": {"sweep_order": args.sweep_order},
         "config": cfg,
     }
     if numerics is not None:
@@ -558,21 +565,16 @@ def run_config(cfg: dict, args) -> list[Row]:
         rows = _chain_rows(model, cfg, args)
     else:
         ode = _ode_config(num_cfg.get("ode") or {})
-        modes = _run_modes(_section(cfg, "run", keys=("mode", "T", "x0", "affine_route")))
-        # engine rows are labelled by N and computed at order N + buffer; only
-        # the affine routes integrate, so only they read ``ode``
-        numerics = {
-            "order": order,
-            "buffer": buffer,
-            "working_order": {n: n + buffer for n in orders},
-            "ode": asdict(ode) if "affine" in modes else "not read",
-        }
+        run = _run_settings(cfg, model.dim)
+        # engine rows are labelled by N and each names the order its flow ran
+        # at; only the affine routes integrate, so only they read ``ode``
+        numerics = {"order": order, "buffer": buffer, "ode": asdict(ode) if "affine" in run.modes else "not read"}
         _echo_header(cfg, args, name, numerics)
         if cfg.get("grid") is not None:
             problems = _grid_check(model, _section(cfg, "grid", keys=("lo", "hi", "n", "box")))
             if problems:
                 raise ConfigError("model failed grid validation: " + "; ".join(problems))
-        rows = _diffusive_rows(model, name, cfg, args, out_dir, orders, buffer, ode)
+        rows = _diffusive_rows(model, name, cfg, run, out_dir, orders, buffer, ode, args.sweep_order is not None)
 
     _attach_diffs(rows, args.sweep_order is not None)
     _print_table(rows)
@@ -588,8 +590,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="execute a config file and print the results table")
     runp.add_argument("config", help="path to a YAML run config")
     runp.add_argument("--sweep-order", help="comma-separated truncation orders, one engine row each")
-    runp.add_argument("--mc-paths", type=int, help="override Monte Carlo path count")
-    runp.add_argument("--seed", type=int, help="override Monte Carlo seed")
     runp.add_argument("--out", help="directory for results.csv and flow CSVs")
     sub.add_parser("list-presets", help="print the preset registry")
     return p

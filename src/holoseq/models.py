@@ -88,15 +88,14 @@ _CHAIN_ODE = OdeConfig(rtol=1e-11, atol=1e-13)
 
 
 def chain_expectation(chain: FiniteChain, h: np.ndarray, T: float, route: str = "expm"):
-    """E_i[h(X_T)] for every start state: exp(T Q) h, directly or by ODE."""
+    """E_i[h(X_T)] for every start state: exp(T Q) h, directly or by ODE,
+    in h's own type (an integer payoff as float64)."""
     h = np.asarray(h)
     q = chain.generator_matrix
     if route == "expm":
         return expm(T * q) @ h
     if route == "ode":
-        _, ys, _ = dopri5(lambda t, y: q @ y, 0.0, T, h.astype(np.complex128), _CHAIN_ODE)
-        out = ys[-1]
-        return out.real if np.isrealobj(h) else out
+        return dopri5(lambda t, y: q @ y, 0.0, T, h, _CHAIN_ODE)[1][-1]
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -115,10 +114,7 @@ def chain_affine_flow(chain: FiniteChain, u0: np.ndarray, T: float, route: str =
     """
     u0 = np.asarray(u0)
     if route == "riccati":
-        rhs = lambda t, y: chain_riccati_rhs(chain, y).astype(y.dtype)
-        _, ys, _ = dopri5(rhs, 0.0, T, u0.astype(np.complex128), _CHAIN_ODE)
-        out = ys[-1]
-        return out.real if np.isrealobj(u0) else out
+        return dopri5(lambda t, y: chain_riccati_rhs(chain, y), 0.0, T, u0, _CHAIN_ODE)[1][-1]
     if route == "log-linear":
         c = chain_expectation(chain, np.exp(u0), T)
         return np.log(c)

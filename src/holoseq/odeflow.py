@@ -17,10 +17,11 @@ chain oracles.
 
 The riccati and log-linear routes run through one integration path around
 ``dopri5``, the adaptive Dormand-Prince 8(5,3) pair of Hairer, Norsett and
-Wanner (their code DOP853), which is dimension-agnostic over flat complex
-state vectors and keeps the start and end states only. At the sizes these
-flows run, a step costs Python overhead rather than arithmetic, so the
-order-8 pair's few long steps beat a low-order pair's many short ones. A
+Wanner (their code DOP853), which is dimension-agnostic over flat real or
+complex state vectors and keeps the start and end states only. At the
+sizes these flows run, a step costs Python overhead rather than arithmetic,
+so the order-8 pair's few long steps beat a low-order pair's many short
+ones. A
 flow holds the payoff it was given, as its t = 0 snapshot, and its end
 state at t = T. The adaptive
 error norm weights coefficient alpha by 1 / alpha! so tolerance is enforced
@@ -46,7 +47,7 @@ import numpy as np
 
 from holoseq import series as ser
 from holoseq.characteristics import Characteristics
-from holoseq.checks import is_finite_real, is_integer
+from holoseq.checks import is_finite_real
 from holoseq.generator import apply_l_composition, apply_r, l_matrix, l_norm, linear_closes, riccati_closes
 from holoseq.series import CoeffSeries, LeadingCoefficientError
 
@@ -54,7 +55,6 @@ __all__ = [
     "OdeConfig",
     "FlowResult",
     "ExpectationResult",
-    "StepSizeUnderflowError",
     "FlowBudgetError",
     "dopri5",
     "expm",
@@ -69,17 +69,10 @@ __all__ = [
 ]
 
 
-class StepSizeUnderflowError(RuntimeError):
-    """Adaptive step fell below representable resolution at ``time``."""
-
-    def __init__(self, message: str, time: float):
-        super().__init__(message)
-        self.time = time
-
-
 class FlowBudgetError(RuntimeError):
-    """A flow that cannot reach the horizon: the step budget ran out, or the
-    exponential action left the floating-point range."""
+    """A flow that cannot reach the horizon: the step budget ran out, the
+    adaptive step fell below the resolution of the time, or the exponential
+    action left the floating-point range."""
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,6 @@ class OdeConfig:
     atol: float = 1e-12
     # None: horizon / 100
     first_step: float | None = None
-    max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
         for name in ("rtol", "atol", "first_step"):
@@ -98,9 +90,10 @@ class OdeConfig:
             ok = is_finite_real(v) and v > 0
             if not (ok or (v is None and name == "first_step")):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
-        m = self.max_steps
-        if not (is_integer(m) and m >= 1):
-            raise ValueError(f"max_steps must be a positive integer, got {m!r}")
+
+
+# the attempted steps after which ``dopri5`` gives a flow up
+_MAX_STEPS = 1_000_000
 
 
 # The Dormand-Prince 8(5,3) pair (Hairer, Norsett and Wanner, Solving
@@ -215,10 +208,14 @@ def dopri5(
     Each step makes 11 new stages and, once accepted short of t1, f at the
     new point, the next step's first stage. Its error is Hairer's blend of
     the 5th- and 3rd-order estimates; the step scales by 0.9 err^(-1/8)
-    within [0.2, 10], and does not grow right after a rejection."""
+    within [0.2, 10], and does not grow right after a rejection. A flow
+    that takes ``_MAX_STEPS`` attempts, or whose step falls below the
+    resolution of t, raises FlowBudgetError."""
     cfg = config or OdeConfig()
-    rtol, atol, max_steps = cfg.rtol, cfg.atol, cfg.max_steps
-    y = np.array(y0)
+    rtol, atol = cfg.rtol, cfg.atol
+    y = np.asarray(y0)
+    # a copy, in y0's own floating type: an integer state flows as float64
+    y = y.astype(np.result_type(y, 1.0))
     w = np.ones(y.size) if weights is None else np.asarray(weights, dtype=float)
     times = np.array([t0, t1], dtype=float)
     if not np.all(np.isfinite(times)):
@@ -240,11 +237,11 @@ def dopri5(
     nfev, accepted, rejected = 1, 0, 0
     retried = False
     while t < t1 - tiny:
-        if accepted + rejected >= max_steps:
-            raise FlowBudgetError(f"exceeded {max_steps} steps at t={t:.6g}")
+        if accepted + rejected >= _MAX_STEPS:
+            raise FlowBudgetError(f"exceeded {_MAX_STEPS} steps at t={t:.6g}")
         h_step = min(h, t1 - t)
         if h_step < tiny:
-            raise StepSizeUnderflowError(f"step size {h_step:.3e} underflow at t={t:.6g}", t)
+            raise FlowBudgetError(f"step size {h_step:.3e} underflow at t={t:.6g}")
         y1 = _step(rhs, t, y, h_step, k)
         nfev += 11
         en = _norm(_E @ k, h_step, y, y1, rtol, atol, w)

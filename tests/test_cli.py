@@ -18,7 +18,7 @@ from holoseq import cli
 from holoseq import series as ser
 from holoseq.cli import main
 from holoseq.models import UnitIntervalModel, build_preset
-from holoseq.odeflow import OdeConfig, affine_expectation, holomorphic_expectation
+from holoseq.odeflow import OdeConfig, affine_expectation, holomorphic_expectation, working_order
 
 BASE = {
     "model": {"preset": "bm"},
@@ -58,7 +58,15 @@ def write_cfg(tmp_path, cfg, name="run.yaml"):
 
 def sweep_args(sweep):
     """The arguments of ``holoseq run`` with ``--sweep-order sweep`` and no other flag."""
-    return argparse.Namespace(sweep_order=sweep, mc_paths=None, seed=None, out=None)
+    return argparse.Namespace(sweep_order=sweep, out=None)
+
+
+def readme_config():
+    """The README's example config, with a Monte Carlo oracle of 200 paths."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    cfg = yaml.safe_load(readme.split("```yaml\n", 1)[1].split("```", 1)[0])
+    cfg["oracles"]["mc"]["paths"] = 200
+    return cfg
 
 
 def run_cli(capsys, *argv):
@@ -96,14 +104,18 @@ class TestRun:
         blob = "\n".join(line[2:] for line in header)
         assert "preset: bm" in blob and "order: 8" in blob
 
-    def test_header_echoes_working_order(self, tmp_path, capsys):
-        # BASE sets order 8 and no buffer; the default buffer of 2 runs it at 10
+    def test_header_echoes_resolved_numerics(self, tmp_path, capsys):
+        # BASE sets order 8 and no buffer: the default buffer of 2 is echoed;
+        # the order each flow ran at is in its row, here 2, where h = x^2 closes
         code, out, _ = run_cli(capsys, "run", write_cfg(tmp_path, BASE))
         assert code == 0
         # the first header line names the version; the rest is YAML
         header = [line[2:] for line in out.splitlines() if line.startswith("#")]
-        numerics = yaml.safe_load("\n".join(header[1:]))["numerics"]
-        assert numerics == {"order": 8, "buffer": 2, "working_order": {8: 10}, "ode": "not read"}
+        resolved = yaml.safe_load("\n".join(header[1:]))
+        assert resolved["numerics"] == {"order": 8, "buffer": 2, "ode": "not read"}
+        assert resolved["overrides"] == {"sweep_order": None}
+        row = next(line for line in out.splitlines() if line.startswith("linear-flow"))
+        assert row.endswith(", order 2")
 
     @pytest.mark.parametrize(
         "run,ode",
@@ -112,7 +124,7 @@ class TestRun:
             ({"mode": "holomorphic", "T": 1.0}, "not read"),
             # an affine row integrates: the header holds every setting, defaults included
             ({"mode": "affine", "T": 1.0, "affine_route": "log-linear"},
-             {"rtol": 1e-3, "atol": 1e-12, "first_step": None, "max_steps": 1_000_000}),
+             {"rtol": 1e-3, "atol": 1e-12, "first_step": None}),
         ],
         ids=["holomorphic", "affine"],
     )
@@ -198,27 +210,28 @@ class TestRun:
         code, out, _ = run_cli(capsys, "run", write_cfg(tmp_path, BASE), "--out", str(out_dir))
         assert code == 0
         row = next(line for line in out.splitlines() if line.startswith("linear-flow"))
-        assert row.endswith("closed at degree 2")
+        assert row.endswith(", order 2")
         with open(out_dir / "flow_linear.csv") as fh:
             flow = list(csv.DictReader(fh))
         assert list(flow[0])[-2:] == ["re[10]", "im[10]"]
         assert float(flow[-1]["re[2]"]) == 2.0 and float(flow[-1]["re[3]"]) == 0.0
-        # a full series never closes
+        # a full series never closes: it runs at N + buffer
         cfg = dict(BASE, function={"family": "exp", "scale": 0.5})
         code, out, _ = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
-        assert code == 0 and "closed at" not in out
+        row = next(line for line in out.splitlines() if line.startswith("linear-flow"))
+        assert code == 0 and row.endswith(", order 10")
 
     @pytest.mark.parametrize(
         "cfg,how",
         [
             # bm's L shifts by two degrees: the Taylor series ends after a few products
-            (dict(BASE, function={"family": "exp", "scale": 0.5}), r"taylor, matvecs \d+, s 1$"),
+            (dict(BASE, function={"family": "exp", "scale": 0.5}), r"taylor, matvecs \d+, s 1, order 10$"),
             # unit-interval's L is stiff: the dense exponential, squared 11 times at order 18
             (dict(BASE, model={"preset": "unit-interval"}, function={"family": "exp"}, run={"T": 0.5, "x0": 0.5},
-                  numerics={"order": 16}), r"pade, matvecs 1, squarings 11$"),
+                  numerics={"order": 16}), r"pade, matvecs 1, squarings 11, order 18$"),
             # the other routes integrate, and report the right-hand sides
             (dict(BASE, run={"mode": "affine", "T": 0.5, "affine_route": "both"},
-                  function={"family": "polynomial", "coefficients": [0.0, 0.5]}), r"nfev \d+"),
+                  function={"family": "polynomial", "coefficients": [0.0, 0.5]}), r"nfev \d+, order \d+$"),
         ],
         ids=["linear-taylor", "linear-pade", "affine-routes"],
     )
@@ -249,19 +262,38 @@ class TestRun:
         assert line.split()[3] == f"{float(mc['abs_diff']):.2e}"
         assert "e+" not in line
 
-    def test_sweep_rows(self, tmp_path, capsys):
-        cfg = dict(BASE, function={"family": "exp", "scale": 1.0})
-        code, out, _ = run_cli(
-            capsys, "run", write_cfg(tmp_path, cfg), "--sweep-order", "4,8,12"
-        )
-        assert code == 0
-        rows = [line for line in out.splitlines() if line.startswith("linear-flow N=")]
-        assert len(rows) == 3
-        # quantity tag has a space ("linear-flow N=4"), so the value sits at
-        # split index 3; with no oracle, earlier orders diff against the last
-        errs = [float(r.split()[4]) for r in rows[:2]]
-        assert errs[0] > errs[1]
-        assert float(rows[-1].split()[3]) == pytest.approx(math.exp(0.5), rel=1e-5)
+    @pytest.mark.parametrize(
+        "cfg,orders",
+        [
+            (dict(BASE, function={"family": "exp", "scale": 1.0}), [4, 8, 12]),
+            # two routes of one mode: riccati closes at degree two, so its rows
+            # are exact, while the log-linear rows converge
+            (dict(BASE, function={"family": "polynomial", "coefficients": [0.0, 0.6, 0.15]},
+                  run={"mode": "affine", "T": 1.0, "x0": 0.2, "affine_route": "both"}), [8, 12, 16]),
+        ],
+        ids=["linear", "affine-both"],
+    )
+    def test_sweep_rows(self, cfg, orders):
+        rows = cli.run_config(cfg, sweep_args(",".join(map(str, orders))))
+        by_route = {}
+        for r in rows:
+            by_route.setdefault(r.quantity.split()[0], []).append(r)
+        # with no oracle, each route's earlier orders diff against that
+        # route's last row, which carries no diff
+        for route_rows in by_route.values():
+            assert [r.quantity.split()[1] for r in route_rows] == [f"N={n}" for n in orders]
+            last = route_rows[-1]
+            assert last.abs_diff is None
+            assert [r.abs_diff for r in route_rows[:-1]] == [abs(r.value - last.value) for r in route_rows[:-1]]
+        if "linear-flow" in by_route:
+            errs = [r.abs_diff for r in by_route["linear-flow"][:-1]]
+            assert errs[0] > errs[1]
+            assert by_route["linear-flow"][-1].value == pytest.approx(math.exp(0.5), rel=1e-5)
+        else:
+            assert set(by_route) == {"riccati-flow", "log-linear-flow"}
+            assert [r.abs_diff for r in by_route["riccati-flow"][:-1]] == [0.0, 0.0]
+            errs = [r.abs_diff for r in by_route["log-linear-flow"][:-1]]
+            assert errs[0] > errs[1] > 0
 
     @pytest.mark.parametrize(
         "model,function",
@@ -314,9 +346,8 @@ class TestRun:
 
     def test_readme_example_runs(self, tmp_path, capsys):
         # every key of the documented config is accepted, and it runs
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        cfg = yaml.safe_load(readme.split("```yaml\n", 1)[1].split("```", 1)[0])
-        code, out, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg), "--mc-paths", "200")
+        cfg = readme_config()
+        code, out, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg))
         assert code == 0, err
         assert sum(line.startswith(("linear-flow", "riccati-flow", "log-linear-flow")) for line in out.splitlines()) == 3
 
@@ -356,12 +387,11 @@ class TestRun:
     @pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="libyaml is not installed")
     @pytest.mark.parametrize(
         "which,flags",
-        [("readme", ("--mc-paths", "200")), ("chain", ()), ("sweep", ("--sweep-order", "4,6"))],
+        [("readme", ()), ("chain", ()), ("sweep", ("--sweep-order", "4,6"))],
     )
     def test_header_is_the_same_with_either_dumper(self, tmp_path, capsys, monkeypatch, which, flags):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         cfg = {
-            "readme": yaml.safe_load(readme.split("```yaml\n", 1)[1].split("```", 1)[0]),
+            "readme": readme_config(),
             "chain": {
                 "model": {"preset": "two-state-affine"},
                 "function": {"family": "values", "values": [0.3, -0.2]},
@@ -381,14 +411,13 @@ class TestRun:
         monkeypatch.delattr(yaml, "CSafeDumper")
         assert header() == with_c and len(with_c) > 5
 
-    def test_mc_override_flags(self, tmp_path, capsys):
-        cfg = dict(BASE, oracles={"mc": {"paths": 5000, "dt": 0.005, "seed": 1}})
-        code, out, _ = run_cli(
-            capsys, "run", write_cfg(tmp_path, cfg), "--mc-paths", "800", "--seed", "7"
-        )
-        assert code == 0
-        mc = next(line for line in out.splitlines() if line.startswith("monte-carlo"))
-        assert "paths 800" in mc
+    @pytest.mark.parametrize("flag", ["--mc-paths", "--seed"])
+    def test_mc_settings_have_no_flags(self, tmp_path, capsys, flag):
+        # oracles.mc.paths and oracles.mc.seed are the one place to set them
+        cfg = dict(BASE, oracles={"mc": {"paths": 500, "dt": 0.01, "seed": 1}})
+        with pytest.raises(SystemExit) as exc:
+            main(["run", write_cfg(tmp_path, cfg), flag, "5"])
+        assert exc.value.code == 2 and f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
     def test_mc_row_counts_jumps(self, tmp_path, capsys):
         # printed, like clamps and absorptions, only when there are any
@@ -441,7 +470,8 @@ class TestSweepSharing:
                 want = affine_expectation(chars, u0, T, x0, OdeConfig(), route=route)
             assert row.value == want.value
         assert [r.detail.endswith(", shared with N=4") for r in rows] == [False, True, True, True]
-        assert [f"closed at degree {degree}," in r.detail + "," for r in rows] == [n + 2 > degree for n in orders]
+        # every row runs at order min(N + 2, degree), which is the degree here
+        assert all(r.detail.split(", shared")[0].endswith(f", order {degree}") for r in rows)
 
     @pytest.mark.parametrize(
         "run,function",
@@ -457,6 +487,26 @@ class TestSweepSharing:
         cfg = {"model": {"preset": "bm"}, "function": function, "run": dict(run, T=0.5, x0=0.3)}
         rows = cli.run_config(cfg, sweep_args("4,8,12"))
         assert len(rows) == 3 and not any("shared" in r.detail for r in rows)
+
+    @pytest.mark.parametrize("preset", ["bm", "compound-poisson", "unit-interval"])
+    @pytest.mark.parametrize("cs", [[0.0, 0.5], [0.0, 0.6, 0.15]], ids=["linear", "quadratic"])
+    def test_every_engine_row_names_its_working_order(self, preset, cs):
+        function = {"family": "polynomial", "coefficients": cs}
+        cfg = {
+            "model": {"preset": preset},
+            "function": function,
+            "run": {"mode": "both", "T": 0.25, "x0": 0.3, "affine_route": "both"},
+        }
+        orders = [4, 6, 8]
+        rows = cli.run_config(cfg, sweep_args(",".join(map(str, orders))))
+        assert len(rows) == 3 * len(orders)
+        model = build_preset(preset, order=max(orders) + 2)
+        u_full = cli._payoff(function, 1, model.order)[0]
+        for r in rows:
+            label, tag = r.quantity.split()
+            # the default buffer: a row labelled N flows the payoff at order N + 2
+            k = working_order(model, ser.with_order(u_full, int(tag[2:]) + 2), label.removesuffix("-flow"))
+            assert re.search(rf", order {k}(, shared with N=\d+)?$", r.detail), (r.quantity, r.detail)
 
     def test_no_row_shares_across_routes(self):
         cfg = {
@@ -680,6 +730,7 @@ class TestExitCodes:
             ("ode", {"method": "rk4"}),
             ("ode", {"fixed_step": 1e-3}),
             ("ode", {"ref_radius": 2.0}),
+            ("ode", {"max_steps": 1000}),
             ("mc", {"intensity_bound": 3.0}),
             ("mc", {"batch": 1000}),
             ("mc", {"enabled": True}),
@@ -749,10 +800,6 @@ class TestExitCodes:
             pytest.param(lambda c: c["numerics"].update(ode={"atol": math.inf}), "numerics.ode.atol", id="inf-atol"),
             pytest.param(lambda c: c["numerics"].update(ode={"first_step": math.nan}), "numerics.ode.first_step",
                          id="nan-first-step"),
-            pytest.param(lambda c: c["numerics"].update(ode={"max_steps": 2.5}), "numerics.ode.max_steps",
-                         id="float-max-steps"),
-            pytest.param(lambda c: c["numerics"].update(ode={"max_steps": True}), "numerics.ode.max_steps",
-                         id="bool-max-steps"),
             # a payoff that is not finite
             pytest.param(lambda c: c.update(function={"family": "exp", "amplitude": math.inf}), "function.amplitude",
                          id="inf-amplitude"),

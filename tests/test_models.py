@@ -86,10 +86,13 @@ class TestFiniteChain:
         rng = np.random.default_rng(314)
         for _ in range(3):
             chain = FiniteChain(rng.uniform(0.0, 2.0, size=(4, 4)))
-            h = rng.standard_normal(4)
-            via_expm = chain_expectation(chain, h, 0.8, route="expm")
-            via_ode = chain_expectation(chain, h, 0.8, route="ode")
-            np.testing.assert_allclose(via_ode, via_expm, atol=1e-9)
+            real = rng.standard_normal(4)
+            for h in (real, real + 1j * rng.standard_normal(4), rng.integers(-3, 4, 4)):
+                via_expm = chain_expectation(chain, h, 0.8, route="expm")
+                via_ode = chain_expectation(chain, h, 0.8, route="ode")
+                # the flow runs in the payoff's own type, an integer one as float64
+                assert via_ode.dtype == via_expm.dtype == np.result_type(h, 1.0)
+                np.testing.assert_allclose(via_ode, via_expm, atol=1e-9)
 
     def test_two_state_closed_form(self):
         l12, l21, u1, u2 = 0.6, 0.9, 0.3, -0.2
@@ -101,10 +104,14 @@ class TestFiniteChain:
 
     def test_affine_flow_routes_agree(self):
         chain = FiniteChain(np.random.default_rng(5).uniform(0.1, 1.5, (3, 3)))
-        u0 = np.array([0.4, -0.3, 0.1])
-        direct = chain_affine_flow(chain, u0, 1.2, route="riccati")
-        via_log = chain_affine_flow(chain, u0, 1.2, route="log-linear")
-        np.testing.assert_allclose(direct, via_log, atol=1e-9)
+        real = np.array([0.4, -0.3, 0.1])
+        # a complex exponent flows as complex; its imaginary parts stay within
+        # the principal branch of the log-linear route's logarithm
+        for u0 in (real, real + 1j * np.array([0.2, 0.1, -0.3])):
+            direct = chain_affine_flow(chain, u0, 1.2, route="riccati")
+            via_log = chain_affine_flow(chain, u0, 1.2, route="log-linear")
+            assert direct.dtype == via_log.dtype == u0.dtype
+            np.testing.assert_allclose(direct, via_log, atol=1e-9)
 
     def test_riccati_rhs_is_conjugated_generator(self):
         chain = FiniteChain(np.random.default_rng(6).uniform(0.0, 2.0, (5, 5)))
