@@ -6,18 +6,19 @@ runs the requested sequence flows plus whatever oracles the config enables.
 Output is a provenance header echoing every resolved setting, one table row
 per computed quantity (engine rows say how their flow ran and the order it
 ran at, oracle rows carry absolute/relative differences against the engine),
-and, with ``--out``, CSV artifacts at full precision. No row carries a
-truncation estimate; ``--sweep-order`` diffs each order against the oracle
-instead, or with no oracle against its route's last row. Sweep rows of
-one route whose flows close at the same degree (``odeflow.working_order``)
-run one flow: the first such row runs it, and each later row reuses its
-result, bit for bit, with ``shared with N=<first>`` in its detail and the
-lookup alone as its time.
+and, with ``--out``, CSV artifacts at full precision: results.csv and the
+coefficients of each flow that ran. No row carries a truncation estimate;
+``--sweep-order`` diffs each order against the oracle instead (the dual
+chain ahead of Monte Carlo), or with no oracle against its route's last
+row. Sweep rows of one route whose flows close at the same degree
+(``odeflow.working_order``) run one flow: the first such row runs it, and
+each later row reuses its result, bit for bit, with ``shared with
+N=<first>`` in its detail and the lookup alone as its time.
 
 Exit codes: 0 on success, 2 on config or model-validation problems, 3 on
 numerical failure (step-size underflow, flow budget, an exponential action
-that is not finite, vanishing leading coefficient, escaped dual mass,
-negative or NaN jump intensity on a simulated path).
+that is not finite, a log-linear flow whose leading coefficient vanishes at
+T, escaped dual mass, negative or NaN jump intensity on a simulated path).
 """
 
 from __future__ import annotations
@@ -366,14 +367,11 @@ def _diffusive_rows(
                 continue
             res = _timed(rows, quantity, row_mode, "engine", lambda: call(u0), _flow_detail)
             flows[key] = (n, res)
-            if out_dir is not None and not sweep:
-                flow_to_csv(res.flow, out_dir / f"flow_{label.replace('-', '_')}.csv")
+            if out_dir is not None:
+                stem = f"flow_{label.replace('-', '_')}" + (f"_N{n}" if sweep else "")
+                flow_to_csv(res.flow, out_dir / f"{stem}.csv")
 
-    if mc is not None:
-        payoffs = {"holomorphic": f_exact, "affine": lambda xs: np.exp(f_exact(xs))}
-        for m in modes:
-            _timed(rows, "monte-carlo", m, "oracle", lambda: simulate_expectation(model, payoffs[m], x0, T, mc), _mc_detail)
-
+    # the dual chain comes first: it is the affine mode's reference in a sweep
     if dual_cfg is not None:
         _timed(
             rows, "dual-chain", "affine", "oracle",
@@ -383,6 +381,11 @@ def _diffusive_rows(
                 f"outflow {res.outflow:.2e}, bound {res.impact_bound:.2e}, rounding {res.rounding:.2e}",
             ),
         )
+
+    if mc is not None:
+        payoffs = {"holomorphic": f_exact, "affine": lambda xs: np.exp(f_exact(xs))}
+        for m in modes:
+            _timed(rows, "monte-carlo", m, "oracle", lambda: simulate_expectation(model, payoffs[m], x0, T, mc), _mc_detail)
     return rows
 
 
@@ -441,8 +444,11 @@ def _chain_rows(chain: FiniteChain, cfg, args) -> list[Row]:
 
 def _attach_diffs(rows: list[Row], sweep: bool) -> None:
     """Oracle rows diff against the engine; in a sweep the engine rows diff
-    against the oracle instead (that is the convergence readout), or with no
-    oracle, each route's rows against that route's last row."""
+    against the mode's first oracle row instead (that is the convergence
+    readout), or with no oracle, each route's rows against that route's last
+    row. The rows come in the order ``_diffusive_rows`` emits them, so the
+    dual chain, where configured, is the affine mode's reference ahead of
+    Monte Carlo."""
     for mode in ("holomorphic", "affine"):
         engines = [r for r in rows if r.mode == mode and r.kind == "engine"]
         oracles = [r for r in rows if r.mode == mode and r.kind == "oracle"]
@@ -590,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="execute a config file and print the results table")
     runp.add_argument("config", help="path to a YAML run config")
     runp.add_argument("--sweep-order", help="comma-separated truncation orders, one engine row each")
-    runp.add_argument("--out", help="directory for results.csv and flow CSVs")
+    runp.add_argument("--out", help="directory for results.csv and a CSV per flow run, flow_<route>[_N<n>].csv")
     sub.add_parser("list-presets", help="print the preset registry")
     return p
 

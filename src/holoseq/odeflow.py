@@ -3,9 +3,11 @@
 Solves the two sequence-valued initial value problems behind expectation
 functionals: the linear flow c' = L(c) (whose evaluation at the start state
 gives E[h(X_T)]) and the quadratic flow psi' = R(psi) (whose evaluated
-exponential gives E[exp h(X_T)]). A third route recovers psi from the linear
-flow by a *-logarithm, tracking the degree-zero branch with an auxiliary
-scalar ODE so the two quadratic routes stay comparable.
+exponential gives E[exp h(X_T)]). A third route, log-linear, is the
+*-logarithm of the linear flow of exp*(u0): psi(T) = log* c(T). Its degree-
+zero coefficient is the principal log of c_0(T); the value reads psi_0 only
+through exp, so every branch gives the same expectation. Only c_0(T) is
+guarded: a c_0 that crosses zero mid-flow is not seen.
 
 L is one constant matrix per model and order, so the linear flow is the
 exponential action c(T) = exp(T L) u0, computed by ``expm_action``: a
@@ -49,7 +51,7 @@ from holoseq import series as ser
 from holoseq.characteristics import Characteristics
 from holoseq.checks import is_finite_real
 from holoseq.generator import apply_l_composition, apply_r, l_matrix, l_norm, linear_closes, riccati_closes
-from holoseq.series import CoeffSeries, LeadingCoefficientError
+from holoseq.series import CoeffSeries
 
 __all__ = [
     "OdeConfig",
@@ -400,21 +402,20 @@ class ExpectationResult:
     flow: FlowResult
 
 
-def _flow(rhs, u0: CoeffSeries, u: CoeffSeries, y0: np.ndarray, T: float, config, snapshot) -> FlowResult:
-    """The integration path of the dopri5 flows of the payoff u0, run as u:
-    dopri5 from y0 over [0, T], with the leading series block of the state
-    weighted like u and any trailing scalar by 1. The flow starts at u0, and
-    ``snapshot`` turns the end state into a series. The stats add u's order
-    as the working ``order``."""
-    w = np.ones(y0.size)
-    w[: u.coeffs.size] = ser.taylor_weights(u.dim, u.order)
-    times, states, stats = dopri5(rhs, 0.0, T, y0, config, w)
-    return FlowResult(times, (u0, snapshot(states[-1])), dict(stats, order=u.order))
+def _flow(rhs, u0: CoeffSeries, start: CoeffSeries, T: float, config, snapshot) -> FlowResult:
+    """The integration path of the dopri5 flows of the payoff u0: dopri5
+    from the coefficients of ``start`` over [0, T], each weighted as in
+    ``series.taylor_weights``. The flow holds u0 as its t = 0 snapshot, and
+    ``snapshot`` turns the end state into a series. The stats add start's
+    order as the working ``order``."""
+    w = ser.taylor_weights(start.dim, start.order)
+    times, states, stats = dopri5(rhs, 0.0, T, start.coeffs, config, w)
+    return FlowResult(times, (u0, snapshot(states[-1])), dict(stats, order=start.order))
 
 
 # The closure test of each route's system at degree d (see ``_working``):
 # the one rule of which flows run below the payoff's order. The log-linear
-# route's augmented flow of exp*(u0) is a full series, and never closes.
+# route's flow of exp*(u0) is a full series, and never closes.
 _CLOSES = {
     "linear": lambda chars, d: linear_closes(chars),
     "riccati": riccati_closes,
@@ -481,40 +482,25 @@ def solve_riccati(model: Characteristics, u0: CoeffSeries, T: float, config: Ode
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return apply_r(CoeffSeries(u.dim, u.order, y), model).coeffs
 
-    return _flow(rhs, u0, u, u.coeffs, T, config, _padded(u, u0.order))
+    return _flow(rhs, u0, u, T, config, _padded(u, u0.order))
 
 
 def riccati_from_linear(model: Characteristics, u0: CoeffSeries, T: float, config: OdeConfig | None = None) -> FlowResult:
-    """psi(t) = log* c(t) where c flows linearly from exp*(u0), by dopri5
-    under ``config``, on ``model`` cut to u0's order.
+    """psi(T) = log* c(T), where c' = L(c) flows from c(0) = exp*(u0) by
+    dopri5 under ``config``, on ``model`` cut to u0's order.
 
-    The degree-zero branch is not recoverable from c alone once Im log c_0
-    wanders; an auxiliary scalar phi0' = (Lc)_0 / c_0 with phi0(0) = u0_0
-    integrates the branch alongside and is handed to the *-logarithm.
+    psi_0(T) is the principal log of c_0(T), which may differ from the
+    riccati route's psi_0 by 2 pi i k; exp(psi) is the same. ``log_star``
+    raises LeadingCoefficientError where |c_0(T)| <= EPS_DIV; a c_0 that
+    crosses zero before T and leaves it again passes unseen.
     """
     model, _ = _working(model, u0, "log-linear")
     dim, order = u0.dim, u0.order
-    c0 = ser.exp_star(u0)
-    n = c0.coeffs.size
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        lead = y[0]
-        if abs(lead) <= ser.EPS_DIV:
-            raise LeadingCoefficientError(
-                f"linear flow leading coefficient |c_0| = {abs(lead):.3e} within "
-                f"division guard at t = {t:.6g}; the *-log route breaks down here"
-            )
-        dc = apply_l_composition(CoeffSeries(dim, order, y[:n]), model).coeffs
-        out = np.empty(n + 1, dtype=np.complex128)
-        out[:n] = dc
-        out[n] = dc[0] / lead
-        return out
+        return apply_l_composition(CoeffSeries(dim, order, y), model).coeffs
 
-    def snapshot(y: np.ndarray) -> CoeffSeries:
-        return ser.log_star(CoeffSeries(dim, order, y[:n]), phi0=complex(y[n]))
-
-    y0 = np.concatenate([c0.coeffs, [complex(u0.coeffs[0])]])
-    return _flow(rhs, u0, u0, y0, T, config, snapshot)
+    return _flow(rhs, u0, ser.exp_star(u0), T, config, lambda y: ser.log_star(CoeffSeries(dim, order, y)))
 
 
 def holomorphic_expectation(

@@ -42,8 +42,9 @@ __all__ = [
     "RealEvaluator",
 ]
 
-# Division guard for leading coefficients (log_star, Riccati-from-linear) and
-# for the pole division of _divide_coeffs.
+# Division guard for the leading coefficient of log_star, which the
+# log-linear route meets at T only (a c_0 that vanishes mid-flow is not
+# seen), and for the pole division of _divide_coeffs.
 EPS_DIV = 1e-12
 
 MultiIndex = tuple[int, ...]
@@ -295,21 +296,21 @@ def _mul_rows(b: CoeffSeries, beta: MultiIndex | None = None) -> tuple[np.ndarra
     return out[keep], left[keep], right[keep], w[keep]
 
 
-def _divide_coeffs(c: np.ndarray, dim: int, order: int, coord: int = 0) -> np.ndarray:
-    """h(z) / z_coord for h vanishing on {z_coord = 0}: out_alpha =
-    c_(alpha + e_coord) / (alpha_coord + 1), for a coefficient vector or each
+def _divide_coeffs(c: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """h(z) / z_0 for h vanishing on {z_0 = 0}: out_alpha =
+    c_(alpha + e_0) / (alpha_0 + 1), for a coefficient vector or each
     column of a matrix whose rows are indexed like a series (the form that
     divides a compiled operator), behind the EPS_DIV guard."""
     idxm = _index_matrix(dim, order)
-    bad = np.abs(c[idxm[:, coord] == 0])
+    bad = np.abs(c[idxm[:, 0] == 0])
     if bad.size and bad.max() > EPS_DIV:
         raise LeadingCoefficientError(
-            f"series does not vanish on z_{coord}=0 (max |coeff| = {bad.max():.3e}); "
+            f"series does not vanish on z_0=0 (max |coeff| = {bad.max():.3e}); "
             "a pole intensity needs jump sizes vanishing at the origin"
         )
-    at = _shift_table(dim, order, tuple(1 if k == coord else 0 for k in range(dim)))
+    at = _shift_table(dim, order, (1,) + (0,) * (dim - 1))
     dst = np.flatnonzero(at >= 0)
-    denom = idxm[dst, coord] + 1.0
+    denom = idxm[dst, 0] + 1.0
     out = np.zeros_like(c)
     out[dst] = c[at[dst]] / denom.reshape(denom.shape + (1,) * (c.ndim - 1))
     return out
@@ -344,7 +345,7 @@ def _exp_star(c: np.ndarray, dim: int, order: int) -> np.ndarray:
     return e
 
 
-def log_star(c: CoeffSeries, phi0: complex | None = None) -> CoeffSeries:
+def log_star(c: CoeffSeries) -> CoeffSeries:
     """Inverse of exp_star up to the degree-zero branch.
 
     The same Euler-operator recurrence as ``exp_star``, solved for the
@@ -355,8 +356,9 @@ def log_star(c: CoeffSeries, phi0: complex | None = None) -> CoeffSeries:
     column gamma, entry w |gamma|/|delta| c_beta). The beta = 0 entries land
     on the diagonal, which forward substitution does not read.
 
-    The degree-zero coefficient is ``phi0`` when given (callers integrating a
-    flow supply the branch), else the principal log of c_0.
+    The degree-zero coefficient is the principal log of c_0, so
+    log_star(exp_star(u)) has u_0 only where |Im u_0| < pi. Raises
+    LeadingCoefficientError where |c_0| <= EPS_DIV.
     """
     c0 = complex(c.coeffs[0])
     if abs(c0) <= EPS_DIV:
@@ -369,7 +371,7 @@ def log_star(c: CoeffSeries, phi0: complex | None = None) -> CoeffSeries:
     for d in range(1, c.order + 1):
         lo, hi = deg_start[d], deg_start[d + 1]
         psi[lo:hi] = (c.coeffs[lo:hi] - m[lo:hi, :lo] @ psi[:lo]) / c0
-    psi[0] = np.log(c0) if phi0 is None else complex(phi0)
+    psi[0] = np.log(c0)
     return CoeffSeries(c.dim, c.order, psi)
 
 

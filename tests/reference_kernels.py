@@ -104,7 +104,7 @@ def _unit_leading(c: CoeffSeries) -> CoeffSeries:
     return ser.lin_comb((1.0, d), (-1.0, ser.unit(c.dim, c.order)))
 
 
-def log_star(c: CoeffSeries, phi0=None) -> CoeffSeries:
+def log_star(c: CoeffSeries) -> CoeffSeries:
     """log(h_c) as log c_0 + sum_k (-1)^(k-1)/k d^{*k}, k = 1..order, where c = c_0 (1 + d)."""
     dim, order = c.dim, c.order
     d = _unit_leading(c)
@@ -113,7 +113,7 @@ def log_star(c: CoeffSeries, phi0=None) -> CoeffSeries:
     for k in range(1, order + 1):
         power = ser.mul(power, d)
         acc += (-1.0) ** (k - 1) * (1.0 / k) * power.coeffs
-    acc[0] = np.log(complex(c.coeffs[0])) if phi0 is None else complex(phi0)
+    acc[0] = np.log(complex(c.coeffs[0]))
     return CoeffSeries(dim, order, acc)
 
 

@@ -118,18 +118,19 @@ class TestRun:
         assert row.endswith(", order 2")
 
     @pytest.mark.parametrize(
-        "run,ode",
+        "mode,ode",
         [
             # a linear row is an exponential action: the setting is checked, not read
-            ({"mode": "holomorphic", "T": 1.0}, "not read"),
+            ("holomorphic", "not read"),
             # an affine row integrates: the header holds every setting, defaults included
-            ({"mode": "affine", "T": 1.0, "affine_route": "log-linear"},
-             {"rtol": 1e-3, "atol": 1e-12, "first_step": None}),
+            ("affine", {"rtol": 1e-3, "atol": 1e-12, "first_step": None}),
         ],
         ids=["holomorphic", "affine"],
     )
-    def test_header_echoes_ode_where_read(self, tmp_path, capsys, run, ode):
-        base = dict(BASE, run=run, function={"family": "polynomial", "coefficients": [0.0, 2.0]})
+    def test_header_echoes_ode_where_read(self, tmp_path, capsys, mode, ode):
+        # unit-interval's flows are not polynomial in t, so a looser
+        # tolerance moves the log-linear value
+        base = dict(UNIT_INTERVAL, run=dict(UNIT_INTERVAL["run"], mode=mode))
         loose = dict(base, numerics={"order": 8, "ode": {"rtol": 1e-3}})
         code, out, err = run_cli(capsys, "run", write_cfg(tmp_path, loose))
         assert code == 0, err
@@ -363,6 +364,43 @@ class TestRun:
         assert all(key in dual[0]["detail"] for key in ("outflow", "bound", "rounding"))
         # the log-linear engine row is the reference of the oracle's diff
         assert float(dual[0]["rel_diff"]) <= 1e-4
+
+    def test_dual_chain_is_the_sweep_reference(self):
+        # with both oracles of the affine mode, the engine rows converge to
+        # the dual chain, not to the Monte Carlo estimate
+        mc = {"paths": 200, "dt": 0.01, "seed": 1, "state_box": [0.0, 1.0], "absorb_delta": 1e-6}
+        cfg = dict(UNIT_INTERVAL, oracles={"mc": mc, "dual": {"k_max": 200}})
+        rows = cli.run_config(cfg, sweep_args("8,16"))
+        assert [r.quantity for r in rows if r.kind == "oracle"] == ["dual-chain", "monte-carlo"]
+        dual = next(r for r in rows if r.quantity == "dual-chain")
+        engines = [r for r in rows if r.kind == "engine"]
+        assert len(engines) == 2 and engines[1].abs_diff < 1e-4 < engines[0].abs_diff
+        assert [r.abs_diff for r in engines] == [abs(r.value - dual.value) for r in engines]
+        assert all(r.abs_diff is None for r in rows if r.kind == "oracle")
+
+    def test_sweep_writes_a_flow_csv_per_flow(self, tmp_path, capsys):
+        # bm's riccati flow of h = 0.6 x + 0.15 x^2 closes at degree two:
+        # N=8 runs it, and the later rows share it and write nothing
+        cfg = dict(BASE, function={"family": "polynomial", "coefficients": [0.0, 0.6, 0.15]},
+                   run={"mode": "affine", "T": 1.0, "x0": 0.2, "affine_route": "both"})
+        out_dir = tmp_path / "art"
+        code, _, err = run_cli(capsys, "run", write_cfg(tmp_path, cfg), "--sweep-order", "8,12", "--out", str(out_dir))
+        assert code == 0, err
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "flow_log_linear_N12.csv", "flow_log_linear_N8.csv", "flow_riccati_N8.csv", "results.csv",
+        ]
+        with open(out_dir / "results.csv") as fh:
+            rows = {r["quantity"]: r for r in csv.DictReader(fh)}
+        for route, n in (("riccati", 8), ("log-linear", 8), ("log-linear", 12)):
+            with open(out_dir / f"flow_{route.replace('-', '_')}_N{n}.csv") as fh:
+                end = list(csv.DictReader(fh))[-1]
+            # the end snapshot is the row's flow, at the row's order plus the buffer
+            order = n + 2
+            assert list(end)[-1] == f"im[{order}]"
+            psi = [complex(float(end[f"re[{k}]"]), float(end[f"im[{k}]"])) for k in range(order + 1)]
+            row = rows[f"{route}-flow N={n}"]
+            value = np.exp(ser.evaluate(ser.CoeffSeries(1, order, np.array(psi)), 0.2))
+            assert value == complex(float(row["value_re"]), float(row["value_im"]))
 
     def test_dual_default_k_max_is_the_models(self):
         args = sweep_args(None)

@@ -18,7 +18,6 @@ from holoseq.models import UnitIntervalModel, build_preset
 from holoseq.odeflow import (
     ExpectationResult,
     FlowBudgetError,
-    LeadingCoefficientError,
     OdeConfig,
     _taylor_action,
     _taylor_plan,
@@ -634,44 +633,47 @@ class TestQuadraticFlow:
             closed = math.exp(theta * x0**2 + beta * x0 + q * q / (2 * s)) / math.sqrt(s)
             assert abs(res.value.real - closed) <= 1e-8 * closed
 
-    def test_log_linear_route_agrees(self):
-        theta, beta, T = 0.1, 0.4, 0.5
-        u0 = ser.from_entries(1, 24, [((1,), beta), ((2,), 2 * theta)])
-        chars = bm_chars(order=24)
+    @pytest.mark.parametrize(
+        "chars,u0,T,turns",
+        [
+            (bm_chars(order=24), ser.from_entries(1, 24, [((1,), 0.4), ((2,), 0.2)]), 0.5, 0),
+            (build_preset("compound-poisson", order=16), ser.from_entries(1, 16, [((1,), 0.7)]), 0.5, 0),
+            (build_preset("affine-linear-jumps", order=16), ser.from_entries(1, 16, [((1,), 0.5)]), 0.5, 0),
+            # transport with an imaginary exponent: the riccati route's
+            # psi_0(T) = 2i T = 7i winds past pi, one turn above the principal
+            # log; at order 36 the truncated flow moves psi_8 by 3e-9
+            (drift_chars(order=48), ser.from_entries(1, 48, [((1,), 2.0j)]), 3.5, 1),
+        ],
+        ids=["bm", "compound-poisson", "affine-linear-jumps", "winding"],
+    )
+    def test_log_linear_route_agrees(self, chars, u0, T, turns):
         direct = solve_riccati(chars, u0, T).final
         via_log = riccati_from_linear(chars, u0, T).final
+        # the *-log takes the principal branch, and exp reads psi_0 modulo 2 pi i
+        lead = complex(via_log.coeffs[0])
+        assert -math.pi < lead.imag <= math.pi
+        assert abs(direct.coeffs[0] - lead - 2j * math.pi * turns) <= 1e-8
         # truncation noise sits in raw top coefficients; the two routes agree
         # in the majorant metric (per-degree weight 1/alpha!) that evaluation sees
-        weights = np.array([1 / math.factorial(k) for k in range(25)])
-        np.testing.assert_allclose(
-            via_log.coeffs * weights, direct.coeffs * weights, atol=1e-9
-        )
-        # exp(psi) evaluated == linear flow evaluated, both routes
-        c_final = solve_linear(chars, ser.exp_star(u0), T).final
+        weights = ser.taylor_weights(u0.dim, u0.order)
+        np.testing.assert_allclose(via_log.coeffs[1:] * weights[1:], direct.coeffs[1:] * weights[1:], atol=1e-9)
         for x0 in (-1.0, 0.0, 1.0):
-            lhs = np.exp(ser.evaluate(via_log, x0))
-            rhs = ser.evaluate(c_final, x0)
+            lhs, rhs = (np.exp(ser.evaluate(psi, x0)) for psi in (via_log, direct))
             assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
-    def test_branch_tracking_beyond_principal_log(self):
-        # transport with imaginary exponent: psi_0(T) = 2i T winds past pi;
-        # the *-log route must unwrap it like the direct flow does
-        T = 3.5
-        u0 = ser.from_entries(1, 36, [((1,), 2.0j)])
-        chars = drift_chars(order=36)
-        direct = solve_riccati(chars, u0, T).final
-        via_log = riccati_from_linear(chars, u0, T).final
-        assert abs(direct.coefficient((0,)) - 7.0j) < 1e-8
-        assert abs(via_log.coefficient((0,)) - 7.0j) < 1e-7
-        wrapped = 7.0 - 2 * math.pi
-        assert abs(via_log.coefficient((0,)).imag - wrapped) > 1.0
-
     def test_log_route_guards_vanishing_leading_coefficient(self):
-        # transport at order one from exp*(-x) = (1, -1): c_0(t) = 1 - t hits
-        # 0 at t = 1, where the branch ODE blows up; expect the guard, not junk
+        # transport at order one from exp*(-x) = (1, -1): c_0(t) = 1 - t
         u0 = ser.from_entries(1, 1, [((1,), -1.0)])
-        with pytest.raises(LeadingCoefficientError):
-            riccati_from_linear(drift_chars(order=1), u0, 1.5)
+        chars = drift_chars(order=1)
+        # zero at T: the *-log has no leading coefficient to divide by
+        with pytest.raises(ser.LeadingCoefficientError):
+            riccati_from_linear(chars, u0, 1.0)
+        # past the zero only c_0(T) = -1/2 is read, whose principal log
+        # gives back the linear flow's value
+        res = affine_expectation(chars, u0, 1.5, 0.0, route="log-linear")
+        want = ser.evaluate(solve_linear(chars, ser.exp_star(u0), 1.5).final, 0.0)
+        assert want == pytest.approx(-0.5, abs=1e-14)
+        assert res.value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestDiagnostics:
